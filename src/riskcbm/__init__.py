@@ -67,7 +67,6 @@ from .dataset_builder import (
     label_sample,
     sample_placement,
 )
-from .embedding_math import dissimilarity, similarity
 from .evaluation import (
     EvalConfig,
     EvalReport,

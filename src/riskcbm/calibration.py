@@ -18,7 +18,8 @@ import numpy as np
 
 from .concept_sets import (
     CRITERIA,
-    ConceptSet,
+    PREFIX_LOSSES,
+    admission_threshold,
     build_concept_set,
     loss_function,
 )
@@ -152,31 +153,42 @@ def _breakpoints(cal_set: Sequence[AnnotatedSample]) -> np.ndarray:
     return np.array(sorted(points), dtype=np.float64)
 
 
-def _leftmost_qualifying(
-    candidates: np.ndarray, risk_at, budget: float, search: str
-) -> "float | None":
-    """Smallest candidate lambda with risk <= budget, or None.
+def _leftmost_qualifying(risks: np.ndarray, budget: float, search: str) -> "int | None":
+    """Index of the first risk <= budget, or None.
 
-    Risk is non-increasing in lambda, so the qualifying set is a suffix of the
-    candidate list and binary search and linear scan find the same point.
+    Risk is non-increasing along the candidates, so the qualifying set is a
+    suffix and binary search and linear scan find the same point.
     """
-    n = len(candidates)
-    if search == "scan":
-        for lam in candidates:
-            if risk_at(float(lam)) <= budget:
-                return float(lam)
-        return None
-    if search != "binary":
+    if search == "binary":
+        found = int(np.searchsorted(-risks, -budget, side="left"))
+    elif search == "scan":
+        found = int(np.argmax(np.append(risks <= budget, True)))
+    else:
         raise ValueError(f"unknown search mode {search!r}")
-    lo, hi = 0, n - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if risk_at(float(candidates[mid])) <= budget:
-            hi = mid
+    return found if found < len(risks) else None
+
+
+def _thresholds(
+    profiles: "LossProfiles", alphas: dict[str, float], candidates: np.ndarray, search: str
+) -> dict[str, float]:
+    """Per criterion, the smallest candidate whose profile risk meets the
+    corrected budget; 1.0 when none does or the budget is not positive."""
+    if profiles.n_samples == 0:
+        raise DataError("cannot calibrate on an empty calibration set")
+    lambdas = {}
+    for k, alpha in alphas.items():
+        budget = corrected_budget(alpha, profiles.n_samples)
+        found = None
+        if budget <= 0.0:
+            warnings.warn(
+                f"calibration set too small for alpha={alpha} "
+                f"(corrected budget {budget:.4g} <= 0); falling back to lambda=1",
+                stacklevel=3,
+            )
         else:
-            lo = mid + 1
-    lam = float(candidates[lo])
-    return lam if risk_at(lam) <= budget else None
+            found = _leftmost_qualifying(profiles.risk_on_grid(k, candidates), budget, search)
+        lambdas[k] = 1.0 if found is None else float(candidates[found])
+    return lambdas
 
 
 def calibrate_criterion(
@@ -198,23 +210,11 @@ def calibrate_criterion(
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be strictly inside (0,1), got {alpha}")
-    if len(cal_set) == 0:
-        raise DataError("cannot calibrate on an empty calibration set")
-    budget = corrected_budget(alpha, len(cal_set))
-    if budget <= 0.0:
-        warnings.warn(
-            f"calibration set too small for alpha={alpha} "
-            f"(corrected budget {budget:.4g} <= 0); falling back to lambda=1",
-            stacklevel=2,
-        )
-        return 1.0
+    if criterion not in CRITERIA:
+        raise ValueError(f"unknown criterion {criterion!r}, expected one of {CRITERIA}")
     candidates = _breakpoints(cal_set) if exact else default_grid(resolution)
-
-    def risk_at(lam: float) -> float:
-        return empirical_risk(criterion, lam, cal_set, catalog)
-
-    found = _leftmost_qualifying(candidates, risk_at, budget, search)
-    return 1.0 if found is None else found
+    profiles = _profiles(cal_set, catalog, (criterion,))
+    return _thresholds(profiles, {criterion: alpha}, candidates, search)[criterion]
 
 
 def calibrate(
@@ -227,17 +227,13 @@ def calibrate(
 ) -> CalibrationResult:
     """Calibrate all three criteria and combine conservatively (max threshold).
 
-    The returned result also materializes the full empirical risk curves on
-    the uniform grid for reporting.
+    The loss profiles are built once; they serve the threshold search and
+    the full risk curves on the uniform grid returned for reporting.
     """
-    lambdas = {
-        k: calibrate_criterion(
-            k, budget.alpha_for(k), cal_set, catalog, resolution=resolution, exact=exact
-        )
-        for k in CRITERIA
-    }
-    grid = default_grid(resolution)
     profiles = build_loss_profiles(cal_set, catalog)
+    grid = default_grid(resolution)
+    candidates = _breakpoints(cal_set) if exact else grid
+    lambdas = _thresholds(profiles, budget.as_dict(), candidates, "binary")
     curves = {
         k: RiskCurve(criterion=k, grid=grid, risks=profiles.risk_on_grid(k, grid))
         for k in CRITERIA
@@ -256,27 +252,31 @@ def calibrate(
 class LossProfiles:
     """Per-sample losses as piecewise-constant functions of lambda.
 
-    Losses only change where a detection crosses the confidence threshold,
-    so each sample contributes a short step function per criterion. Values
-    are computed with the public loss functions on the nested prefix sets,
-    making profile evaluations interchangeable with direct evaluation
-    everywhere except within ``BOUNDARY_GUARD`` of a breakpoint.
+    A sample's set changes only where the admission threshold passes one of
+    its distinct confidences. Per sample, ``neg_confidences`` holds those
+    confidences negated (ascending) and ``values`` a (criteria, states)
+    array whose column j scores the set of the j highest. Membership uses
+    `admission_threshold`, as `build_concept_set` does, so profile lookups
+    equal direct evaluation.
     """
 
     def __init__(
-        self, breaks: list[np.ndarray], values: dict[str, list[np.ndarray]]
+        self, criteria: Sequence[str], neg_confidences: list[np.ndarray], values: list[np.ndarray]
     ) -> None:
-        self.breaks = breaks
+        self.criteria = tuple(criteria)
+        self.neg_confidences = neg_confidences
         self.values = values
-        self.n_samples = len(breaks)
+        self.n_samples = len(values)
 
     def matrix_on_grid(self, criterion: str, grid: np.ndarray) -> np.ndarray:
         """(n_samples, len(grid)) matrix of per-sample losses along the grid."""
-        rows = np.empty((self.n_samples, len(grid)), dtype=np.float64)
-        vals = self.values[criterion]
-        for i, breaks in enumerate(self.breaks):
-            rows[i] = vals[i][np.searchsorted(breaks, grid, side="right")]
-        return rows
+        row = self.criteria.index(criterion)
+        # confidence >= threshold  <=>  -confidence <= -threshold
+        bounds = -admission_threshold(np.asarray(grid, dtype=np.float64))
+        out = np.empty((self.n_samples, len(bounds)), dtype=np.float64)
+        for i, (neg, vals) in enumerate(zip(self.neg_confidences, self.values)):
+            out[i] = vals[row, np.searchsorted(neg, bounds, side="right")]
+        return out
 
     def risk_on_grid(self, criterion: str, grid: np.ndarray) -> np.ndarray:
         return self.matrix_on_grid(criterion, grid).mean(axis=0)
@@ -285,10 +285,15 @@ class LossProfiles:
 def build_loss_profiles(
     samples: Sequence[AnnotatedSample], catalog: ConceptCatalog
 ) -> LossProfiles:
-    """Evaluate each sample's three losses once per distinct set state."""
-    losses = {k: loss_function(k) for k in CRITERIA}
-    all_breaks: list[np.ndarray] = []
-    all_values: dict[str, list[np.ndarray]] = {k: [] for k in CRITERIA}
+    """Profiles of all three criteria: one prefix-kernel pass per sample."""
+    return _profiles(samples, catalog, CRITERIA)
+
+
+def _profiles(
+    samples: Sequence[AnnotatedSample], catalog: ConceptCatalog, criteria: Sequence[str]
+) -> LossProfiles:
+    neg_confidences: list[np.ndarray] = []
+    values: list[np.ndarray] = []
     for sample in samples:
         best: dict = {}
         for det in sample.detections:
@@ -296,30 +301,15 @@ def build_loss_profiles(
             if conf > best.get(det.concept, -1.0):
                 best[det.concept] = conf
         # Concepts enter the set in decreasing confidence order; equal
-        # confidences (and equal 1-conf floats) enter together.
+        # confidences enter together, so a state ends after each run.
         ordered = sorted(best.items(), key=lambda kv: (-kv[1], kv[0].id))
-        breaks: list[float] = []
-        groups: list[list] = []
-        for concept, conf in ordered:
-            lam = 1.0 - conf
-            if breaks and lam <= breaks[-1]:
-                groups[-1].append(concept)
-            else:
-                breaks.append(lam)
-                groups.append([concept])
-        prefix: set = set()
-        states = [frozenset()]
-        for group in groups:
-            prefix.update(group)
-            states.append(frozenset(prefix))
-        all_breaks.append(np.asarray(breaks, dtype=np.float64))
-        for k in CRITERIA:
-            vals = [
-                losses[k](ConceptSet(members=s, lambda_used=None), sample, catalog)
-                for s in states
-            ]
-            all_values[k].append(np.asarray(vals, dtype=np.float64))
-    return LossProfiles(all_breaks, all_values)
+        concepts = [concept for concept, _ in ordered]
+        confs = np.array([conf for _, conf in ordered], dtype=np.float64)
+        ends = np.flatnonzero(np.append(confs[1:] != confs[:-1], confs.size > 0)) + 1
+        losses = np.stack([PREFIX_LOSSES[k](sample, catalog, concepts) for k in criteria])
+        neg_confidences.append(-confs[ends - 1])
+        values.append(losses[:, np.concatenate(([0], ends))])
+    return LossProfiles(criteria, neg_confidences, values)
 
 
 @dataclass(eq=False)
@@ -395,7 +385,7 @@ def validate_guarantee(
     "not covered by theorem" since the guarantee does not apply.
 
     The trial loop works on precomputed loss profiles; threshold selection
-    here matches `calibrate` up to the membership boundary guard.
+    here matches `calibrate` on the grid.
     """
     if n_trials < 100:
         raise ValueError(f"n_trials must be >= 100, got {n_trials}")
@@ -440,11 +430,11 @@ def validate_guarantee(
             cal_rows, target_row = drawn[:n_cal], int(drawn[n_cal])
         combined_idx = 0
         for j, k in enumerate(CRITERIA):
-            risks = value_grids[k][cal_rows].mean(axis=0)
-            qualifying = risks <= budgets[j]
-            if qualifying.any():
-                idx = int(np.argmax(qualifying))
-            else:
+            idx = None
+            if budgets[j] > 0.0:  # as in `calibrate`, a non-positive budget falls back
+                risks = value_grids[k][cal_rows].mean(axis=0)
+                idx = _leftmost_qualifying(risks, budgets[j], "binary")
+            if idx is None:
                 idx = last
                 fallbacks[j] += 1
             combined_idx = max(combined_idx, idx)

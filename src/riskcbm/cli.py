@@ -28,7 +28,7 @@ from .dataset_builder import (
     build_vocabulary,
     label_sample,
 )
-from .evaluation import EvalConfig, accuracy_report, cca_versus_nec
+from .evaluation import SWEEP_NEC_VALUES, EvalConfig, accuracy_report, cca_versus_nec
 from .pipeline import PipelineConfig, StageError, run_pipeline
 from .synth import SynthSpec, generate_synthetic, shift_distribution
 
@@ -314,7 +314,7 @@ def _cmd_evaluate(args) -> int:
     if args.per_sample_csv:
         dataio.save_per_sample_csv(args.per_sample_csv, report)
     if args.cca_dat:
-        nec_values = sorted({n for n in (1, 2, 5, 10, 15, 20, 25, args.nec) if n >= 1})
+        nec_values = sorted({*SWEEP_NEC_VALUES, args.nec})
         sweep = cca_versus_nec(model, test_set, vocab, catalog, budget, nec_values)
         dataio.write_dat(
             args.cca_dat,

@@ -6,6 +6,10 @@ losses (discriminability, coverage, diversity) are all non-increasing in
 ``lam`` and bounded above by 1, which is what makes threshold calibration by
 empirical risk sound.
 
+The losses have one implementation, the nested-prefix kernel `prefix_losses`
+(one ``*_prefix`` function per criterion), which scores every prefix of an
+entry-ordered concept list at once; single-set losses are its last column.
+
 All functions are pure over immutable inputs. Per-catalog geometry (normalized
 concept matrix, per-class pair dissimilarities) is cached on first use, keyed
 by catalog identity.
@@ -15,6 +19,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -29,9 +34,15 @@ from .core import (
 
 __all__ = [
     "CRITERIA",
+    "PREFIX_LOSSES",
     "ConceptSet",
+    "admission_threshold",
     "build_concept_set",
     "confidence_admits",
+    "discriminability_prefix",
+    "coverage_prefix",
+    "diversity_prefix",
+    "prefix_losses",
     "discriminability_loss",
     "coverage_loss",
     "diversity_loss",
@@ -48,9 +59,14 @@ CRITERIA = ("dis", "cov", "div")
 BOUNDARY_GUARD = 1e-12
 
 
+def admission_threshold(lam):
+    """Lowest confidence admitted at ``lam`` (scalar or array): ``1 - lam`` less the guard."""
+    return (1.0 - lam) - BOUNDARY_GUARD
+
+
 def confidence_admits(confidence: float, lam: float) -> bool:
     """Inclusive membership test: confidence >= 1 - lam, robust to float round-trip."""
-    return confidence >= (1.0 - lam) - BOUNDARY_GUARD
+    return confidence >= admission_threshold(lam)
 
 
 @dataclass(frozen=True)
@@ -101,25 +117,23 @@ class _CatalogCache:
             )
             for label in catalog.class_labels
         }
-        # Sum of pairwise dissimilarities over each class's full candidate pool.
-        self.class_pair_sum = {}
-        for label, rows in self.class_rows.items():
-            m = len(rows)
-            if m >= 2:
-                phi = self._phi_block(rows, rows)
-                self.class_pair_sum[label] = float(np.sum(phi[np.triu_indices(m, k=1)]))
+        # Pair-dissimilarity sum of each class's full pool, accumulated like a
+        # diversity prefix so that the full pool in id order scores exactly 0.
+        self.class_pair_sum = {
+            label: float(_pair_sums(self._phi_block(rows, rows))[-1])
+            for label, rows in self.class_rows.items()
+            if len(rows) >= 2
+        }
 
     def _phi_block(self, rows_a: np.ndarray, rows_b: np.ndarray) -> np.ndarray:
         cos = np.clip(self.unit[rows_a] @ self.unit[rows_b].T, -1.0, 1.0)
         return (1.0 - cos) / 2.0
 
-    def member_rows(self, cset: ConceptSet) -> np.ndarray:
+    def rows_of(self, concepts: Sequence[ConceptId]) -> np.ndarray:
         try:
-            return np.array(
-                sorted(self.row_of[c] for c in cset.members), dtype=np.intp
-            )
+            return np.array([self.row_of[c] for c in concepts], dtype=np.intp)
         except KeyError:
-            missing = next(c for c in cset.members if c not in self.row_of)
+            missing = next(c for c in concepts if c not in self.row_of)
             raise DataError(
                 f"concept {missing.id} ('{missing.text}') not in catalog"
             ) from None
@@ -150,71 +164,101 @@ def _cache_for(catalog: ConceptCatalog) -> _CatalogCache:
     return cache
 
 
-def discriminability_loss(
-    cset: ConceptSet, sample, catalog: ConceptCatalog
-) -> float:
-    """One minus selected similarity mass over competing-class similarity mass.
+def discriminability_prefix(
+    sample, catalog: ConceptCatalog, concepts: Sequence[ConceptId]
+) -> np.ndarray:
+    """Discriminability loss of each prefix ``concepts[:0..p]``: one minus the
+    running selected similarity mass over the competing-class mass.
 
-    Empty sets score the maximum penalty 1. May go negative when the selected
-    mass exceeds the competing mass; the upper bound of 1 always holds.
+    The empty prefix scores 1. Losses may go negative when the selected mass
+    exceeds the competing mass; the upper bound of 1 always holds.
     """
     if catalog.num_classes < 2:
         raise DataError("discriminability needs at least 2 classes")
-    if not cset.members:
-        return 1.0
-    cache = _cache_for(catalog)
-    x = cache.unit_image(sample)
-    sims = 1.0 + np.clip(cache.unit @ x, -1.0, 1.0)
-    own_rows = cache.class_rows[_checked_label(sample, catalog)]
-    competing = float(np.sum(sims)) - float(np.sum(sims[own_rows]))
-    if competing < ZERO_NORM_TOL:
-        raise NumericError("degenerate competing-class similarity (denominator ~ 0)")
-    selected = float(np.sum(sims[cache.member_rows(cset)]))
-    return 1.0 - selected / competing
+    out = np.ones(len(concepts) + 1)
+    if concepts:
+        cache = _cache_for(catalog)
+        sims = 1.0 + np.clip(cache.unit @ cache.unit_image(sample), -1.0, 1.0)
+        own_rows = cache.class_rows[_checked_label(sample, catalog)]
+        competing = float(np.sum(sims)) - float(np.sum(sims[own_rows]))
+        if competing < ZERO_NORM_TOL:
+            raise NumericError("degenerate competing-class similarity (denominator ~ 0)")
+        out[1:] = 1.0 - np.cumsum(sims[cache.rows_of(concepts)]) / competing
+    return out
 
 
-def coverage_loss(cset: ConceptSet, sample, catalog: ConceptCatalog) -> float:
-    """Mean nearest-neighbor dissimilarity from the class candidate pool to the set.
+def coverage_prefix(
+    sample, catalog: ConceptCatalog, concepts: Sequence[ConceptId]
+) -> np.ndarray:
+    """Coverage loss of each prefix: the class pool's mean nearest-neighbor
+    dissimilarity to it, a running minimum over dissimilarity columns.
 
-    Empty sets score 1. Zero iff every candidate has a selected twin (in
-    particular when the set equals the full pool).
+    The empty prefix scores 1; a prefix holding the whole pool scores 0.
     """
     cache = _cache_for(catalog)
     cand_rows = cache.class_rows[_checked_label(sample, catalog)]
-    if not cset.members:
-        return 1.0
-    phi = cache._phi_block(cand_rows, cache.member_rows(cset))
-    return float(np.mean(np.min(phi, axis=1)))
+    out = np.ones(len(concepts) + 1)
+    if concepts:
+        phi = cache._phi_block(cand_rows, cache.rows_of(concepts))
+        out[1:] = np.minimum.accumulate(phi, axis=1).mean(axis=0)
+    return out
 
 
-def diversity_loss(cset: ConceptSet, sample, catalog: ConceptCatalog) -> float:
-    """One minus the set's share of the class pool's total pairwise dissimilarity.
+def diversity_prefix(
+    sample, catalog: ConceptCatalog, concepts: Sequence[ConceptId]
+) -> np.ndarray:
+    """Diversity loss of each prefix: one minus its share of the class pool's
+    total pairwise dissimilarity, from cumulative pair sums.
 
-    Sets with fewer than two concepts score 1 (no pairs to spread over).
+    Prefixes of fewer than two concepts score 1. A pool of fewer than two
+    candidates is an error, even for the empty prefix.
     """
     cache = _cache_for(catalog)
     label = _checked_label(sample, catalog)
-    cand_rows = cache.class_rows[label]
-    if len(cand_rows) < 2:
-        raise DataError(
-            f"diversity loss needs >= 2 candidate concepts for class {label}"
-        )
+    if len(cache.class_rows[label]) < 2:
+        raise DataError(f"diversity loss needs >= 2 candidate concepts for class {label}")
     denom = cache.class_pair_sum[label]
     if denom < ZERO_NORM_TOL:
         raise NumericError("degenerate candidate pool (all concepts pairwise identical)")
-    if len(cset.members) < 2:
-        return 1.0
-    rows = cache.member_rows(cset)
-    phi = cache._phi_block(rows, rows)
-    selected = float(np.sum(phi[np.triu_indices(len(rows), k=1)]))
-    return 1.0 - selected / denom
+    out = np.ones(len(concepts) + 1)
+    if len(concepts) >= 2:
+        rows = cache.rows_of(concepts)
+        out[2:] = 1.0 - _pair_sums(cache._phi_block(rows, rows))[1:] / denom
+    return out
 
 
-_LOSSES = {
-    "dis": discriminability_loss,
-    "cov": coverage_loss,
-    "div": diversity_loss,
-}
+def _pair_sums(phi: np.ndarray) -> np.ndarray:
+    """Pair sum of each leading block ``phi[:k, :k]``; column j of the strict
+    upper triangle holds the pairs that concept j closes."""
+    return np.cumsum(np.triu(phi, k=1).sum(axis=0))
+
+
+def prefix_losses(
+    sample, catalog: ConceptCatalog, concepts: Sequence[ConceptId]
+) -> np.ndarray:
+    """Losses of the nested sets ``concepts[:0..p]``, shape (3, p+1), rows in
+    CRITERIA order: column k scores the set of the first k concepts."""
+    return np.stack([PREFIX_LOSSES[k](sample, catalog, concepts) for k in CRITERIA])
+
+
+def discriminability_loss(cset: ConceptSet, sample, catalog: ConceptCatalog) -> float:
+    """Last column of `discriminability_prefix`, members in id order."""
+    return float(discriminability_prefix(sample, catalog, cset.sorted_members())[-1])
+
+
+def coverage_loss(cset: ConceptSet, sample, catalog: ConceptCatalog) -> float:
+    """Last column of `coverage_prefix`, members in id order."""
+    return float(coverage_prefix(sample, catalog, cset.sorted_members())[-1])
+
+
+def diversity_loss(cset: ConceptSet, sample, catalog: ConceptCatalog) -> float:
+    """Last column of `diversity_prefix`, members in id order."""
+    return float(diversity_prefix(sample, catalog, cset.sorted_members())[-1])
+
+
+# The prefix kernel and the single-set loss of each criterion.
+PREFIX_LOSSES = dict(zip(CRITERIA, (discriminability_prefix, coverage_prefix, diversity_prefix)))
+_LOSSES = dict(zip(CRITERIA, (discriminability_loss, coverage_loss, diversity_loss)))
 
 
 def loss_function(criterion: str):

@@ -14,16 +14,12 @@ import numpy as np
 
 from .calibration import RiskBudget
 from .cbm_trainer import CbmModel, forward, sigmoid
-from .concept_sets import (
-    ConceptSet,
-    coverage_loss,
-    discriminability_loss,
-    diversity_loss,
-)
+from .concept_sets import CRITERIA, ConceptSet, prefix_losses
 from .core import AnnotatedSample, ClassLabel, ConceptCatalog, DataError
 from .dataset_builder import ConceptVocabulary
 
 __all__ = [
+    "SWEEP_NEC_VALUES",
     "EvalConfig",
     "SampleCompliance",
     "EvalReport",
@@ -32,6 +28,9 @@ __all__ = [
     "accuracy_report",
     "cca_versus_nec",
 ]
+
+# Effective-set sizes swept for the compliance-vs-NEC table, plus the configured one.
+SWEEP_NEC_VALUES = (1, 2, 5, 10, 15, 20, 25)
 
 
 @dataclass(frozen=True)
@@ -84,6 +83,17 @@ def predict(model: CbmModel, sample) -> ClassLabel:
     return int(np.argmax(class_logits))
 
 
+def _ranked_candidates(model: CbmModel, sample, vocab: ConceptVocabulary):
+    """Predicted class, and its vocabulary indices by activation (ties: smaller index)."""
+    concept_logits, class_logits = forward(model, sample.image_embedding)
+    predicted = int(np.argmax(class_logits))
+    activations = sigmoid(concept_logits)
+    candidates = [
+        i for i, c in enumerate(vocab.concepts) if c.class_of_origin == predicted
+    ]
+    return predicted, sorted(candidates, key=lambda i: (-activations[i], i))
+
+
 def effective_concept_set(
     model: CbmModel, sample, vocab: ConceptVocabulary, nec: int
 ) -> ConceptSet:
@@ -94,16 +104,68 @@ def effective_concept_set(
     """
     if nec < 1:
         raise ValueError(f"nec must be >= 1, got {nec}")
-    concept_logits, class_logits = forward(model, sample.image_embedding)
-    predicted = int(np.argmax(class_logits))
-    activations = sigmoid(concept_logits)
-    candidates = [
-        i for i, c in enumerate(vocab.concepts) if c.class_of_origin == predicted
-    ]
-    ranked = sorted(candidates, key=lambda i: (-activations[i], i))[:nec]
+    _, ranked = _ranked_candidates(model, sample, vocab)
     return ConceptSet(
-        members=frozenset(vocab.concepts[i] for i in ranked), lambda_used=None
+        members=frozenset(vocab.concepts[i] for i in ranked[:nec]), lambda_used=None
     )
+
+
+def _reports(
+    model: CbmModel,
+    test_set: Sequence[AnnotatedSample],
+    vocab: ConceptVocabulary,
+    catalog: ConceptCatalog,
+    configs: Sequence[EvalConfig],
+) -> list[EvalReport]:
+    """One report per config from one pass: per sample one forward pass, one
+    ranking and one prefix-kernel call; NEC n reads column ``min(n, len)``."""
+    samples = [
+        s
+        for s in test_set
+        if getattr(s, "provenance", None) is None or s.provenance.kind == "original"
+    ]
+    if not samples:
+        raise DataError("test set is empty")
+    num_classes = catalog.num_classes
+    correct = np.zeros(num_classes, dtype=np.int64)
+    totals = np.zeros(num_classes, dtype=np.int64)
+    rows = []
+    for sample in samples:
+        if not 0 <= sample.label < num_classes:
+            raise DataError(f"sample {sample.sample_id}: unknown class label {sample.label}")
+        predicted, ranked = _ranked_candidates(model, sample, vocab)
+        hit = predicted == sample.label
+        ranked_concepts = [vocab.concepts[i] for i in ranked]
+        rows.append((sample.sample_id, hit, prefix_losses(sample, catalog, ranked_concepts)))
+        totals[sample.label] += 1
+        correct[sample.label] += int(hit)
+    missing = np.flatnonzero(totals == 0)
+    if missing.size:
+        raise DataError(
+            f"class {int(missing[0])} absent from test set; "
+            "worst-class accuracy undefined"
+        )
+    per_class = correct / totals
+    reports = []
+    for config in configs:
+        alphas = np.array([config.budget.alpha_for(k) for k in CRITERIA])
+        per_sample = []
+        for sample_id, hit, losses in rows:
+            ok = losses[:, min(config.nec, losses.shape[1] - 1)] <= alphas
+            per_sample.append(SampleCompliance(sample_id, hit, *ok.tolist()))
+        reports.append(
+            EvalReport(
+                overall_accuracy=float(np.sum(correct)) / float(np.sum(totals)),
+                worst_class_accuracy=float(np.min(per_class)),
+                cca=float(np.mean([s.compliant for s in per_sample])),
+                per_class_accuracy=per_class,
+                per_sample=per_sample,
+                nec=config.nec,
+                budget=config.budget,
+                n_samples=len(per_sample),
+            )
+        )
+    return reports
 
 
 def accuracy_report(
@@ -119,50 +181,7 @@ def accuracy_report(
     are evaluated against the true label. Samples carrying augmented
     provenance are skipped (test data is never augmented).
     """
-    samples = [
-        s
-        for s in test_set
-        if getattr(s, "provenance", None) is None or s.provenance.kind == "original"
-    ]
-    if not samples:
-        raise DataError("test set is empty")
-    budget = eval_config.budget
-    num_classes = catalog.num_classes
-    correct = np.zeros(num_classes, dtype=np.int64)
-    totals = np.zeros(num_classes, dtype=np.int64)
-    per_sample: list[SampleCompliance] = []
-    for sample in samples:
-        if not 0 <= sample.label < num_classes:
-            raise DataError(f"sample {sample.sample_id}: unknown class label {sample.label}")
-        predicted = predict(model, sample)
-        cset = effective_concept_set(model, sample, vocab, eval_config.nec)
-        entry = SampleCompliance(
-            sample_id=sample.sample_id,
-            correct=predicted == sample.label,
-            dis_ok=discriminability_loss(cset, sample, catalog) <= budget.alpha_dis,
-            cov_ok=coverage_loss(cset, sample, catalog) <= budget.alpha_cov,
-            div_ok=diversity_loss(cset, sample, catalog) <= budget.alpha_div,
-        )
-        per_sample.append(entry)
-        totals[sample.label] += 1
-        correct[sample.label] += int(entry.correct)
-    missing = np.flatnonzero(totals == 0)
-    if missing.size:
-        raise DataError(
-            f"class {int(missing[0])} absent from test set; "
-            "worst-class accuracy undefined"
-        )
-    per_class = correct / totals
-    return EvalReport(
-        overall_accuracy=float(np.sum(correct)) / float(np.sum(totals)),
-        worst_class_accuracy=float(np.min(per_class)),
-        cca=float(np.mean([s.compliant for s in per_sample])),
-        per_class_accuracy=per_class,
-        per_sample=per_sample,
-        nec=eval_config.nec,
-        budget=budget,
-        n_samples=len(per_sample),
-    )
+    return _reports(model, test_set, vocab, catalog, [eval_config])[0]
 
 
 def cca_versus_nec(
@@ -174,8 +193,6 @@ def cca_versus_nec(
     nec_values: Sequence[int],
 ) -> list[tuple[int, EvalReport]]:
     """Evaluate the report at several effective-set sizes (for compliance curves)."""
-    out = []
-    for nec in nec_values:
-        config = EvalConfig(nec=int(nec), budget=budget)
-        out.append((int(nec), accuracy_report(model, test_set, vocab, catalog, config)))
-    return out
+    configs = [EvalConfig(nec=int(nec), budget=budget) for nec in nec_values]
+    reports = _reports(model, test_set, vocab, catalog, configs)
+    return [(config.nec, report) for config, report in zip(configs, reports)]

@@ -26,7 +26,7 @@ from .dataset_builder import (
     build_vocabulary,
     label_sample,
 )
-from .evaluation import EvalConfig, accuracy_report, cca_versus_nec
+from .evaluation import SWEEP_NEC_VALUES, EvalConfig, accuracy_report, cca_versus_nec
 
 __all__ = [
     "PipelineConfig",
@@ -35,10 +35,6 @@ __all__ = [
     "split_train_cal",
     "run_pipeline",
 ]
-
-# Effective-set sizes swept for the compliance-vs-NEC plot data.
-_PLOT_NEC_VALUES = (1, 2, 5, 10, 15, 20, 25)
-
 
 class StageError(Exception):
     """Wraps a failure with the name of the pipeline stage that raised it."""
@@ -95,29 +91,23 @@ class PipelineConfig:
     @classmethod
     def from_dict(cls, doc: dict) -> "PipelineConfig":
         paths = doc.get("paths", {})
-        budget = doc.get("budget", {})
+        alphas = doc.get("budget", {})
         split = doc.get("split", {})
         calib = doc.get("calibration", {})
+        budget = RiskBudget(
+            alpha_dis=float(alphas.get("alpha_dis", 0.7)),
+            alpha_cov=float(alphas.get("alpha_cov", 0.2)),
+            alpha_div=float(alphas.get("alpha_div", 0.2)),
+        )
         return cls(
             train_path=paths["train"],
             test_path=paths["test"],
             catalog_path=paths["catalog"],
             output_dir=paths["output_dir"],
-            budget=RiskBudget(
-                alpha_dis=float(budget.get("alpha_dis", 0.7)),
-                alpha_cov=float(budget.get("alpha_cov", 0.2)),
-                alpha_div=float(budget.get("alpha_div", 0.2)),
-            ),
+            budget=budget,
             augmentation=AugmentationConfig(**doc.get("augmentation", {})),
             train=TrainConfig(**doc.get("train", {})),
-            eval=EvalConfig(
-                nec=int(doc.get("eval", {}).get("nec", 10)),
-                budget=RiskBudget(
-                    alpha_dis=float(budget.get("alpha_dis", 0.7)),
-                    alpha_cov=float(budget.get("alpha_cov", 0.2)),
-                    alpha_div=float(budget.get("alpha_div", 0.2)),
-                ),
-            ),
+            eval=EvalConfig(nec=int(doc.get("eval", {}).get("nec", 10)), budget=budget),
             train_fraction=float(split.get("train_fraction", 0.8)),
             split_seed=int(split.get("seed", 0)),
             resolution=float(calib.get("resolution", 1e-3)),
@@ -218,11 +208,11 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     dataio.save_eval_report(eval_report_path, report)
     dataio.save_per_sample_csv(out_dir / "eval_per_sample.csv", report)
 
-    nec_values = sorted({n for n in (*_PLOT_NEC_VALUES, config.eval.nec) if n >= 1})
+    nec_values = sorted({*SWEEP_NEC_VALUES, config.eval.nec})
     sweep = stage(
         "evaluate",
         lambda: cca_versus_nec(
-            model, test_samples, vocab, catalog, config.budget, nec_values
+            model, test_samples, vocab, catalog, config.eval.budget, nec_values
         ),
     )
     cca_path = out_dir / "cca_vs_nec.dat"

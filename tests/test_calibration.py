@@ -8,6 +8,7 @@ from riskcbm.calibration import (
     CalibrationResult,
     RiskBudget,
     RiskCurve,
+    _breakpoints,
     build_loss_profiles,
     calibrate,
     calibrate_criterion,
@@ -16,7 +17,7 @@ from riskcbm.calibration import (
     empirical_risk,
 )
 from riskcbm.concept_sets import CRITERIA
-from riskcbm.core import DataError
+from riskcbm.core import AnnotatedSample, DataError, Detection
 from riskcbm.synth import SynthSpec, generate_synthetic
 
 
@@ -236,3 +237,34 @@ class TestLossProfiles:
                 assert risks[j] == pytest.approx(
                     empirical_risk(k, float(grid[j]), samples, catalog), abs=1e-12
                 )
+
+    def test_profile_risk_matches_empirical_risk_on_decimal_confidences(self):
+        """Decimal confidences sit exactly on grid thresholds (1 - 0.7 != 0.3 in
+        floats); profiles must admit them as `build_concept_set` does."""
+        catalog = make_catalog(
+            {0: [[1, 0, 0], [0, 1, 0], [1, 1, 1]], 1: [[-1, 0, 0], [0, 0, -1]]}
+        )
+        c0, c1, c2 = catalog.concepts_for(0)
+        hand = [make_sample("h", 0, [1.0, 0.2, 0.1], [(c0, 0.7), (c1, 0.3), (c2, 0.15)])]
+        spec = SynthSpec(classes=2, concepts_per_class=4, samples_per_class=6,
+                         seed=11, with_pixels=False)
+        synth, synth_catalog = generate_synthetic(spec)
+        two_decimal = [
+            AnnotatedSample(
+                sample_id=s.sample_id,
+                label=s.label,
+                image_embedding=s.image_embedding,
+                detections=[
+                    Detection(box=d.box, confidence=round(d.confidence, 2), concept=d.concept)
+                    for d in s.detections
+                ],
+            )
+            for s in synth
+        ]
+        for samples, cat in ((hand, catalog), (two_decimal, synth_catalog)):
+            profiles = build_loss_profiles(samples, cat)
+            for lams in (default_grid(1e-3), _breakpoints(samples)):
+                for k in CRITERIA:
+                    risks = profiles.risk_on_grid(k, lams)
+                    direct = [empirical_risk(k, float(lam), samples, cat) for lam in lams]
+                    np.testing.assert_allclose(risks, direct, rtol=0, atol=1e-12)

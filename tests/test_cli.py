@@ -1,11 +1,14 @@
 """CLI subcommands: artifacts, exit codes, and determinism."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import riskcbm
 from riskcbm.cli import main
 
 
@@ -181,11 +184,14 @@ class TestUsageErrors:
         assert code == 1
 
     def test_subprocess_entry_point(self, data_dir):
+        # The child imports the same riskcbm as this process, installed or not.
+        package_root = str(Path(riskcbm.__file__).resolve().parents[1])
+        path = os.pathsep.join(p for p in (package_root, os.environ.get("PYTHONPATH")) if p)
         proc = subprocess.run(
             [sys.executable, "-m", "riskcbm.cli", "validate",
              "--dataset", str(data_dir / "train.ndjson"),
              "--catalog", str(data_dir / "catalog.json")],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0
         assert "no violations" in proc.stdout

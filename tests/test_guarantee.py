@@ -7,6 +7,8 @@ from conftest import make_catalog, make_sample
 from riskcbm.calibration import (
     ExchangeablePool,
     RiskBudget,
+    calibrate,
+    corrected_budget,
     validate_guarantee,
 )
 from riskcbm.concept_sets import CRITERIA
@@ -101,6 +103,22 @@ class TestUnattainableBudget:
         assert report.verdict == "fail"
         assert report.per_criterion["dis"].fallback_rate == 1.0
         assert any("fell back" in note for note in report.notes)
+
+    def test_non_positive_budget_falls_back_as_calibrate_does(self):
+        """With two classes the dis risk goes negative, so a negative corrected
+        budget is still reachable; both paths must fall back to lambda=1."""
+        spec = SynthSpec(classes=2, concepts_per_class=4, samples_per_class=40,
+                         seed=3, with_pixels=False)
+        samples, catalog = generate_synthetic(spec)
+        budget = RiskBudget(0.05, 0.9, 0.9)
+        assert corrected_budget(0.05, 10) < 0.0
+        with pytest.warns(UserWarning, match="too small"):
+            assert calibrate(budget, samples[:10], catalog).lambda_dis == 1.0
+        pool = ExchangeablePool(samples=samples, catalog=catalog)
+        with pytest.warns(UserWarning, match="non-positive"):
+            report = validate_guarantee(budget, pool, n_cal=10, n_trials=100, seed=0)
+        assert report.per_criterion["dis"].fallback_rate == 1.0
+        assert report.mean_lambda_hat == 1.0
 
 
 class TestShiftedTargets:
