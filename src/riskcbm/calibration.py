@@ -10,6 +10,7 @@ target, the expected loss of the resulting concept sets is bounded by each
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -384,8 +385,14 @@ def validate_guarantee(
     within ``alpha + slack``; non-exchangeable sources get the verdict
     "not covered by theorem" since the guarantee does not apply.
 
-    The trial loop works on precomputed loss profiles; threshold selection
-    here matches `calibrate` on the grid.
+    All trials are drawn first, then searched together on precomputed loss
+    profiles. Per criterion the search has two levels over blocks of about
+    sqrt(grid length) columns: a coarse pass finds each trial's first block
+    whose last column meets the corrected budget, and a fine pass finds the
+    first qualifying column inside it. Every mean sums the drawn rows in draw
+    order, as ``matrix[rows].mean(axis=0)`` does, and such means never
+    increase along the grid, so each trial's threshold is exactly the
+    leftmost grid point `calibrate` picks on the same draw.
     """
     if n_trials < 100:
         raise ValueError(f"n_trials must be >= 100, got {n_trials}")
@@ -407,40 +414,119 @@ def validate_guarantee(
         )
 
     profiles = build_loss_profiles(pool, catalog)
-    value_grids = {k: profiles.matrix_on_grid(k, grid) for k in CRITERIA}
+    blocked = {k: _blocked_losses(profiles, k, grid) for k in CRITERIA}
     targets_separate = not generator.exchangeable
     if targets_separate:
         target_pool = list(generator.target_samples)
         target_profiles = build_loss_profiles(target_pool, catalog)
         target_grids = {k: target_profiles.matrix_on_grid(k, grid) for k in CRITERIA}
     else:
-        target_grids = value_grids
+        target_grids = {k: blocked[k].reshape(len(pool), -1) for k in CRITERIA}
 
+    # The draws keep the per-trial generator calls of a sequential loop, so
+    # a seed selects the same rows whatever the search does with them.
     rng = np.random.default_rng(seed)
+    if targets_separate:
+        cal_rows = np.empty((n_trials, n_cal), dtype=np.intp)
+        target_rows = np.empty(n_trials, dtype=np.intp)
+        for t in range(n_trials):
+            cal_rows[t] = rng.choice(len(pool), size=n_cal, replace=False)
+            target_rows[t] = rng.integers(len(target_pool))
+    else:
+        drawn = np.empty((n_trials, n_cal + 1), dtype=np.intp)
+        for t in range(n_trials):
+            drawn[t] = rng.choice(len(pool), size=n_cal + 1, replace=False)
+        cal_rows, target_rows = drawn[:, :n_cal], drawn[:, n_cal]
+
     last = len(grid) - 1
-    target_losses = np.empty((n_trials, len(CRITERIA)), dtype=np.float64)
-    lambda_hats = np.empty(n_trials, dtype=np.float64)
+    combined = np.zeros(n_trials, dtype=np.intp)
     fallbacks = np.zeros(len(CRITERIA), dtype=np.int64)
-    for t in range(n_trials):
-        if targets_separate:
-            cal_rows = rng.choice(len(pool), size=n_cal, replace=False)
-            target_row = int(rng.integers(len(target_grids["dis"])))
+    for j, k in enumerate(CRITERIA):
+        if budgets[j] > 0.0:  # as in `calibrate`, a non-positive budget falls back
+            idx = _leftmost_within_budget(blocked[k], cal_rows, budgets[j])
         else:
-            drawn = rng.choice(len(pool), size=n_cal + 1, replace=False)
-            cal_rows, target_row = drawn[:n_cal], int(drawn[n_cal])
-        combined_idx = 0
-        for j, k in enumerate(CRITERIA):
-            idx = None
-            if budgets[j] > 0.0:  # as in `calibrate`, a non-positive budget falls back
-                risks = value_grids[k][cal_rows].mean(axis=0)
-                idx = _leftmost_qualifying(risks, budgets[j], "binary")
-            if idx is None:
-                idx = last
-                fallbacks[j] += 1
-            combined_idx = max(combined_idx, idx)
-        lambda_hats[t] = grid[combined_idx]
-        for j, k in enumerate(CRITERIA):
-            target_losses[t, j] = target_grids[k][target_row, combined_idx]
+            idx = np.full(n_trials, -1)
+        missed = idx < 0
+        fallbacks[j] = np.count_nonzero(missed)
+        np.maximum(combined, np.where(missed, last, idx), out=combined)
+    target_losses = np.empty((n_trials, len(CRITERIA)), dtype=np.float64)
+    for j, k in enumerate(CRITERIA):
+        target_losses[:, j] = target_grids[k][target_rows, combined]
+    return _guarantee_report(
+        budget, generator, n_cal, seed,
+        resolution=resolution,
+        slack=slack,
+        lambda_hats=grid[combined],
+        target_losses=target_losses,
+        fallbacks=fallbacks,
+    )
+
+
+def _blocked_losses(profiles: LossProfiles, criterion: str, grid: np.ndarray) -> np.ndarray:
+    """(n_samples, n_blocks, block) per-sample losses along ``grid``.
+
+    Blocks hold about sqrt(len(grid)) columns, which balances the coarse and
+    the fine pass of the search. The grid is padded on the right with copies
+    of its last point up to a whole number of blocks; a padding column equals
+    the last grid column, so it never holds the leftmost qualifying point.
+    """
+    block = math.isqrt(len(grid)) + 1
+    padded = np.pad(grid, (0, -len(grid) % block), mode="edge")
+    return profiles.matrix_on_grid(criterion, padded).reshape(profiles.n_samples, -1, block)
+
+
+def _mean_over_draws(table: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Row t is ``table[rows[t]].mean(axis=0)``, summed in the same order."""
+    acc = table[rows[:, 0]]
+    for j in range(1, rows.shape[1]):
+        acc += table[rows[:, j]]
+    acc /= rows.shape[1]
+    return acc
+
+
+# Draws searched together; bounds the search's temporaries to a few hundred
+# kilobytes whatever the trial count.
+_DRAW_CHUNK = 256
+
+
+def _leftmost_within_budget(blocked: np.ndarray, rows: np.ndarray, budget: float) -> np.ndarray:
+    """Per draw (a row of ``rows``), the index of the first grid column whose
+    mean loss over the drawn samples is <= budget; -1 where none is.
+
+    The means never increase along the grid, so the first block whose last
+    column qualifies (coarse pass) holds the first qualifying column (fine
+    pass), and a draw whose last block end misses has no qualifying column.
+    """
+    n_samples, n_blocks, block = blocked.shape
+    ends = np.ascontiguousarray(blocked[:, :, -1])
+    cells = blocked.reshape(n_samples * n_blocks, block)
+    out = np.empty(len(rows), dtype=np.intp)
+    for lo in range(0, len(rows), _DRAW_CHUNK):
+        part = rows[lo : lo + _DRAW_CHUNK]
+        coarse = _mean_over_draws(ends, part) <= budget
+        first_block = np.argmax(coarse, axis=1)
+        fine = _mean_over_draws(cells, part * n_blocks + first_block[:, None]) <= budget
+        found = first_block * block + np.argmax(fine, axis=1)
+        out[lo : lo + len(part)] = np.where(coarse[:, -1], found, -1)
+    return out
+
+
+def _guarantee_report(
+    budget: RiskBudget,
+    generator: ExchangeablePool,
+    n_cal: int,
+    seed: int,
+    *,
+    resolution: float,
+    slack: float,
+    lambda_hats: np.ndarray,
+    target_losses: np.ndarray,
+    fallbacks: np.ndarray,
+) -> GuaranteeReport:
+    """Summary of the trials: per-trial combined thresholds, (trials, criteria)
+    target losses and per-criterion fallback counts."""
+    n_trials = len(lambda_hats)
+    targets_separate = not generator.exchangeable
 
     per_criterion: dict[str, CriterionCoverage] = {}
     covered = True
@@ -486,7 +572,7 @@ def validate_guarantee(
         slack=slack,
         resolution=resolution,
         exchangeable=not targets_separate,
-        pool_size=len(pool),
+        pool_size=len(generator.samples),
         budget=budget,
         per_criterion=per_criterion,
         mean_lambda_hat=float(np.mean(lambda_hats)),

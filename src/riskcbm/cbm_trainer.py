@@ -44,14 +44,11 @@ class TrainingDivergedError(NumericError):
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function."""
+    """Numerically stable logistic function: exp only ever of a non-positive argument."""
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    e = np.exp(-np.abs(x))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
 
 
 def _softplus(x: np.ndarray) -> np.ndarray:
@@ -181,20 +178,27 @@ def _forward_batch(model: CbmModel, Z: np.ndarray):
     return U, A, V
 
 
+def _bce(U: np.ndarray, targets: np.ndarray) -> float:
+    return float(np.mean(_softplus(U) - targets * U))
+
+
+def _cross_entropy(V: np.ndarray, labels: np.ndarray) -> float:
+    vmax = V.max(axis=1, keepdims=True)
+    lse = vmax[:, 0] + np.log(np.sum(np.exp(V - vmax), axis=1))
+    picked = V[np.arange(len(V)), labels]
+    return float(np.mean(lse - picked))
+
+
 def loss_concept(model: CbmModel, batch: Batch) -> float:
     """Binary cross entropy between concept activations and labels, averaged over samples and concepts."""
     U, _, _ = _forward_batch(model, batch.embeddings)
-    bce = _softplus(U) - batch.concept_targets * U
-    return float(np.mean(bce))
+    return _bce(U, batch.concept_targets)
 
 
 def loss_task(model: CbmModel, batch: Batch) -> float:
     """Softmax cross entropy of the class logits, averaged over samples."""
     _, _, V = _forward_batch(model, batch.embeddings)
-    vmax = V.max(axis=1, keepdims=True)
-    lse = vmax[:, 0] + np.log(np.sum(np.exp(V - vmax), axis=1))
-    picked = V[np.arange(len(batch)), batch.labels]
-    return float(np.mean(lse - picked))
+    return _cross_entropy(V, batch.labels)
 
 
 def regularizer(model: CbmModel, beta: float) -> float:
@@ -240,8 +244,7 @@ def gradients(
     # Task CE: d/dV mean(lse(V) - V_y) = (softmax(V) - onehot) / n
     vmax = V.max(axis=1, keepdims=True)
     expv = np.exp(V - vmax)
-    P = expv / expv.sum(axis=1, keepdims=True)
-    dV = P.copy()
+    dV = expv / expv.sum(axis=1, keepdims=True)
     dV[np.arange(n), batch.labels] -= 1.0
     dV *= config.gamma1 / n
 
@@ -327,8 +330,9 @@ def train(
     )
 
     def log_row(epoch: int) -> TrainLogRow:
-        lc = loss_concept(model, full)
-        ly = loss_task(model, full)
+        U, _, V = _forward_batch(model, full.embeddings)
+        lc = _bce(U, full.concept_targets)
+        ly = _cross_entropy(V, full.labels)
         reg = regularizer(model, config.beta)
         return TrainLogRow(epoch, lc, ly, reg, lc + config.gamma1 * ly + config.gamma2 * reg)
 

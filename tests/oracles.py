@@ -1,12 +1,16 @@
 """Independent brute-force evaluators used as test oracles.
 
 Everything here is written with plain Python loops and ``math`` so it shares
-no code path with the package's vectorized implementations.
+no code path with the package's vectorized implementations. The one
+exception is `crc_trials`, the per-trial Monte Carlo loop that the batched
+threshold search of ``validate_guarantee`` must reproduce exactly.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 
 def cosine(a, b) -> float:
@@ -88,3 +92,57 @@ def numeric_gradient(params, objective_of_params, step=1e-5):
         lo = objective_of_params(bumped)
         grads.append((hi - lo) / (2.0 * step))
     return grads
+
+
+def crc_trials(budget, generator, n_cal, n_trials, seed, resolution):
+    """One trial at a time: draw, search the full-grid mean risk, combine.
+
+    Returns the per-trial combined thresholds, the (trials, criteria) target
+    losses and the per-criterion fallback counts, as `validate_guarantee`
+    summarizes them.
+    """
+    from riskcbm.calibration import (
+        _leftmost_qualifying,
+        build_loss_profiles,
+        corrected_budget,
+        default_grid,
+    )
+    from riskcbm.concept_sets import CRITERIA
+
+    pool = list(generator.samples)
+    grid = default_grid(resolution)
+    budgets = [corrected_budget(budget.alpha_for(k), n_cal) for k in CRITERIA]
+    profiles = build_loss_profiles(pool, generator.catalog)
+    value_grids = {k: profiles.matrix_on_grid(k, grid) for k in CRITERIA}
+    if generator.exchangeable:
+        target_grids = value_grids
+    else:
+        targets = build_loss_profiles(list(generator.target_samples), generator.catalog)
+        target_grids = {k: targets.matrix_on_grid(k, grid) for k in CRITERIA}
+
+    rng = np.random.default_rng(seed)
+    last = len(grid) - 1
+    target_losses = np.empty((n_trials, len(CRITERIA)), dtype=np.float64)
+    lambda_hats = np.empty(n_trials, dtype=np.float64)
+    fallbacks = [0] * len(CRITERIA)
+    for t in range(n_trials):
+        if generator.exchangeable:
+            drawn = rng.choice(len(pool), size=n_cal + 1, replace=False)
+            cal_rows, target_row = drawn[:n_cal], int(drawn[n_cal])
+        else:
+            cal_rows = rng.choice(len(pool), size=n_cal, replace=False)
+            target_row = int(rng.integers(len(target_grids["dis"])))
+        combined_idx = 0
+        for j, k in enumerate(CRITERIA):
+            idx = None
+            if budgets[j] > 0.0:
+                risks = value_grids[k][cal_rows].mean(axis=0)
+                idx = _leftmost_qualifying(risks, budgets[j], "binary")
+            if idx is None:
+                idx = last
+                fallbacks[j] += 1
+            combined_idx = max(combined_idx, idx)
+        lambda_hats[t] = grid[combined_idx]
+        for j, k in enumerate(CRITERIA):
+            target_losses[t, j] = target_grids[k][target_row, combined_idx]
+    return lambda_hats, target_losses, fallbacks

@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
+import oracles
 from conftest import make_catalog, make_sample
 from riskcbm.calibration import (
     ExchangeablePool,
     RiskBudget,
+    _guarantee_report,
     calibrate,
     corrected_budget,
     validate_guarantee,
@@ -16,19 +18,21 @@ from riskcbm.core import DataError
 from riskcbm.synth import SynthSpec, generate_synthetic, shift_distribution
 
 
-def degenerate_pool(n=40):
-    """Identical samples whose three losses are all exactly 0 at lam=0.
+def degenerate_pool(n=40, confidence=1.0):
+    """Identical samples whose three losses are all exactly 0 once both own
+    concepts are admitted, and 1 before.
 
     Image at (1,0); own concepts (1,0),(0,1) give similarity mass 3, matched
-    exactly by the competing concepts (-1,0),(0,-1),(1,0); both own concepts
-    are detected at confidence 1.0 so the full pool is selected at lam=0.
+    exactly by the competing concepts (-1,0),(0,-1),(1,0). Both own concepts
+    are detected at ``confidence``: at 1.0 the full pool is selected at lam=0,
+    at 0.0 only at lam=1.
     """
     catalog = make_catalog(
         {0: [[1, 0], [0, 1]], 1: [[-1, 0], [0, -1], [1, 0]]}
     )
     c0, c1 = catalog.concepts_for(0)
     samples = [
-        make_sample(f"d{i}", 0, [1.0, 0.0], [(c0, 1.0), (c1, 1.0)])
+        make_sample(f"d{i}", 0, [1.0, 0.0], [(c0, confidence), (c1, confidence)])
         for i in range(n)
     ]
     return samples, catalog
@@ -155,3 +159,76 @@ class TestPreconditions:
         pool = ExchangeablePool(samples=samples, catalog=catalog)
         with pytest.raises(DataError):
             validate_guarantee(RiskBudget(0.7, 0.2, 0.2), pool, 10, 100, 0)
+
+
+def _synth_pool(classes, seed, shifted=False):
+    spec = SynthSpec(classes=classes, concepts_per_class=4, samples_per_class=40,
+                     seed=seed, with_pixels=False)
+    samples, catalog = generate_synthetic(spec)
+    targets = shift_distribution(samples, seed=seed + 1) if shifted else None
+    return ExchangeablePool(samples=samples, catalog=catalog, target_samples=targets)
+
+
+def _degenerate(confidence):
+    samples, catalog = degenerate_pool(confidence=confidence)
+    return ExchangeablePool(samples=samples, catalog=catalog)
+
+
+# name: (pool, budget, n_cal, check of the regime the case stands for)
+ENGINE_CASES = {
+    "exchangeable": (
+        lambda: _synth_pool(3, 1), RiskBudget(0.7, 0.2, 0.2), 30,
+        lambda r: r.exchangeable,
+    ),
+    "shifted": (
+        lambda: _synth_pool(2, 7, shifted=True), RiskBudget(0.7, 0.2, 0.2), 30,
+        lambda r: not r.exchangeable,
+    ),
+    "met_at_first_column": (
+        lambda: _degenerate(1.0), RiskBudget(0.7, 0.2, 0.2), 10,
+        lambda r: r.mean_lambda_hat == 0.0,
+    ),
+    "met_at_last_column_only": (
+        lambda: _degenerate(0.0), RiskBudget(0.7, 0.2, 0.2), 10,
+        lambda r: r.mean_lambda_hat == 1.0
+        and all(c.fallback_rate == 0.0 for c in r.per_criterion.values()),
+    ),
+    "never_met": (
+        lambda: _synth_pool(4, 6), RiskBudget(0.3, 0.1, 0.1), 60,
+        lambda r: r.per_criterion["dis"].fallback_rate == 1.0,
+    ),
+    "non_positive_budget": (
+        lambda: _synth_pool(2, 3), RiskBudget(0.05, 0.9, 0.9), 10,
+        lambda r: r.per_criterion["dis"].fallback_rate == 1.0,
+    ),
+}
+
+
+class TestBatchedSearchMatchesTrialLoop:
+    """The batched two-level search reports exactly what the per-trial loop
+    over full-grid means reports. Grid lengths 1001, 101, 4 and 3 are no
+    multiples of the search's block length."""
+
+    @pytest.mark.filterwarnings("ignore:corrected budget non-positive")
+    @pytest.mark.parametrize("resolution", [1e-3, 0.01, 0.3, 0.5])
+    @pytest.mark.parametrize("case", sorted(ENGINE_CASES))
+    def test_report_equals_reference(self, case, resolution):
+        make_pool, budget, n_cal, regime = ENGINE_CASES[case]
+        pool = make_pool()
+        n_trials, seed, slack = 120, 11, 0.01
+        report = validate_guarantee(budget, pool, n_cal, n_trials, seed,
+                                    resolution=resolution, slack=slack)
+        lambda_hats, target_losses, fallbacks = oracles.crc_trials(
+            budget, pool, n_cal, n_trials, seed, resolution
+        )
+        expected = _guarantee_report(
+            budget, pool, n_cal, seed, resolution=resolution, slack=slack,
+            lambda_hats=lambda_hats, target_losses=target_losses, fallbacks=fallbacks,
+        )
+        assert regime(report)
+        for name, value in vars(expected).items():
+            if name == "per_criterion":
+                for k in CRITERIA:
+                    assert vars(report.per_criterion[k]) == vars(value[k]), k
+            else:
+                assert getattr(report, name) == value, name

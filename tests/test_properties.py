@@ -5,18 +5,31 @@ many of them sit exactly on a threshold ``1 - conf`` where float round-trip
 error decides membership unless the boundary guard absorbs it.
 """
 
+import warnings
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
 from conftest import make_catalog, make_sample
-from riskcbm.calibration import build_loss_profiles, empirical_risk
+from riskcbm.calibration import (
+    LossProfiles,
+    RiskBudget,
+    _blocked_losses,
+    _leftmost_qualifying,
+    _leftmost_within_budget,
+    build_loss_profiles,
+    calibrate,
+    corrected_budget,
+    default_grid,
+    empirical_risk,
+)
 from riskcbm.concept_sets import CRITERIA, prefix_losses
 
 
 @st.composite
-def instances(draw):
+def instances(draw, max_samples=4):
     """A random catalog, plus samples detecting random concepts at decimal confidences."""
     n_classes = draw(st.integers(2, 3))
     per_class = draw(st.integers(2, 4))
@@ -28,7 +41,7 @@ def instances(draw):
     concepts = catalog.all_concepts()
     scale = 10 ** draw(st.sampled_from([2, 3]))
     samples = []
-    for i in range(draw(st.integers(1, 4))):
+    for i in range(draw(st.integers(1, max_samples))):
         label = draw(st.integers(0, n_classes - 1))
         detections = draw(
             st.lists(
@@ -71,3 +84,70 @@ def test_profile_risk_equals_empirical_risk_at_guard_edges(instance):
         risks = profiles.risk_on_grid(k, np.asarray(edges))
         for lam, risk in zip(edges, risks):
             assert abs(risk - empirical_risk(k, lam, samples, catalog)) <= 1e-12, (k, lam)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    instances(max_samples=8),
+    st.data(),
+    st.sampled_from([1e-3, 0.01, 0.3, 0.5]),
+    st.tuples(*[st.floats(0.05, 0.95)] * 3),
+)
+def test_calibrate_and_batched_search_pick_the_same_threshold(instance, data, resolution, alphas):
+    """On one draw, `calibrate` and the search `validate_guarantee` runs per
+    trial choose the same lambda for every criterion."""
+    pool, catalog = instance
+    n_cal = data.draw(st.integers(1, len(pool)))
+    draws = np.array(
+        [data.draw(st.permutations(range(len(pool))))[:n_cal] for _ in range(3)]
+    )
+    budget = RiskBudget(*alphas)
+    profiles = build_loss_profiles(pool, catalog)
+    grid = default_grid(resolution)
+    batched = {}
+    for k in CRITERIA:
+        corrected = corrected_budget(budget.alpha_for(k), n_cal)
+        found = np.full(len(draws), -1)
+        if corrected > 0.0:  # validate_guarantee falls back without searching
+            found = _leftmost_within_budget(_blocked_losses(profiles, k, grid), draws, corrected)
+        batched[k] = [1.0 if i < 0 else float(grid[i]) for i in found]
+    for t, rows in enumerate(draws):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # non-positive corrected budgets
+            result = calibrate(budget, [pool[i] for i in rows], catalog, resolution=resolution)
+        for k in CRITERIA:
+            assert result.lambda_for(k) == batched[k][t], (k, list(rows))
+
+
+# Losses whose sums round differently in different orders (2**-53 vanishes
+# next to 1.0 unless two of them meet first).
+AWKWARD_LOSSES = [1.0, 0.7, 1 / 3, 0.3, 0.2, 0.1, 2.0**-52, 2.0**-53, 0.0, -0.05]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([1e-3, 0.01, 0.3, 0.5]))
+def test_batched_search_is_exact_at_the_budget(seed, resolution):
+    """With the budget set to a draw's own mean risk at some grid point, or
+    one ulp below it, the two-level search lands where a search of the full
+    mean-risk vector does; a mean summed in any other order would miss."""
+    rng = np.random.default_rng(seed)
+    n_samples = int(rng.integers(2, 9))
+    neg_confidences, values = [], []
+    for _ in range(n_samples):
+        n_states = int(rng.integers(1, 6))
+        confs = rng.choice(np.arange(1, 100) / 100, size=n_states - 1, replace=False)
+        neg_confidences.append(np.sort(-confs))
+        values.append(np.sort(rng.choice(AWKWARD_LOSSES, size=(1, n_states)))[:, ::-1])
+    profiles = LossProfiles(("dis",), neg_confidences, values)
+    grid = default_grid(resolution)
+    matrix = profiles.matrix_on_grid("dis", grid)
+    blocked = _blocked_losses(profiles, "dis", grid)
+    n_cal = int(rng.integers(1, n_samples + 1))
+    for _ in range(10):
+        rows = rng.choice(n_samples, size=(1, n_cal), replace=False)
+        risks = matrix[rows[0]].mean(axis=0)
+        at = risks[rng.integers(len(grid))]
+        for budget in (at, np.nextafter(at, -np.inf)):
+            expected = _leftmost_qualifying(risks, budget, "scan")
+            found = _leftmost_within_budget(blocked, rows, budget)[0]
+            assert found == (-1 if expected is None else expected), (list(rows[0]), budget)
