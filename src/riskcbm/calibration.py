@@ -19,10 +19,9 @@ import numpy as np
 
 from .concept_sets import (
     CRITERIA,
-    PREFIX_LOSSES,
     admission_threshold,
+    batch_prefix_losses,
     build_concept_set,
-    loss_function,
 )
 from .core import AnnotatedSample, ConceptCatalog, DataError
 
@@ -138,9 +137,12 @@ def empirical_risk(
     """Mean loss of the criterion over the calibration set at threshold ``lam``."""
     if len(cal_set) == 0:
         raise DataError("empirical risk undefined on an empty calibration set")
-    loss = loss_function(criterion)
-    values = [loss(build_concept_set(s, lam), s, catalog) for s in cal_set]
-    return float(np.mean(np.asarray(values, dtype=np.float64)))
+    if criterion not in CRITERIA:
+        raise ValueError(f"unknown criterion {criterion!r}, expected one of {CRITERIA}")
+    members = [build_concept_set(s, lam).sorted_members() for s in cal_set]
+    losses = batch_prefix_losses(cal_set, catalog, members, (criterion,))[0]
+    # Column len(m) scores the whole set, the single-set loss of that sample.
+    return float(np.mean(losses[np.arange(len(members)), [len(m) for m in members]]))
 
 
 def _breakpoints(cal_set: Sequence[AnnotatedSample]) -> np.ndarray:
@@ -173,7 +175,8 @@ def _thresholds(
     profiles: "LossProfiles", alphas: dict[str, float], candidates: np.ndarray, search: str
 ) -> dict[str, float]:
     """Per criterion, the smallest candidate whose profile risk meets the
-    corrected budget; 1.0 when none does or the budget is not positive."""
+    corrected budget; 1.0, with a warning, when none does or the budget is
+    not positive."""
     if profiles.n_samples == 0:
         raise DataError("cannot calibrate on an empty calibration set")
     lambdas = {}
@@ -187,7 +190,16 @@ def _thresholds(
                 stacklevel=3,
             )
         else:
-            found = _leftmost_qualifying(profiles.risk_on_grid(k, candidates), budget, search)
+            risks = profiles.risk_on_grid(k, candidates)
+            found = _leftmost_qualifying(risks, budget, search)
+            if found is None:
+                # Candidates end at lambda=1, where risk is at its floor.
+                warnings.warn(
+                    f"no threshold meets the {k} budget: corrected budget "
+                    f"{budget:.4g} is below the risk at lambda=1 ({risks[-1]:.4g}); "
+                    "falling back to lambda=1",
+                    stacklevel=3,
+                )
         lambdas[k] = 1.0 if found is None else float(candidates[found])
     return lambdas
 
@@ -254,30 +266,37 @@ class LossProfiles:
     """Per-sample losses as piecewise-constant functions of lambda.
 
     A sample's set changes only where the admission threshold passes one of
-    its distinct confidences. Per sample, ``neg_confidences`` holds those
-    confidences negated (ascending) and ``values`` a (criteria, states)
-    array whose column j scores the set of the j highest. Membership uses
-    `admission_threshold`, as `build_concept_set` does, so profile lookups
-    equal direct evaluation.
+    its distinct confidences. The arrays are padded to the largest number of
+    distinct confidences q over the samples: ``neg_confidences`` (n, q) holds
+    each sample's distinct confidences negated (ascending), padded with
+    +inf, and ``values`` (criteria, n, q+1) holds in column j the losses of
+    the set of the j highest, padded by repeating the last column.
+    Membership uses `admission_threshold`, as `build_concept_set` does, so
+    profile lookups equal direct evaluation.
     """
 
     def __init__(
-        self, criteria: Sequence[str], neg_confidences: list[np.ndarray], values: list[np.ndarray]
+        self, criteria: Sequence[str], neg_confidences: np.ndarray, values: np.ndarray
     ) -> None:
         self.criteria = tuple(criteria)
-        self.neg_confidences = neg_confidences
-        self.values = values
-        self.n_samples = len(values)
+        self.neg_confidences = np.asarray(neg_confidences, dtype=np.float64)
+        self.values = np.asarray(values, dtype=np.float64)
+        self.n_samples = self.values.shape[1]
 
     def matrix_on_grid(self, criterion: str, grid: np.ndarray) -> np.ndarray:
-        """(n_samples, len(grid)) matrix of per-sample losses along the grid."""
+        """(n_samples, len(grid)) matrix of per-sample losses along a
+        non-decreasing grid."""
         row = self.criteria.index(criterion)
         # confidence >= threshold  <=>  -confidence <= -threshold
         bounds = -admission_threshold(np.asarray(grid, dtype=np.float64))
-        out = np.empty((self.n_samples, len(bounds)), dtype=np.float64)
-        for i, (neg, vals) in enumerate(zip(self.neg_confidences, self.values)):
-            out[i] = vals[row, np.searchsorted(neg, bounds, side="right")]
-        return out
+        # Grid points before first[i, j] admit fewer than j + 1 confidences,
+        # so state j covers first[i, j-1] <= g < first[i, j]; a +inf pad
+        # covers none.
+        first = np.searchsorted(bounds, self.neg_confidences, side="left")
+        counts = np.diff(first, prepend=0, append=len(bounds), axis=1)
+        return np.repeat(self.values[row].ravel(), counts.ravel()).reshape(
+            self.n_samples, len(bounds)
+        )
 
     def risk_on_grid(self, criterion: str, grid: np.ndarray) -> np.ndarray:
         return self.matrix_on_grid(criterion, grid).mean(axis=0)
@@ -286,31 +305,46 @@ class LossProfiles:
 def build_loss_profiles(
     samples: Sequence[AnnotatedSample], catalog: ConceptCatalog
 ) -> LossProfiles:
-    """Profiles of all three criteria: one prefix-kernel pass per sample."""
+    """Profiles of all three criteria: one batched prefix-kernel pass."""
     return _profiles(samples, catalog, CRITERIA)
 
 
 def _profiles(
     samples: Sequence[AnnotatedSample], catalog: ConceptCatalog, criteria: Sequence[str]
 ) -> LossProfiles:
-    neg_confidences: list[np.ndarray] = []
-    values: list[np.ndarray] = []
+    concept_lists: list[list] = []
+    confidences: list[float] = []
     for sample in samples:
         best: dict = {}
         for det in sample.detections:
             conf = float(det.confidence)
             if conf > best.get(det.concept, -1.0):
                 best[det.concept] = conf
-        # Concepts enter the set in decreasing confidence order; equal
-        # confidences enter together, so a state ends after each run.
+        # Concepts enter the set in decreasing confidence order.
         ordered = sorted(best.items(), key=lambda kv: (-kv[1], kv[0].id))
-        concepts = [concept for concept, _ in ordered]
-        confs = np.array([conf for _, conf in ordered], dtype=np.float64)
-        ends = np.flatnonzero(np.append(confs[1:] != confs[:-1], confs.size > 0)) + 1
-        losses = np.stack([PREFIX_LOSSES[k](sample, catalog, concepts) for k in criteria])
-        neg_confidences.append(-confs[ends - 1])
-        values.append(losses[:, np.concatenate(([0], ends))])
-    return LossProfiles(criteria, neg_confidences, values)
+        concept_lists.append([concept for concept, _ in ordered])
+        confidences.extend(conf for _, conf in ordered)
+    losses = batch_prefix_losses(samples, catalog, concept_lists, criteria)
+    n, width = losses.shape[1:]
+    lengths = np.array([len(c) for c in concept_lists], dtype=np.intp)
+    entered = np.arange(width - 1) < lengths[:, None]
+    conf = np.full((n, width - 1), np.nan)
+    conf[entered] = confidences
+    # Equal confidences enter together, so a state ends after each run; the
+    # NaN after a list's last entry ends its final run.
+    following = np.concatenate([conf[:, 1:], np.full((n, 1), np.nan)], axis=1)
+    ends = entered & (following != conf)
+    sample_of, entry = np.nonzero(ends)
+    state = np.cumsum(ends, axis=1)[sample_of, entry]
+    n_states = int(state.max(initial=0))
+    neg_confidences = np.full((n, n_states), np.inf)
+    neg_confidences[sample_of, state - 1] = -conf[sample_of, entry]
+    # State j reads prefix column cols[i, j]; padding states read the last
+    # column, which repeats the list's final state.
+    cols = np.full((n, n_states + 1), width - 1)
+    cols[:, 0] = 0
+    cols[sample_of, state] = entry + 1
+    return LossProfiles(criteria, neg_confidences, np.take_along_axis(losses, cols[None], axis=2))
 
 
 @dataclass(eq=False)

@@ -307,15 +307,19 @@ def _cmd_evaluate(args) -> int:
     model, vocab, _config = dataio.load_model(_require_file(args.model, "model"))
     test_set = dataio.load_dataset(_require_file(args.dataset, "dataset"), catalog)
     budget = _budget_from(args)
-    report = accuracy_report(
-        model, test_set, vocab, catalog, EvalConfig(nec=args.nec, budget=budget)
-    )
+    if args.cca_dat:
+        # The sweep's NEC list holds --nec, so its row there is the headline.
+        nec_values = sorted({*SWEEP_NEC_VALUES, args.nec})
+        sweep = cca_versus_nec(model, test_set, vocab, catalog, budget, nec_values)
+        report = dict(sweep)[args.nec]
+    else:
+        report = accuracy_report(
+            model, test_set, vocab, catalog, EvalConfig(nec=args.nec, budget=budget)
+        )
     dataio.save_eval_report(args.out, report)
     if args.per_sample_csv:
         dataio.save_per_sample_csv(args.per_sample_csv, report)
     if args.cca_dat:
-        nec_values = sorted({*SWEEP_NEC_VALUES, args.nec})
-        sweep = cca_versus_nec(model, test_set, vocab, catalog, budget, nec_values)
         dataio.write_dat(
             args.cca_dat,
             ["nec", "cca", "overall_accuracy", "worst_class_accuracy"],

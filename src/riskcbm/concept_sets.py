@@ -6,20 +6,21 @@ losses (discriminability, coverage, diversity) are all non-increasing in
 ``lam`` and bounded above by 1, which is what makes threshold calibration by
 empirical risk sound.
 
-The losses have one implementation, the nested-prefix kernel `prefix_losses`
-(one ``*_prefix`` function per criterion), which scores every prefix of an
-entry-ordered concept list at once; single-set losses are its last column.
+The losses have one implementation, the nested-prefix kernel
+`batch_prefix_losses`, which scores every prefix of many entry-ordered
+concept lists at once. `prefix_losses` and the ``*_prefix`` functions are
+batches of one; single-set losses are their last column.
 
 All functions are pure over immutable inputs. Per-catalog geometry (normalized
-concept matrix, per-class pair dissimilarities) is cached on first use, keyed
-by catalog identity.
+concept matrix, the table of pair dissimilarities, per-class pools and pair
+sums) is cached on first use, keyed by catalog identity.
 """
 
 from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -43,6 +44,7 @@ __all__ = [
     "coverage_prefix",
     "diversity_prefix",
     "prefix_losses",
+    "batch_prefix_losses",
     "discriminability_loss",
     "coverage_loss",
     "diversity_loss",
@@ -99,7 +101,15 @@ def set_size(cset: ConceptSet) -> int:
 
 
 class _CatalogCache:
-    """Normalized concept geometry for one catalog, built once and reused."""
+    """Normalized concept geometry for one catalog, built once and reused.
+
+    ``phi`` holds the dissimilarity ``(1 - cos) / 2`` of every ordered
+    concept pair: one C x C float64 table (C**2 * 8 bytes, 8 KB at 32
+    concepts) that every coverage and diversity term is gathered from.
+    ``pools`` holds each class's candidate rows in id order, padded with row
+    0 to the largest class, ``pool_sizes`` their true counts and
+    ``pool_padding`` the padded entries.
+    """
 
     def __init__(self, catalog: ConceptCatalog) -> None:
         concepts = catalog.all_concepts()  # sorted by id
@@ -111,23 +121,27 @@ class _CatalogCache:
         self.concepts = concepts
         self.row_of = {c: i for i, c in enumerate(concepts)}
         self.unit = mat / norms[:, None]
+        # A copy as the second operand keeps this a general matrix product;
+        # numpy hands ``a @ a.T`` to a symmetric kernel that rounds differently.
+        self.phi = (1.0 - np.clip(self.unit @ self.unit.copy().T, -1.0, 1.0)) / 2.0
         self.class_rows = {
             label: np.array(
                 sorted(self.row_of[c] for c in catalog.concepts_for(label)), dtype=np.intp
             )
             for label in catalog.class_labels
         }
+        pool_list = [self.class_rows[label] for label in catalog.class_labels]
+        self.pool_sizes = np.array([len(rows) for rows in pool_list], dtype=np.intp)
+        self.pools = np.zeros((len(pool_list), int(self.pool_sizes.max())), dtype=np.intp)
+        self.pool_padding = ~_leading(self.pool_sizes, self.pools.shape[1])
+        self.pools[~self.pool_padding] = np.concatenate(pool_list)
         # Pair-dissimilarity sum of each class's full pool, accumulated like a
         # diversity prefix so that the full pool in id order scores exactly 0.
         self.class_pair_sum = {
-            label: float(_pair_sums(self._phi_block(rows, rows))[-1])
+            label: float(_pair_sums(self.phi[np.ix_(rows, rows)])[-1])
             for label, rows in self.class_rows.items()
             if len(rows) >= 2
         }
-
-    def _phi_block(self, rows_a: np.ndarray, rows_b: np.ndarray) -> np.ndarray:
-        cos = np.clip(self.unit[rows_a] @ self.unit[rows_b].T, -1.0, 1.0)
-        return (1.0 - cos) / 2.0
 
     def rows_of(self, concepts: Sequence[ConceptId]) -> np.ndarray:
         try:
@@ -164,6 +178,134 @@ def _cache_for(catalog: ConceptCatalog) -> _CatalogCache:
     return cache
 
 
+def _leading(lengths: np.ndarray, width: int) -> np.ndarray:
+    """(len(lengths), width) mask of each row's first ``lengths[i]`` columns."""
+    return np.arange(width) < lengths[:, None]
+
+
+def _pair_sums(phi: np.ndarray) -> np.ndarray:
+    """Pair sum of each leading block ``phi[..., :k, :k]``; column j of the
+    strict upper triangle holds the pairs that concept j closes."""
+    return np.cumsum(np.triu(phi, k=1).sum(axis=-2), axis=-1)
+
+
+class _Batch(NamedTuple):
+    """Samples with checked labels, and their concept lists as catalog rows
+    padded with row 0 to the longest list."""
+
+    samples: list
+    labels: np.ndarray
+    rows: np.ndarray
+    lengths: np.ndarray
+
+
+def _dis_batch(cache: _CatalogCache, catalog: ConceptCatalog, batch: _Batch) -> np.ndarray:
+    if catalog.num_classes < 2:
+        raise DataError("discriminability needs at least 2 classes")
+    n, width = batch.rows.shape
+    selected = np.zeros((n, width))
+    competing = np.ones(n)
+    # Each similarity row and its two sums stay per sample: summed over a
+    # batch axis, the competing mass rounds differently from these 1-D sums.
+    for i, (sample, label, length) in enumerate(
+        zip(batch.samples, batch.labels.tolist(), batch.lengths.tolist())
+    ):
+        if length == 0:
+            continue
+        sims = 1.0 + np.clip(cache.unit @ cache.unit_image(sample), -1.0, 1.0)
+        mass = float(np.sum(sims)) - float(np.sum(sims[cache.class_rows[label]]))
+        if mass < ZERO_NORM_TOL:
+            raise NumericError("degenerate competing-class similarity (denominator ~ 0)")
+        competing[i] = mass
+        selected[i] = sims[batch.rows[i]]
+    out = np.ones((n, width + 1))
+    out[:, 1:] = 1.0 - np.cumsum(selected, axis=1) / competing[:, None]
+    return out
+
+
+def _cov_batch(cache: _CatalogCache, catalog: ConceptCatalog, batch: _Batch) -> np.ndarray:
+    pools = cache.pools[batch.labels]
+    sizes = cache.pool_sizes[batch.labels]
+    nearest = np.minimum.accumulate(
+        cache.phi[pools[:, :, None], batch.rows[:, None, :]], axis=2
+    )
+    nearest[cache.pool_padding[batch.labels]] = 0.0
+    # Pool rows are added one after another, as an accumulation does and as
+    # ``mean(axis=0)`` sums one sample's (pool, prefix) block; padding rows
+    # add zeros.
+    total = np.cumsum(nearest, axis=1)[:, -1]
+    out = np.ones((len(pools), batch.rows.shape[1] + 1))
+    out[:, 1:] = total / sizes[:, None]
+    return out
+
+
+def _div_batch(cache: _CatalogCache, catalog: ConceptCatalog, batch: _Batch) -> np.ndarray:
+    for label in dict.fromkeys(batch.labels.tolist()):
+        if cache.pool_sizes[label] < 2:
+            raise DataError(f"diversity loss needs >= 2 candidate concepts for class {label}")
+        if cache.class_pair_sum[label] < ZERO_NORM_TOL:
+            raise NumericError("degenerate candidate pool (all concepts pairwise identical)")
+    n, width = batch.rows.shape
+    out = np.ones((n, width + 1))
+    if width >= 2:
+        denom = np.array([cache.class_pair_sum[label] for label in batch.labels.tolist()])
+        rows = batch.rows
+        pair_sums = _pair_sums(cache.phi[rows[:, :, None], rows[:, None, :]])
+        out[:, 2:] = 1.0 - pair_sums[:, 1:] / denom[:, None]
+    return out
+
+
+_BATCH_KERNELS = dict(zip(CRITERIA, (_dis_batch, _cov_batch, _div_batch)))
+
+# Pairs scored together; bounds the (pairs, P, P) diversity blocks.
+_BATCH_SIZE = 256
+
+
+def batch_prefix_losses(
+    samples: Sequence,
+    catalog: ConceptCatalog,
+    concept_lists: Sequence[Sequence[ConceptId]],
+    criteria: Sequence[str] = CRITERIA,
+) -> np.ndarray:
+    """Prefix losses of many (sample, entry-ordered concept list) pairs.
+
+    Returns shape (len(criteria), n, P+1), P the longest list: entry
+    [c, i, k] scores the first k concepts of list i under ``criteria[c]``,
+    and columns past a list's end repeat its last column. The lists are
+    padded to the longest one, so the cumulative similarity sums, running
+    minima, coverage means and pair sums are each one array operation; a
+    pair's row is the same, bit for bit, whatever batch it is scored in.
+    """
+    samples = list(samples)
+    concept_lists = list(concept_lists)
+    if len(concept_lists) != len(samples):
+        raise ValueError(
+            f"{len(samples)} samples but {len(concept_lists)} concept lists"
+        )
+    cache = _cache_for(catalog)
+    lengths = np.array([len(c) for c in concept_lists], dtype=np.intp)
+    width = int(lengths.max(initial=0)) + 1
+    out = np.empty((len(criteria), len(samples), width))
+    for lo in range(0, len(samples), _BATCH_SIZE):
+        part = slice(lo, lo + _BATCH_SIZE)
+        part_lengths = lengths[part]
+        rows = np.zeros((len(part_lengths), int(part_lengths.max())), dtype=np.intp)
+        rows[_leading(part_lengths, rows.shape[1])] = cache.rows_of(
+            [c for concepts in concept_lists[part] for c in concepts]
+        )
+        batch = _Batch(
+            samples=samples[part],
+            labels=np.array([_checked_label(s, catalog) for s in samples[part]], dtype=np.intp),
+            rows=rows,
+            lengths=part_lengths,
+        )
+        losses = np.stack([_BATCH_KERNELS[k](cache, catalog, batch) for k in criteria])
+        # A column past a list's end reads the list's last column.
+        cols = np.minimum(np.arange(width), part_lengths[:, None])
+        out[:, part] = losses[:, np.arange(len(cols))[:, None], cols]
+    return out
+
+
 def discriminability_prefix(
     sample, catalog: ConceptCatalog, concepts: Sequence[ConceptId]
 ) -> np.ndarray:
@@ -173,18 +315,7 @@ def discriminability_prefix(
     The empty prefix scores 1. Losses may go negative when the selected mass
     exceeds the competing mass; the upper bound of 1 always holds.
     """
-    if catalog.num_classes < 2:
-        raise DataError("discriminability needs at least 2 classes")
-    out = np.ones(len(concepts) + 1)
-    if concepts:
-        cache = _cache_for(catalog)
-        sims = 1.0 + np.clip(cache.unit @ cache.unit_image(sample), -1.0, 1.0)
-        own_rows = cache.class_rows[_checked_label(sample, catalog)]
-        competing = float(np.sum(sims)) - float(np.sum(sims[own_rows]))
-        if competing < ZERO_NORM_TOL:
-            raise NumericError("degenerate competing-class similarity (denominator ~ 0)")
-        out[1:] = 1.0 - np.cumsum(sims[cache.rows_of(concepts)]) / competing
-    return out
+    return batch_prefix_losses([sample], catalog, [concepts], ("dis",))[0, 0]
 
 
 def coverage_prefix(
@@ -195,13 +326,7 @@ def coverage_prefix(
 
     The empty prefix scores 1; a prefix holding the whole pool scores 0.
     """
-    cache = _cache_for(catalog)
-    cand_rows = cache.class_rows[_checked_label(sample, catalog)]
-    out = np.ones(len(concepts) + 1)
-    if concepts:
-        phi = cache._phi_block(cand_rows, cache.rows_of(concepts))
-        out[1:] = np.minimum.accumulate(phi, axis=1).mean(axis=0)
-    return out
+    return batch_prefix_losses([sample], catalog, [concepts], ("cov",))[0, 0]
 
 
 def diversity_prefix(
@@ -213,24 +338,7 @@ def diversity_prefix(
     Prefixes of fewer than two concepts score 1. A pool of fewer than two
     candidates is an error, even for the empty prefix.
     """
-    cache = _cache_for(catalog)
-    label = _checked_label(sample, catalog)
-    if len(cache.class_rows[label]) < 2:
-        raise DataError(f"diversity loss needs >= 2 candidate concepts for class {label}")
-    denom = cache.class_pair_sum[label]
-    if denom < ZERO_NORM_TOL:
-        raise NumericError("degenerate candidate pool (all concepts pairwise identical)")
-    out = np.ones(len(concepts) + 1)
-    if len(concepts) >= 2:
-        rows = cache.rows_of(concepts)
-        out[2:] = 1.0 - _pair_sums(cache._phi_block(rows, rows))[1:] / denom
-    return out
-
-
-def _pair_sums(phi: np.ndarray) -> np.ndarray:
-    """Pair sum of each leading block ``phi[:k, :k]``; column j of the strict
-    upper triangle holds the pairs that concept j closes."""
-    return np.cumsum(np.triu(phi, k=1).sum(axis=0))
+    return batch_prefix_losses([sample], catalog, [concepts], ("div",))[0, 0]
 
 
 def prefix_losses(
@@ -238,7 +346,7 @@ def prefix_losses(
 ) -> np.ndarray:
     """Losses of the nested sets ``concepts[:0..p]``, shape (3, p+1), rows in
     CRITERIA order: column k scores the set of the first k concepts."""
-    return np.stack([PREFIX_LOSSES[k](sample, catalog, concepts) for k in CRITERIA])
+    return batch_prefix_losses([sample], catalog, [concepts])[:, 0]
 
 
 def discriminability_loss(cset: ConceptSet, sample, catalog: ConceptCatalog) -> float:

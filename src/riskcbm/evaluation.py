@@ -14,7 +14,7 @@ import numpy as np
 
 from .calibration import RiskBudget
 from .cbm_trainer import CbmModel, forward, sigmoid
-from .concept_sets import CRITERIA, ConceptSet, prefix_losses
+from .concept_sets import CRITERIA, ConceptSet, batch_prefix_losses
 from .core import AnnotatedSample, ClassLabel, ConceptCatalog, DataError
 from .dataset_builder import ConceptVocabulary
 
@@ -117,8 +117,9 @@ def _reports(
     catalog: ConceptCatalog,
     configs: Sequence[EvalConfig],
 ) -> list[EvalReport]:
-    """One report per config from one pass: per sample one forward pass, one
-    ranking and one prefix-kernel call; NEC n reads column ``min(n, len)``."""
+    """One report per config from one pass: per sample one forward pass and
+    one ranking, then one prefix-kernel call for all samples; NEC n reads
+    column ``min(n, len)``."""
     samples = [
         s
         for s in test_set
@@ -129,16 +130,16 @@ def _reports(
     num_classes = catalog.num_classes
     correct = np.zeros(num_classes, dtype=np.int64)
     totals = np.zeros(num_classes, dtype=np.int64)
-    rows = []
+    hits, ranked_lists = [], []
     for sample in samples:
         if not 0 <= sample.label < num_classes:
             raise DataError(f"sample {sample.sample_id}: unknown class label {sample.label}")
         predicted, ranked = _ranked_candidates(model, sample, vocab)
-        hit = predicted == sample.label
-        ranked_concepts = [vocab.concepts[i] for i in ranked]
-        rows.append((sample.sample_id, hit, prefix_losses(sample, catalog, ranked_concepts)))
+        hits.append(predicted == sample.label)
+        ranked_lists.append([vocab.concepts[i] for i in ranked])
         totals[sample.label] += 1
-        correct[sample.label] += int(hit)
+        correct[sample.label] += int(hits[-1])
+    losses = batch_prefix_losses(samples, catalog, ranked_lists)
     missing = np.flatnonzero(totals == 0)
     if missing.size:
         raise DataError(
@@ -149,10 +150,13 @@ def _reports(
     reports = []
     for config in configs:
         alphas = np.array([config.budget.alpha_for(k) for k in CRITERIA])
-        per_sample = []
-        for sample_id, hit, losses in rows:
-            ok = losses[:, min(config.nec, losses.shape[1] - 1)] <= alphas
-            per_sample.append(SampleCompliance(sample_id, hit, *ok.tolist()))
+        # Columns past a list's end repeat its last, so column min(nec, P)
+        # reads every sample's column min(nec, len).
+        ok = losses[:, :, min(config.nec, losses.shape[2] - 1)] <= alphas[:, None]
+        per_sample = [
+            SampleCompliance(sample.sample_id, hit, *flags)
+            for sample, hit, flags in zip(samples, hits, ok.T.tolist())
+        ]
         reports.append(
             EvalReport(
                 overall_accuracy=float(np.sum(correct)) / float(np.sum(totals)),

@@ -81,3 +81,21 @@ def random_instance(rng: np.random.Generator, n_classes=3, per_class=4, d=6):
     ]
     sample = make_sample("r0", 0, rng.normal(size=d), confs)
     return sample, catalog
+
+
+def assert_profiles_match(profiles, neg_confidences, values, grids):
+    """Padded `LossProfiles` hold the per-sample profiles of
+    `oracles.loss_profiles` exactly, and look up every grid exactly as the
+    per-sample `oracles.profile_matrix` does."""
+    import oracles
+
+    for i, (neg, vals) in enumerate(zip(neg_confidences, values)):
+        m = len(neg)
+        assert np.array_equal(profiles.neg_confidences[i, :m], neg), i
+        assert np.all(profiles.neg_confidences[i, m:] == np.inf), i
+        assert np.array_equal(profiles.values[:, i, : m + 1], vals), i
+        assert np.all(profiles.values[:, i, m:] == vals[:, -1:]), i
+    for grid in grids:
+        for j, k in enumerate(profiles.criteria):
+            expected = oracles.profile_matrix(neg_confidences, values, j, grid)
+            assert np.array_equal(profiles.matrix_on_grid(k, grid), expected), (k, len(grid))

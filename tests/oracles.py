@@ -1,9 +1,11 @@
 """Independent brute-force evaluators used as test oracles.
 
 Everything here is written with plain Python loops and ``math`` so it shares
-no code path with the package's vectorized implementations. The one
-exception is `crc_trials`, the per-trial Monte Carlo loop that the batched
-threshold search of ``validate_guarantee`` must reproduce exactly.
+no code path with the package's vectorized implementations. The exceptions
+are loops that a batched implementation must reproduce exactly: `crc_trials`,
+the per-trial Monte Carlo loop behind ``validate_guarantee``'s threshold
+search, and `loss_profiles` with `profile_matrix`, the per-sample profile
+build and lookup behind ``build_loss_profiles`` and ``matrix_on_grid``.
 """
 
 from __future__ import annotations
@@ -146,3 +148,42 @@ def crc_trials(budget, generator, n_cal, n_trials, seed, resolution):
         for j, k in enumerate(CRITERIA):
             target_losses[t, j] = target_grids[k][target_row, combined_idx]
     return lambda_hats, target_losses, fallbacks
+
+
+def loss_profiles(samples, catalog, criteria):
+    """One sample at a time: best confidence per concept, entry order, one
+    prefix-kernel call, and a state after each run of equal confidences.
+
+    Returns per-sample lists: the distinct confidences negated (ascending),
+    and (criteria, states) loss arrays whose column j scores the set of the
+    j highest.
+    """
+    from riskcbm.concept_sets import PREFIX_LOSSES
+
+    neg_confidences, values = [], []
+    for sample in samples:
+        best = {}
+        for det in sample.detections:
+            conf = float(det.confidence)
+            if conf > best.get(det.concept, -1.0):
+                best[det.concept] = conf
+        ordered = sorted(best.items(), key=lambda kv: (-kv[1], kv[0].id))
+        concepts = [concept for concept, _ in ordered]
+        confs = np.array([conf for _, conf in ordered], dtype=np.float64)
+        ends = np.flatnonzero(np.append(confs[1:] != confs[:-1], confs.size > 0)) + 1
+        losses = np.stack([PREFIX_LOSSES[k](sample, catalog, concepts) for k in criteria])
+        neg_confidences.append(-confs[ends - 1])
+        values.append(losses[:, np.concatenate(([0], ends))])
+    return neg_confidences, values
+
+
+def profile_matrix(neg_confidences, values, row, grid):
+    """(samples, len(grid)) losses of criterion ``row`` along the grid, one
+    `searchsorted` per sample on profiles from `loss_profiles`."""
+    from riskcbm.concept_sets import admission_threshold
+
+    bounds = -admission_threshold(np.asarray(grid, dtype=np.float64))
+    out = np.empty((len(values), len(bounds)), dtype=np.float64)
+    for i, (neg, vals) in enumerate(zip(neg_confidences, values)):
+        out[i] = vals[row, np.searchsorted(neg, bounds, side="right")]
+    return out

@@ -1,11 +1,15 @@
 """Empirical risk, threshold search, and the calibration result contract."""
 
+import warnings
+
 import numpy as np
 import pytest
 
-from conftest import make_catalog, make_sample, random_instance
+import oracles
+from conftest import assert_profiles_match, make_catalog, make_sample, random_instance
 from riskcbm.calibration import (
     CalibrationResult,
+    LossProfiles,
     RiskBudget,
     RiskCurve,
     _breakpoints,
@@ -16,7 +20,7 @@ from riskcbm.calibration import (
     default_grid,
     empirical_risk,
 )
-from riskcbm.concept_sets import CRITERIA
+from riskcbm.concept_sets import CRITERIA, admission_threshold
 from riskcbm.core import AnnotatedSample, DataError, Detection
 from riskcbm.synth import SynthSpec, generate_synthetic
 
@@ -102,6 +106,35 @@ class TestCalibrateCriterion:
         got = calibrate_criterion("cov", 0.05, samples, catalog)
         assert got == 1.0
         assert empirical_risk("cov", 1.0, samples, catalog) == 0.25
+
+    def test_unattained_budget_warns_with_its_floor(self):
+        """Discriminability cannot drop below one minus own over competing
+        mass. With alpha_dis under that floor, calibrate falls back to
+        lambda=1 and says so, naming the criterion, the corrected budget and
+        the risk at lambda=1; the attainable criteria stay silent."""
+        catalog = make_catalog(
+            {
+                0: [[0, 1, 0], [0, 0, 1]],
+                1: [[1, 0, 0], [1, 0.1, 0], [1, 0, 0.1], [1, 0.1, 0.1]],
+            }
+        )
+        c0, c1 = catalog.concepts_for(0)
+        samples = [
+            make_sample(f"s{i}", 0, [1.0, 0.02 * i, 0.0], [(c0, 0.9), (c1, 0.6)])
+            for i in range(10)
+        ]
+        floor = empirical_risk("dis", 1.0, samples, catalog)
+        budget = corrected_budget(0.5, len(samples))
+        assert 0.0 < budget < floor
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = calibrate(RiskBudget(0.5, 0.9, 0.9), samples, catalog)
+        assert result.lambda_dis == 1.0
+        assert result.lambda_cov < 1.0 and result.lambda_div < 1.0
+        assert [str(w.message) for w in caught] == [
+            f"no threshold meets the dis budget: corrected budget {budget:.4g} "
+            f"is below the risk at lambda=1 ({floor:.4g}); falling back to lambda=1"
+        ]
 
     def test_too_small_calibration_set_warns(self):
         samples, catalog = step_loss_fixture([0.0])
@@ -208,7 +241,69 @@ class TestCalibrate:
             assert a.curves[k].risks.tobytes() == b.curves[k].risks.tobytes()
 
 
+def two_decimal_pool(per_class, dim, seed):
+    """Synthetic pool with confidences rounded to two decimals, plus a sample
+    without detections, a single-detection sample per (class, concept), and
+    a sample detecting one concept twice, tying two confidences and seeing a
+    cross-class concept at confidence 0."""
+    spec = SynthSpec(classes=3, concepts_per_class=per_class, samples_per_class=8,
+                     embedding_dim=dim, seed=seed, with_pixels=False)
+    synth, catalog = generate_synthetic(spec)
+    pool = [
+        AnnotatedSample(
+            sample_id=s.sample_id,
+            label=s.label,
+            image_embedding=s.image_embedding,
+            detections=[
+                Detection(box=d.box, confidence=round(d.confidence, 2), concept=d.concept)
+                for d in s.detections
+            ],
+        )
+        for s in synth
+    ]
+    c0, c1 = catalog.concepts_for(0)[:2]
+    c2 = catalog.concepts_for(1)[0]
+    x = synth[0].image_embedding
+    pool.append(make_sample("empty", 0, x, []))
+    pool += [
+        make_sample(f"one{c.id}", label, x, [(c, 0.42)])
+        for label in range(3)
+        for c in catalog.all_concepts()
+    ]
+    pool.append(make_sample("twice", 2, x, [(c1, 0.3), (c0, 0.3), (c1, 0.71), (c2, 0.0)]))
+    return pool, catalog
+
+
 class TestLossProfiles:
+    def test_lookup_on_a_confidence_exactly_at_a_bound(self):
+        """A confidence equal to a grid point's admission threshold is
+        admitted there, as the per-sample lookup admits it."""
+        grid = default_grid(0.1)
+        on_bound = np.sort(admission_threshold(grid[[2, 6]]))
+        neg = [-on_bound[::-1], np.array([-0.5])]
+        vals = [np.array([[1.0, 0.5, 0.25]]), np.array([[0.75, 0.0]])]
+        profiles = LossProfiles(
+            ("dis",),
+            [[*neg[0]], [neg[1][0], np.inf]],
+            [[[*vals[0][0]], [*vals[1][0], 0.0]]],
+        )
+        assert_profiles_match(profiles, neg, vals, [grid])
+
+    @pytest.mark.parametrize("dim", [16, 64])
+    @pytest.mark.parametrize("per_class", [4, 6, 8])
+    def test_batched_profiles_equal_the_per_sample_loop(self, per_class, dim):
+        samples, catalog = two_decimal_pool(per_class, dim, seed=per_class * dim)
+        grid = default_grid(1e-3)
+        grids = [default_grid(r) for r in (1e-3, 0.01, 0.3, 0.5)] + [
+            np.pad(grid, (0, 23), mode="edge"),  # the search's 1024-point grid
+            _breakpoints(samples),
+        ]
+        assert_profiles_match(
+            build_loss_profiles(samples, catalog),
+            *oracles.loss_profiles(samples, catalog, CRITERIA),
+            grids,
+        )
+
     def test_profiles_match_direct_evaluation(self):
         """Profile lookups equal direct loss evaluation along the whole grid."""
         rng = np.random.default_rng(33)
