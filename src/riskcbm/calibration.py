@@ -66,6 +66,10 @@ class RiskBudget:
         return self.as_dict()[criterion]
 
 
+# The budget a run uses when none is given.
+DEFAULT_BUDGET = RiskBudget(alpha_dis=0.7, alpha_cov=0.2, alpha_div=0.2)
+
+
 @dataclass(eq=False)
 class RiskCurve:
     """Empirical risk of one criterion sampled along a lambda grid."""
@@ -265,14 +269,15 @@ def calibrate(
 class LossProfiles:
     """Per-sample losses as piecewise-constant functions of lambda.
 
-    A sample's set changes only where the admission threshold passes one of
-    its distinct confidences. The arrays are padded to the largest number of
-    distinct confidences q over the samples: ``neg_confidences`` (n, q) holds
-    each sample's distinct confidences negated (ascending), padded with
-    +inf, and ``values`` (criteria, n, q+1) holds in column j the losses of
-    the set of the j highest, padded by repeating the last column.
-    Membership uses `admission_threshold`, as `build_concept_set` does, so
-    profile lookups equal direct evaluation.
+    A sample's concepts enter its set in decreasing order of their best
+    confidence. ``values`` (criteria, n, P+1) is the prefix-kernel output
+    over those entry-ordered lists, P the longest: column j holds the losses
+    of the set of the first j entries, and columns past a list's end repeat
+    its last column. ``neg_confidences`` (n, P) holds each entry's
+    confidence negated (ascending), padded with +inf. Tied entries enter
+    together, so the columns between them hold no grid point. Membership
+    uses `admission_threshold`, as `build_concept_set` does, so profile
+    lookups equal direct evaluation.
     """
 
     def __init__(
@@ -289,9 +294,9 @@ class LossProfiles:
         row = self.criteria.index(criterion)
         # confidence >= threshold  <=>  -confidence <= -threshold
         bounds = -admission_threshold(np.asarray(grid, dtype=np.float64))
-        # Grid points before first[i, j] admit fewer than j + 1 confidences,
-        # so state j covers first[i, j-1] <= g < first[i, j]; a +inf pad
-        # covers none.
+        # Grid points before first[i, j] admit fewer than j + 1 entries, so
+        # column j covers first[i, j-1] <= g < first[i, j]; a column between
+        # tied entries or after a +inf pad covers none.
         first = np.searchsorted(bounds, self.neg_confidences, side="left")
         counts = np.diff(first, prepend=0, append=len(bounds), axis=1)
         return np.repeat(self.values[row].ravel(), counts.ravel()).reshape(
@@ -313,7 +318,7 @@ def _profiles(
     samples: Sequence[AnnotatedSample], catalog: ConceptCatalog, criteria: Sequence[str]
 ) -> LossProfiles:
     concept_lists: list[list] = []
-    confidences: list[float] = []
+    neg_entries: list[float] = []
     for sample in samples:
         best: dict = {}
         for det in sample.detections:
@@ -323,28 +328,13 @@ def _profiles(
         # Concepts enter the set in decreasing confidence order.
         ordered = sorted(best.items(), key=lambda kv: (-kv[1], kv[0].id))
         concept_lists.append([concept for concept, _ in ordered])
-        confidences.extend(conf for _, conf in ordered)
+        neg_entries.extend(-conf for _, conf in ordered)
     losses = batch_prefix_losses(samples, catalog, concept_lists, criteria)
     n, width = losses.shape[1:]
     lengths = np.array([len(c) for c in concept_lists], dtype=np.intp)
-    entered = np.arange(width - 1) < lengths[:, None]
-    conf = np.full((n, width - 1), np.nan)
-    conf[entered] = confidences
-    # Equal confidences enter together, so a state ends after each run; the
-    # NaN after a list's last entry ends its final run.
-    following = np.concatenate([conf[:, 1:], np.full((n, 1), np.nan)], axis=1)
-    ends = entered & (following != conf)
-    sample_of, entry = np.nonzero(ends)
-    state = np.cumsum(ends, axis=1)[sample_of, entry]
-    n_states = int(state.max(initial=0))
-    neg_confidences = np.full((n, n_states), np.inf)
-    neg_confidences[sample_of, state - 1] = -conf[sample_of, entry]
-    # State j reads prefix column cols[i, j]; padding states read the last
-    # column, which repeats the list's final state.
-    cols = np.full((n, n_states + 1), width - 1)
-    cols[:, 0] = 0
-    cols[sample_of, state] = entry + 1
-    return LossProfiles(criteria, neg_confidences, np.take_along_axis(losses, cols[None], axis=2))
+    neg_confidences = np.full((n, width - 1), np.inf)
+    neg_confidences[np.arange(width - 1) < lengths[:, None]] = neg_entries
+    return LossProfiles(criteria, neg_confidences, losses)
 
 
 @dataclass(eq=False)
@@ -430,6 +420,8 @@ def validate_guarantee(
     """
     if n_trials < 100:
         raise ValueError(f"n_trials must be >= 100, got {n_trials}")
+    if n_cal < 1:
+        raise ValueError(f"n_cal must be >= 1, got {n_cal}")
     pool = list(generator.samples)
     if len(pool) < n_cal + 1:
         raise DataError(

@@ -1,8 +1,8 @@
 """Command-line interface for the full annotation/training/evaluation pipeline.
 
-Exit codes: 0 success, 1 usage error (bad flags, missing input files),
-2 data error (parse or validation failures), 3 numeric failure (divergence,
-degenerate geometry).
+Exit codes: 0 success, 1 usage error (bad flags or flag values, missing
+input files), 2 data error (parse or validation failures), 3 numeric failure
+(divergence, degenerate geometry).
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from pathlib import Path
 
 from . import dataio
 from .calibration import (
+    DEFAULT_BUDGET,
     ExchangeablePool,
     RiskBudget,
     calibrate,
@@ -59,10 +60,9 @@ def _require_file(path: str, what: str) -> Path:
 
 def _add_budget_flags(parser, default_to_none: bool = False) -> None:
     # pipeline keeps None defaults so explicit flags can override a config file
-    defaults = (None, None, None) if default_to_none else (0.7, 0.2, 0.2)
-    parser.add_argument("--alpha-dis", type=float, default=defaults[0])
-    parser.add_argument("--alpha-cov", type=float, default=defaults[1])
-    parser.add_argument("--alpha-div", type=float, default=defaults[2])
+    for key, alpha in DEFAULT_BUDGET.as_dict().items():
+        default = None if default_to_none else alpha
+        parser.add_argument(f"--alpha-{key}", type=float, default=default)
 
 
 def _budget_from(args) -> RiskBudget:
@@ -384,7 +384,8 @@ def _cmd_pipeline(args) -> int:
 
 def _cmd_crc_check(args) -> int:
     budget = _budget_from(args)
-    per_class = max(1, args.pool // args.classes)
+    # SynthSpec rejects a class count below 1; do not divide by it first.
+    per_class = max(1, args.pool // max(args.classes, 1))
     spec = SynthSpec(
         classes=args.classes,
         concepts_per_class=args.concepts_per_class,
@@ -466,6 +467,9 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except ValueError as exc:  # a flag or config value out of range
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -8,8 +8,8 @@ empirical risk sound.
 
 The losses have one implementation, the nested-prefix kernel
 `batch_prefix_losses`, which scores every prefix of many entry-ordered
-concept lists at once. `prefix_losses` and the ``*_prefix`` functions are
-batches of one; single-set losses are their last column.
+concept lists at once. The single-set losses read its last column on a batch
+of one; callers scoring many samples or prefixes use the kernel directly.
 
 All functions are pure over immutable inputs. Per-catalog geometry (normalized
 concept matrix, the table of pair dissimilarities, per-class pools and pair
@@ -35,15 +35,10 @@ from .core import (
 
 __all__ = [
     "CRITERIA",
-    "PREFIX_LOSSES",
     "ConceptSet",
     "admission_threshold",
     "build_concept_set",
     "confidence_admits",
-    "discriminability_prefix",
-    "coverage_prefix",
-    "diversity_prefix",
-    "prefix_losses",
     "batch_prefix_losses",
     "discriminability_loss",
     "coverage_loss",
@@ -306,66 +301,40 @@ def batch_prefix_losses(
     return out
 
 
-def discriminability_prefix(
-    sample, catalog: ConceptCatalog, concepts: Sequence[ConceptId]
-) -> np.ndarray:
-    """Discriminability loss of each prefix ``concepts[:0..p]``: one minus the
-    running selected similarity mass over the competing-class mass.
-
-    The empty prefix scores 1. Losses may go negative when the selected mass
-    exceeds the competing mass; the upper bound of 1 always holds.
-    """
-    return batch_prefix_losses([sample], catalog, [concepts], ("dis",))[0, 0]
-
-
-def coverage_prefix(
-    sample, catalog: ConceptCatalog, concepts: Sequence[ConceptId]
-) -> np.ndarray:
-    """Coverage loss of each prefix: the class pool's mean nearest-neighbor
-    dissimilarity to it, a running minimum over dissimilarity columns.
-
-    The empty prefix scores 1; a prefix holding the whole pool scores 0.
-    """
-    return batch_prefix_losses([sample], catalog, [concepts], ("cov",))[0, 0]
-
-
-def diversity_prefix(
-    sample, catalog: ConceptCatalog, concepts: Sequence[ConceptId]
-) -> np.ndarray:
-    """Diversity loss of each prefix: one minus its share of the class pool's
-    total pairwise dissimilarity, from cumulative pair sums.
-
-    Prefixes of fewer than two concepts score 1. A pool of fewer than two
-    candidates is an error, even for the empty prefix.
-    """
-    return batch_prefix_losses([sample], catalog, [concepts], ("div",))[0, 0]
-
-
-def prefix_losses(
-    sample, catalog: ConceptCatalog, concepts: Sequence[ConceptId]
-) -> np.ndarray:
-    """Losses of the nested sets ``concepts[:0..p]``, shape (3, p+1), rows in
-    CRITERIA order: column k scores the set of the first k concepts."""
-    return batch_prefix_losses([sample], catalog, [concepts])[:, 0]
+def _last_column(criterion: str, cset: ConceptSet, sample, catalog: ConceptCatalog) -> float:
+    """The kernel's score of the whole set, members in id order."""
+    members = cset.sorted_members()
+    return float(batch_prefix_losses([sample], catalog, [members], (criterion,))[0, 0, -1])
 
 
 def discriminability_loss(cset: ConceptSet, sample, catalog: ConceptCatalog) -> float:
-    """Last column of `discriminability_prefix`, members in id order."""
-    return float(discriminability_prefix(sample, catalog, cset.sorted_members())[-1])
+    """One minus the set's similarity mass to the image over the
+    competing-class mass.
+
+    The empty set scores 1. The loss may go negative when the selected mass
+    exceeds the competing mass; the upper bound of 1 always holds.
+    """
+    return _last_column("dis", cset, sample, catalog)
 
 
 def coverage_loss(cset: ConceptSet, sample, catalog: ConceptCatalog) -> float:
-    """Last column of `coverage_prefix`, members in id order."""
-    return float(coverage_prefix(sample, catalog, cset.sorted_members())[-1])
+    """The class pool's mean nearest-neighbor dissimilarity to the set.
+
+    The empty set scores 1; a set holding the whole pool scores 0.
+    """
+    return _last_column("cov", cset, sample, catalog)
 
 
 def diversity_loss(cset: ConceptSet, sample, catalog: ConceptCatalog) -> float:
-    """Last column of `diversity_prefix`, members in id order."""
-    return float(diversity_prefix(sample, catalog, cset.sorted_members())[-1])
+    """One minus the set's share of the class pool's total pairwise
+    dissimilarity.
+
+    Sets of fewer than two concepts score 1. A pool of fewer than two
+    candidates is an error, even for the empty set.
+    """
+    return _last_column("div", cset, sample, catalog)
 
 
-# The prefix kernel and the single-set loss of each criterion.
-PREFIX_LOSSES = dict(zip(CRITERIA, (discriminability_prefix, coverage_prefix, diversity_prefix)))
 _LOSSES = dict(zip(CRITERIA, (discriminability_loss, coverage_loss, diversity_loss)))
 
 

@@ -7,12 +7,12 @@ meets all three set-quality budgets, evaluated against the true label.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .calibration import RiskBudget
+from .calibration import DEFAULT_BUDGET, RiskBudget
 from .cbm_trainer import CbmModel, forward, sigmoid
 from .concept_sets import CRITERIA, ConceptSet, batch_prefix_losses
 from .core import AnnotatedSample, ClassLabel, ConceptCatalog, DataError
@@ -38,9 +38,7 @@ class EvalConfig:
     """Evaluation knobs: effective-set size cap and compliance thresholds."""
 
     nec: int = 10
-    budget: RiskBudget = field(
-        default_factory=lambda: RiskBudget(alpha_dis=0.7, alpha_cov=0.2, alpha_div=0.2)
-    )
+    budget: RiskBudget = DEFAULT_BUDGET
 
     def __post_init__(self) -> None:
         if self.nec < 1:

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from . import dataio
-from .calibration import RiskBudget, calibrate
+from .calibration import DEFAULT_BUDGET, RiskBudget, calibrate
 from .cbm_trainer import TrainConfig, train
 from .concept_sets import CRITERIA
 from .core import AnnotatedSample, DataError
@@ -26,7 +26,7 @@ from .dataset_builder import (
     build_vocabulary,
     label_sample,
 )
-from .evaluation import SWEEP_NEC_VALUES, EvalConfig, cca_versus_nec
+from .evaluation import SWEEP_NEC_VALUES, cca_versus_nec
 
 # Not called here since the NEC sweep yields the headline report, but kept as
 # a module attribute: bench/run.py traces `pipeline.accuracy_report`.
@@ -75,12 +75,11 @@ class PipelineConfig:
     test_path: str
     catalog_path: str
     output_dir: str
-    budget: RiskBudget = field(
-        default_factory=lambda: RiskBudget(alpha_dis=0.7, alpha_cov=0.2, alpha_div=0.2)
-    )
+    # One budget per run: calibration and the evaluation's compliance checks.
+    budget: RiskBudget = DEFAULT_BUDGET
     augmentation: AugmentationConfig = field(default_factory=AugmentationConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
-    eval: EvalConfig = field(default_factory=EvalConfig)
+    nec: int = 10
     train_fraction: float = 0.8
     split_seed: int = 0
     resolution: float = 1e-3
@@ -91,6 +90,8 @@ class PipelineConfig:
             raise ValueError(
                 f"train_fraction must be in (0,1), got {self.train_fraction}"
             )
+        if self.nec < 1:
+            raise ValueError(f"nec must be >= 1, got {self.nec}")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "PipelineConfig":
@@ -98,20 +99,19 @@ class PipelineConfig:
         alphas = doc.get("budget", {})
         split = doc.get("split", {})
         calib = doc.get("calibration", {})
-        budget = RiskBudget(
-            alpha_dis=float(alphas.get("alpha_dis", 0.7)),
-            alpha_cov=float(alphas.get("alpha_cov", 0.2)),
-            alpha_div=float(alphas.get("alpha_div", 0.2)),
-        )
         return cls(
             train_path=paths["train"],
             test_path=paths["test"],
             catalog_path=paths["catalog"],
             output_dir=paths["output_dir"],
-            budget=budget,
+            budget=RiskBudget(
+                alpha_dis=float(alphas.get("alpha_dis", DEFAULT_BUDGET.alpha_dis)),
+                alpha_cov=float(alphas.get("alpha_cov", DEFAULT_BUDGET.alpha_cov)),
+                alpha_div=float(alphas.get("alpha_div", DEFAULT_BUDGET.alpha_div)),
+            ),
             augmentation=AugmentationConfig(**doc.get("augmentation", {})),
             train=TrainConfig(**doc.get("train", {})),
-            eval=EvalConfig(nec=int(doc.get("eval", {}).get("nec", 10)), budget=budget),
+            nec=int(doc.get("eval", {}).get("nec", 10)),
             train_fraction=float(split.get("train_fraction", 0.8)),
             split_seed=int(split.get("seed", 0)),
             resolution=float(calib.get("resolution", 1e-3)),
@@ -204,15 +204,15 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     dataio.save_model(model_path, model, vocab, config.train)
     dataio.save_training_log(out_dir / "training_log.csv", log)
 
-    # The sweep's NEC list holds eval.nec, so its row there is the headline.
-    nec_values = sorted({*SWEEP_NEC_VALUES, config.eval.nec})
+    # The sweep's NEC list holds config.nec, so its row there is the headline.
+    nec_values = sorted({*SWEEP_NEC_VALUES, config.nec})
     sweep = stage(
         "evaluate",
         lambda: cca_versus_nec(
-            model, test_samples, vocab, catalog, config.eval.budget, nec_values
+            model, test_samples, vocab, catalog, config.budget, nec_values
         ),
     )
-    report = dict(sweep)[config.eval.nec]
+    report = dict(sweep)[config.nec]
     eval_report_path = out_dir / "eval_report.json"
     dataio.save_eval_report(eval_report_path, report)
     dataio.save_per_sample_csv(out_dir / "eval_per_sample.csv", report)

@@ -10,6 +10,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))  # for `oracles`
 
+from riskcbm.concept_sets import batch_prefix_losses
 from riskcbm.core import (
     AnnotatedSample,
     BoundingBox,
@@ -83,18 +84,32 @@ def random_instance(rng: np.random.Generator, n_classes=3, per_class=4, d=6):
     return sample, catalog
 
 
-def assert_profiles_match(profiles, neg_confidences, values, grids):
-    """Padded `LossProfiles` hold the per-sample profiles of
-    `oracles.loss_profiles` exactly, and look up every grid exactly as the
-    per-sample `oracles.profile_matrix` does."""
+def assert_profiles_match(profiles, samples, catalog, grids):
+    """`LossProfiles` built from ``samples`` hold the prefix kernel's output
+    as it is, with each entry's confidence negated and padded with +inf, and
+    look up every grid exactly as the per-sample `oracles.profile_matrix`
+    does on the run-merged profiles of `oracles.loss_profiles`."""
     import oracles
 
-    for i, (neg, vals) in enumerate(zip(neg_confidences, values)):
-        m = len(neg)
-        assert np.array_equal(profiles.neg_confidences[i, :m], neg), i
+    entries = [oracles.entry_order(sample) for sample in samples]
+    kernel = batch_prefix_losses(
+        samples, catalog, [[c for c, _ in e] for e in entries], profiles.criteria
+    )
+    assert np.array_equal(profiles.values, kernel)
+    assert profiles.neg_confidences.shape == (len(samples), kernel.shape[2] - 1)
+    for i, e in enumerate(entries):
+        m = len(e)
+        assert np.array_equal(profiles.neg_confidences[i, :m], [-conf for _, conf in e]), i
         assert np.all(profiles.neg_confidences[i, m:] == np.inf), i
-        assert np.array_equal(profiles.values[:, i, : m + 1], vals), i
-        assert np.all(profiles.values[:, i, m:] == vals[:, -1:]), i
+    assert_grid_lookups_match(
+        profiles, *oracles.loss_profiles(samples, catalog, profiles.criteria), grids
+    )
+
+
+def assert_grid_lookups_match(profiles, neg_confidences, values, grids):
+    """`matrix_on_grid` equals `oracles.profile_matrix` on every grid."""
+    import oracles
+
     for grid in grids:
         for j, k in enumerate(profiles.criteria):
             expected = oracles.profile_matrix(neg_confidences, values, j, grid)

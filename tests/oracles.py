@@ -150,28 +150,34 @@ def crc_trials(budget, generator, n_cal, n_trials, seed, resolution):
     return lambda_hats, target_losses, fallbacks
 
 
+def entry_order(sample):
+    """(concept, best confidence) pairs in the order concepts enter the set:
+    decreasing confidence, ties by concept id."""
+    best = {}
+    for det in sample.detections:
+        conf = float(det.confidence)
+        if conf > best.get(det.concept, -1.0):
+            best[det.concept] = conf
+    return sorted(best.items(), key=lambda kv: (-kv[1], kv[0].id))
+
+
 def loss_profiles(samples, catalog, criteria):
-    """One sample at a time: best confidence per concept, entry order, one
-    prefix-kernel call, and a state after each run of equal confidences.
+    """One sample at a time: entry order, one prefix-kernel call, and a
+    state after each run of equal confidences.
 
     Returns per-sample lists: the distinct confidences negated (ascending),
     and (criteria, states) loss arrays whose column j scores the set of the
     j highest.
     """
-    from riskcbm.concept_sets import PREFIX_LOSSES
+    from riskcbm.concept_sets import batch_prefix_losses
 
     neg_confidences, values = [], []
     for sample in samples:
-        best = {}
-        for det in sample.detections:
-            conf = float(det.confidence)
-            if conf > best.get(det.concept, -1.0):
-                best[det.concept] = conf
-        ordered = sorted(best.items(), key=lambda kv: (-kv[1], kv[0].id))
+        ordered = entry_order(sample)
         concepts = [concept for concept, _ in ordered]
         confs = np.array([conf for _, conf in ordered], dtype=np.float64)
         ends = np.flatnonzero(np.append(confs[1:] != confs[:-1], confs.size > 0)) + 1
-        losses = np.stack([PREFIX_LOSSES[k](sample, catalog, concepts) for k in criteria])
+        losses = batch_prefix_losses([sample], catalog, [concepts], criteria)[:, 0]
         neg_confidences.append(-confs[ends - 1])
         values.append(losses[:, np.concatenate(([0], ends))])
     return neg_confidences, values

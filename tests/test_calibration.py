@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import assert_profiles_match, make_catalog, make_sample, random_instance
+from conftest import (
+    assert_grid_lookups_match,
+    assert_profiles_match,
+    make_catalog,
+    make_sample,
+    random_instance,
+)
 from riskcbm.calibration import (
     CalibrationResult,
     LossProfiles,
@@ -287,7 +293,27 @@ class TestLossProfiles:
             [[*neg[0]], [neg[1][0], np.inf]],
             [[[*vals[0][0]], [*vals[1][0], 0.0]]],
         )
-        assert_profiles_match(profiles, neg, vals, [grid])
+        assert_grid_lookups_match(profiles, neg, vals, [grid])
+
+    def test_columns_between_tied_entries_are_never_read(self):
+        """Two entries tied at 0.7 enter together, so the column after the
+        first of them (a NaN sentinel here) holds no grid point, on any grid
+        or at the breakpoints and their neighbors."""
+        profiles = LossProfiles(
+            ("dis",),
+            [[-0.7, -0.7, -0.3], [-0.5, np.inf, np.inf]],
+            [[[1.0, np.nan, 0.5, 0.2], [0.9, 0.4, 0.4, 0.4]]],
+        )
+        neg = [np.array([-0.7, -0.3]), np.array([-0.5])]
+        vals = [np.array([[1.0, 0.5, 0.2]]), np.array([[0.9, 0.4]])]
+        breaks = np.array([0.0, 1.0 - 0.7, 1.0 - 0.5, 1.0 - 0.3, 1.0])
+        around = np.sort(np.concatenate(
+            [breaks, np.nextafter(breaks, -np.inf), np.nextafter(breaks, np.inf)]
+        ))
+        grids = [default_grid(r) for r in (1e-3, 0.01, 0.1, 0.3, 0.5)] + [breaks, around]
+        for grid in grids:
+            assert not np.isnan(profiles.matrix_on_grid("dis", grid)).any(), len(grid)
+        assert_grid_lookups_match(profiles, neg, vals, grids)
 
     @pytest.mark.parametrize("dim", [16, 64])
     @pytest.mark.parametrize("per_class", [4, 6, 8])
@@ -298,11 +324,7 @@ class TestLossProfiles:
             np.pad(grid, (0, 23), mode="edge"),  # the search's 1024-point grid
             _breakpoints(samples),
         ]
-        assert_profiles_match(
-            build_loss_profiles(samples, catalog),
-            *oracles.loss_profiles(samples, catalog, CRITERIA),
-            grids,
-        )
+        assert_profiles_match(build_loss_profiles(samples, catalog), samples, catalog, grids)
 
     def test_profiles_match_direct_evaluation(self):
         """Profile lookups equal direct loss evaluation along the whole grid."""

@@ -199,3 +199,52 @@ class TestUsageErrors:
     def test_unknown_flag(self, capsys):
         code = main(["synth", "--bogus"])
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["crc-check", "--pool", "40", "--trials", "50"],
+            ["crc-check", "--pool", "40", "--n-cal", "0"],
+            ["crc-check", "--pool", "40", "--alpha-dis", "1.5"],
+            ["crc-check", "--pool", "40", "--classes", "0"],
+            ["synth", "--out-dir", "{tmp}", "--classes", "0"],
+        ],
+        ids=["trials", "n-cal", "alpha", "crc-classes", "synth-classes"],
+    )
+    def test_bad_value_is_a_one_line_usage_error(self, argv, tmp_path, capsys):
+        code = main([arg.format(tmp=tmp_path) for arg in argv])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--resolution", "0.9"], ["--alpha-div", "0"]],
+        ids=["resolution", "alpha"],
+    )
+    def test_bad_calibrate_value_is_a_usage_error(self, flags, data_dir, tmp_path, capsys):
+        code = main([
+            "calibrate", "--dataset", str(data_dir / "train.ndjson"),
+            "--catalog", str(data_dir / "catalog.json"),
+            "--out", str(tmp_path / "cal.json"), *flags,
+        ])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "cal.json").exists()
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--nec", "0"], ["--train-fraction", "1.5"], ["--alpha-cov", "-0.1"]],
+        ids=["nec", "train-fraction", "alpha"],
+    )
+    def test_bad_pipeline_value_is_a_usage_error(self, flags, data_dir, tmp_path, capsys):
+        code = main([
+            "pipeline",
+            "--train", str(data_dir / "train.ndjson"),
+            "--test", str(data_dir / "test.ndjson"),
+            "--catalog", str(data_dir / "catalog.json"),
+            "--out-dir", str(tmp_path / "out"), *flags,
+        ])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "out").exists()

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from riskcbm.calibration import RiskBudget
+from riskcbm.calibration import DEFAULT_BUDGET, RiskBudget
 from riskcbm.cbm_trainer import TrainConfig
 from riskcbm.cli import main
 from riskcbm.evaluation import EvalConfig
@@ -23,27 +23,35 @@ def data_dir(tmp_path_factory):
     return out
 
 
-def test_from_dict_parses_one_budget_for_both_fields():
+def test_from_dict_parses_the_budget_and_nec():
     config = PipelineConfig.from_dict({
         "paths": {"train": "a", "test": "b", "catalog": "c", "output_dir": "d"},
         "budget": {"alpha_dis": 0.9, "alpha_cov": 0.3, "alpha_div": 0.4},
         "eval": {"nec": 4},
     })
     assert config.budget == RiskBudget(0.9, 0.3, 0.4)
-    assert config.eval.budget is config.budget
-    assert config.eval.nec == 4
+    assert config.nec == 4
 
 
-def test_nec_sweep_uses_the_evaluation_budget(data_dir, tmp_path):
-    """The sweep row at the configured NEC repeats the headline report's CCA."""
+def test_from_dict_defaults_to_the_default_budget():
+    config = PipelineConfig.from_dict(
+        {"paths": {"train": "a", "test": "b", "catalog": "c", "output_dir": "d"}}
+    )
+    assert config.budget == DEFAULT_BUDGET == EvalConfig().budget
+    assert config.nec == 10
+
+
+def test_nec_sweep_uses_the_run_budget(data_dir, tmp_path):
+    """The sweep row at the configured NEC repeats the headline report's
+    CCA, and the report checks compliance against the run's budget."""
     config = PipelineConfig(
         train_path=str(data_dir / "train.ndjson"),
         test_path=str(data_dir / "test.ndjson"),
         catalog_path=str(data_dir / "catalog.json"),
         output_dir=str(tmp_path / "run"),
-        budget=RiskBudget(0.7, 0.2, 0.2),
+        budget=RiskBudget(0.99, 0.9, 0.9),
         train=TrainConfig(epochs=20),
-        eval=EvalConfig(nec=3, budget=RiskBudget(0.99, 0.9, 0.9)),
+        nec=3,
     )
     run_pipeline(config)
     out = tmp_path / "run"
@@ -54,4 +62,6 @@ def test_nec_sweep_uses_the_evaluation_budget(data_dir, tmp_path):
         if not line.startswith("#")
     ]
     by_nec = {int(row[0]): float(row[1]) for row in rows}
-    assert by_nec[config.eval.nec] == report["cca"]
+    assert report["nec"] == config.nec
+    assert report["budget"] == {"alpha_dis": 0.99, "alpha_cov": 0.9, "alpha_div": 0.9}
+    assert by_nec[config.nec] == report["cca"]

@@ -26,7 +26,7 @@ from riskcbm.calibration import (
     default_grid,
     empirical_risk,
 )
-from riskcbm.concept_sets import CRITERIA, prefix_losses
+from riskcbm.concept_sets import CRITERIA, batch_prefix_losses
 
 
 @st.composite
@@ -83,7 +83,7 @@ def test_prefix_columns_match_brute_force_and_never_increase(instance, random):
     for sample in samples:
         order = list(catalog.all_concepts())
         random.shuffle(order)
-        losses = prefix_losses(sample, catalog, order)
+        losses = batch_prefix_losses([sample], catalog, [order])[:, 0]
         assert losses.shape == (len(CRITERIA), len(order) + 1)
         for j, k in enumerate(CRITERIA):
             for p in range(len(order) + 1):
@@ -113,7 +113,8 @@ def test_batched_profiles_equal_the_per_sample_loop(instance, resolution):
     edges = sorted({1.0 - d.confidence for s in samples for d in s.detections} | {0.0, 1.0})
     assert_profiles_match(
         build_loss_profiles(samples, catalog),
-        *oracles.loss_profiles(samples, catalog, CRITERIA),
+        samples,
+        catalog,
         [default_grid(resolution), np.asarray(edges)],
     )
 
