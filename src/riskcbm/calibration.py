@@ -160,51 +160,36 @@ def _breakpoints(cal_set: Sequence[AnnotatedSample]) -> np.ndarray:
     return np.array(sorted(points), dtype=np.float64)
 
 
-def _leftmost_qualifying(risks: np.ndarray, budget: float, search: str) -> "int | None":
-    """Index of the first risk <= budget, or None.
-
-    Risk is non-increasing along the candidates, so the qualifying set is a
-    suffix and binary search and linear scan find the same point.
-    """
-    if search == "binary":
-        found = int(np.searchsorted(-risks, -budget, side="left"))
-    elif search == "scan":
-        found = int(np.argmax(np.append(risks <= budget, True)))
-    else:
-        raise ValueError(f"unknown search mode {search!r}")
-    return found if found < len(risks) else None
-
-
 def _thresholds(
-    profiles: "LossProfiles", alphas: dict[str, float], candidates: np.ndarray, search: str
+    profiles: "LossProfiles", alphas: dict[str, float], candidates: np.ndarray
 ) -> dict[str, float]:
     """Per criterion, the smallest candidate whose profile risk meets the
     corrected budget; 1.0, with a warning, when none does or the budget is
-    not positive."""
+    not positive. The calibration set is a single draw of every row."""
     if profiles.n_samples == 0:
         raise DataError("cannot calibrate on an empty calibration set")
+    budgets = {k: corrected_budget(alpha, profiles.n_samples) for k, alpha in alphas.items()}
+    rows = np.arange(profiles.n_samples)[None]
+    found = _leftmost_indices(profiles, budgets, candidates, rows)
     lambdas = {}
     for k, alpha in alphas.items():
-        budget = corrected_budget(alpha, profiles.n_samples)
-        found = None
+        budget, idx = budgets[k], int(found[k][0])
         if budget <= 0.0:
             warnings.warn(
                 f"calibration set too small for alpha={alpha} "
                 f"(corrected budget {budget:.4g} <= 0); falling back to lambda=1",
                 stacklevel=3,
             )
-        else:
-            risks = profiles.risk_on_grid(k, candidates)
-            found = _leftmost_qualifying(risks, budget, search)
-            if found is None:
-                # Candidates end at lambda=1, where risk is at its floor.
-                warnings.warn(
-                    f"no threshold meets the {k} budget: corrected budget "
-                    f"{budget:.4g} is below the risk at lambda=1 ({risks[-1]:.4g}); "
-                    "falling back to lambda=1",
-                    stacklevel=3,
-                )
-        lambdas[k] = 1.0 if found is None else float(candidates[found])
+        elif idx < 0:
+            # Candidates end at lambda=1, where risk is at its floor.
+            floor = _mean_over_draws(profiles.matrix_on_grid(k, candidates[-1:]), rows)[0, 0]
+            warnings.warn(
+                f"no threshold meets the {k} budget: corrected budget "
+                f"{budget:.4g} is below the risk at lambda=1 ({floor:.4g}); "
+                "falling back to lambda=1",
+                stacklevel=3,
+            )
+        lambdas[k] = 1.0 if idx < 0 else float(candidates[idx])
     return lambdas
 
 
@@ -216,7 +201,6 @@ def calibrate_criterion(
     *,
     resolution: float = DEFAULT_RESOLUTION,
     exact: bool = False,
-    search: str = "binary",
 ) -> float:
     """Smallest threshold meeting the corrected budget for one criterion.
 
@@ -231,7 +215,7 @@ def calibrate_criterion(
         raise ValueError(f"unknown criterion {criterion!r}, expected one of {CRITERIA}")
     candidates = _breakpoints(cal_set) if exact else default_grid(resolution)
     profiles = _profiles(cal_set, catalog, (criterion,))
-    return _thresholds(profiles, {criterion: alpha}, candidates, search)[criterion]
+    return _thresholds(profiles, {criterion: alpha}, candidates)[criterion]
 
 
 def calibrate(
@@ -245,12 +229,13 @@ def calibrate(
     """Calibrate all three criteria and combine conservatively (max threshold).
 
     The loss profiles are built once; they serve the threshold search and
-    the full risk curves on the uniform grid returned for reporting.
+    the full risk curves on the uniform grid returned for reporting. Each
+    `validate_guarantee` trial runs the same search, so the two agree by construction.
     """
     profiles = build_loss_profiles(cal_set, catalog)
     grid = default_grid(resolution)
     candidates = _breakpoints(cal_set) if exact else grid
-    lambdas = _thresholds(profiles, budget.as_dict(), candidates, "binary")
+    lambdas = _thresholds(profiles, budget.as_dict(), candidates)
     curves = {
         k: RiskCurve(criterion=k, grid=grid, risks=profiles.risk_on_grid(k, grid))
         for k in CRITERIA
@@ -415,8 +400,8 @@ def validate_guarantee(
     whose last column meets the corrected budget, and a fine pass finds the
     first qualifying column inside it. Every mean sums the drawn rows in draw
     order, as ``matrix[rows].mean(axis=0)`` does, and such means never
-    increase along the grid, so each trial's threshold is exactly the
-    leftmost grid point `calibrate` picks on the same draw.
+    increase along the grid. `calibrate` runs this search on a single draw,
+    so on the same draw the two pick the same threshold by construction.
     """
     if n_trials < 100:
         raise ValueError(f"n_trials must be >= 100, got {n_trials}")
@@ -427,57 +412,39 @@ def validate_guarantee(
         raise DataError(
             f"pool of {len(pool)} samples cannot support n_cal={n_cal} plus a target"
         )
-    catalog = generator.catalog
     grid = default_grid(resolution)
-    budgets = np.array(
-        [corrected_budget(budget.alpha_for(k), n_cal) for k in CRITERIA]
-    )
-    if np.any(budgets <= 0.0):
+    budgets = {k: corrected_budget(budget.alpha_for(k), n_cal) for k in CRITERIA}
+    if min(budgets.values()) <= 0.0:
         warnings.warn(
             "corrected budget non-positive for some criterion; thresholds will "
             "fall back to lambda=1",
             stacklevel=2,
         )
 
-    profiles = build_loss_profiles(pool, catalog)
-    blocked = {k: _blocked_losses(profiles, k, grid) for k in CRITERIA}
+    profiles = target_profiles = build_loss_profiles(pool, generator.catalog)
     targets_separate = not generator.exchangeable
     if targets_separate:
-        target_pool = list(generator.target_samples)
-        target_profiles = build_loss_profiles(target_pool, catalog)
-        target_grids = {k: target_profiles.matrix_on_grid(k, grid) for k in CRITERIA}
-    else:
-        target_grids = {k: blocked[k].reshape(len(pool), -1) for k in CRITERIA}
+        target_profiles = build_loss_profiles(list(generator.target_samples), generator.catalog)
 
     # The draws keep the per-trial generator calls of a sequential loop, so
     # a seed selects the same rows whatever the search does with them.
     rng = np.random.default_rng(seed)
-    if targets_separate:
-        cal_rows = np.empty((n_trials, n_cal), dtype=np.intp)
-        target_rows = np.empty(n_trials, dtype=np.intp)
-        for t in range(n_trials):
-            cal_rows[t] = rng.choice(len(pool), size=n_cal, replace=False)
-            target_rows[t] = rng.integers(len(target_pool))
-    else:
-        drawn = np.empty((n_trials, n_cal + 1), dtype=np.intp)
-        for t in range(n_trials):
-            drawn[t] = rng.choice(len(pool), size=n_cal + 1, replace=False)
-        cal_rows, target_rows = drawn[:, :n_cal], drawn[:, n_cal]
-
-    last = len(grid) - 1
-    combined = np.zeros(n_trials, dtype=np.intp)
-    fallbacks = np.zeros(len(CRITERIA), dtype=np.int64)
-    for j, k in enumerate(CRITERIA):
-        if budgets[j] > 0.0:  # as in `calibrate`, a non-positive budget falls back
-            idx = _leftmost_within_budget(blocked[k], cal_rows, budgets[j])
+    drawn = np.empty((n_trials, n_cal + 1), dtype=np.intp)
+    for t in range(n_trials):
+        if targets_separate:
+            drawn[t, :n_cal] = rng.choice(len(pool), size=n_cal, replace=False)
+            drawn[t, n_cal] = rng.integers(target_profiles.n_samples)
         else:
-            idx = np.full(n_trials, -1)
-        missed = idx < 0
-        fallbacks[j] = np.count_nonzero(missed)
-        np.maximum(combined, np.where(missed, last, idx), out=combined)
-    target_losses = np.empty((n_trials, len(CRITERIA)), dtype=np.float64)
-    for j, k in enumerate(CRITERIA):
-        target_losses[:, j] = target_grids[k][target_rows, combined]
+            drawn[t] = rng.choice(len(pool), size=n_cal + 1, replace=False)
+    cal_rows, target_rows = drawn[:, :n_cal], drawn[:, n_cal]
+
+    found = _leftmost_indices(profiles, budgets, grid, cal_rows)
+    fallbacks = np.array([np.count_nonzero(found[k] < 0) for k in CRITERIA])
+    combined = np.max([np.where(found[k] < 0, len(grid) - 1, found[k]) for k in CRITERIA], axis=0)
+    target_losses = np.stack(
+        [target_profiles.matrix_on_grid(k, grid)[target_rows, combined] for k in CRITERIA],
+        axis=1,
+    )
     return _guarantee_report(
         budget, generator, n_cal, seed,
         resolution=resolution,
@@ -488,8 +455,24 @@ def validate_guarantee(
     )
 
 
+def _leftmost_indices(
+    profiles: LossProfiles, budgets: dict[str, float], candidates: np.ndarray, rows: np.ndarray
+) -> dict[str, np.ndarray]:
+    """The one threshold search of `calibrate` and `validate_guarantee`: per
+    criterion and per draw (a row of ``rows``), the index of the first
+    candidate whose mean loss over the drawn samples is <= the corrected
+    budget; -1 where none is, and for every draw, with no search, where the
+    budget is not positive."""
+    return {
+        k: _leftmost_within_budget(_blocked_losses(profiles, k, candidates), rows, budget)
+        if budget > 0.0
+        else np.full(len(rows), -1, dtype=np.intp)
+        for k, budget in budgets.items()
+    }
+
+
 def _blocked_losses(profiles: LossProfiles, criterion: str, grid: np.ndarray) -> np.ndarray:
-    """(n_samples, n_blocks, block) per-sample losses along ``grid``.
+    """(n_samples, n_blocks, block) per-sample losses along the candidates ``grid``.
 
     Blocks hold about sqrt(len(grid)) columns, which balances the coarse and
     the fine pass of the search. The grid is padded on the right with copies

@@ -29,8 +29,7 @@ from .dataset_builder import (
     build_vocabulary,
     label_sample,
 )
-from .evaluation import SWEEP_NEC_VALUES, EvalConfig, accuracy_report, cca_versus_nec
-from .pipeline import PipelineConfig, StageError, run_pipeline
+from .pipeline import PipelineConfig, StageError, check_config, evaluate_sweep, run_pipeline
 from .synth import SynthSpec, generate_synthetic, shift_distribution
 
 __all__ = ["main"]
@@ -306,25 +305,12 @@ def _cmd_evaluate(args) -> int:
     catalog = dataio.load_catalog(_require_file(args.catalog, "catalog"))
     model, vocab, _config = dataio.load_model(_require_file(args.model, "model"))
     test_set = dataio.load_dataset(_require_file(args.dataset, "dataset"), catalog)
-    budget = _budget_from(args)
-    if args.cca_dat:
-        # The sweep's NEC list holds --nec, so its row there is the headline.
-        nec_values = sorted({*SWEEP_NEC_VALUES, args.nec})
-        sweep = cca_versus_nec(model, test_set, vocab, catalog, budget, nec_values)
-        report = dict(sweep)[args.nec]
-    else:
-        report = accuracy_report(
-            model, test_set, vocab, catalog, EvalConfig(nec=args.nec, budget=budget)
-        )
+    report = evaluate_sweep(
+        model, test_set, vocab, catalog, _budget_from(args), args.nec, args.cca_dat
+    )
     dataio.save_eval_report(args.out, report)
     if args.per_sample_csv:
         dataio.save_per_sample_csv(args.per_sample_csv, report)
-    if args.cca_dat:
-        dataio.write_dat(
-            args.cca_dat,
-            ["nec", "cca", "overall_accuracy", "worst_class_accuracy"],
-            ([nec, r.cca, r.overall_accuracy, r.worst_class_accuracy] for nec, r in sweep),
-        )
     print(
         f"overall={report.overall_accuracy:.4f} worst_class={report.worst_class_accuracy:.4f} "
         f"cca={report.cca:.4f} (nec={report.nec}, n={report.n_samples}) -> {args.out}"
@@ -336,41 +322,32 @@ def _cmd_pipeline(args) -> int:
     doc: dict = {}
     if args.config:
         doc = json.loads(_require_file(args.config, "config").read_text())
-    paths = doc.setdefault("paths", {})
-    for key, value in (
-        ("train", args.train),
-        ("test", args.test),
-        ("catalog", args.catalog),
-        ("output_dir", args.out_dir),
+        check_config(doc)
+    # Flags override the config file key by key.
+    for section, key, value in (
+        ("paths", "train", args.train),
+        ("paths", "test", args.test),
+        ("paths", "catalog", args.catalog),
+        ("paths", "output_dir", args.out_dir),
+        ("budget", "alpha_dis", args.alpha_dis),
+        ("budget", "alpha_cov", args.alpha_cov),
+        ("budget", "alpha_div", args.alpha_div),
+        ("split", "train_fraction", args.train_fraction),
+        ("split", "seed", args.split_seed),
+        ("augmentation", "min_count", args.min_count),
+        ("augmentation", "rng_seed", args.seed),
+        ("train", "rng_seed", args.seed),
+        ("train", "epochs", args.epochs),
+        ("eval", "nec", args.nec),
     ):
         if value is not None:
-            paths[key] = value
+            doc.setdefault(section, {})[key] = value
+    paths = doc.get("paths", {})
     for key in ("train", "test", "catalog", "output_dir"):
         if key not in paths:
             raise _UsageError(f"missing required path: {key}")
-    for key, label in (("train", "train"), ("test", "test"), ("catalog", "catalog")):
-        _require_file(paths[key], label)
-    budget = doc.setdefault("budget", {})
-    for key, flag in (
-        ("alpha_dis", args.alpha_dis),
-        ("alpha_cov", args.alpha_cov),
-        ("alpha_div", args.alpha_div),
-    ):
-        if flag is not None:
-            budget[key] = flag
-    if args.train_fraction is not None:
-        doc.setdefault("split", {})["train_fraction"] = args.train_fraction
-    if args.split_seed is not None:
-        doc.setdefault("split", {})["seed"] = args.split_seed
-    if args.min_count is not None:
-        doc.setdefault("augmentation", {})["min_count"] = args.min_count
-    if args.seed is not None:
-        doc.setdefault("augmentation", {})["rng_seed"] = args.seed
-        doc.setdefault("train", {})["rng_seed"] = args.seed
-    if args.epochs is not None:
-        doc.setdefault("train", {})["epochs"] = args.epochs
-    if args.nec is not None:
-        doc.setdefault("eval", {})["nec"] = args.nec
+    for key in ("train", "test", "catalog"):
+        _require_file(paths[key], key)
 
     config = PipelineConfig.from_dict(doc)
     result = run_pipeline(config)

@@ -9,7 +9,7 @@ randomness flows from seeds in the config, so reruns are byte-identical.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -17,16 +17,17 @@ import numpy as np
 
 from . import dataio
 from .calibration import DEFAULT_BUDGET, RiskBudget, calibrate
-from .cbm_trainer import TrainConfig, train
+from .cbm_trainer import CbmModel, TrainConfig, train
 from .concept_sets import CRITERIA
-from .core import AnnotatedSample, DataError
+from .core import AnnotatedSample, ConceptCatalog, DataError
 from .dataset_builder import (
     AugmentationConfig,
+    ConceptVocabulary,
     augment_dataset,
     build_vocabulary,
     label_sample,
 )
-from .evaluation import SWEEP_NEC_VALUES, cca_versus_nec
+from .evaluation import SWEEP_NEC_VALUES, EvalReport, cca_versus_nec
 
 # Not called here since the NEC sweep yields the headline report, but kept as
 # a module attribute: bench/run.py traces `pipeline.accuracy_report`.
@@ -36,7 +37,9 @@ __all__ = [
     "PipelineConfig",
     "PipelineResult",
     "StageError",
+    "check_config",
     "split_train_cal",
+    "evaluate_sweep",
     "run_pipeline",
 ]
 
@@ -95,6 +98,8 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "PipelineConfig":
+        """Config from its JSON form, checked by `check_config`."""
+        check_config(doc)
         paths = doc.get("paths", {})
         alphas = doc.get("budget", {})
         split = doc.get("split", {})
@@ -105,9 +110,7 @@ class PipelineConfig:
             catalog_path=paths["catalog"],
             output_dir=paths["output_dir"],
             budget=RiskBudget(
-                alpha_dis=float(alphas.get("alpha_dis", DEFAULT_BUDGET.alpha_dis)),
-                alpha_cov=float(alphas.get("alpha_cov", DEFAULT_BUDGET.alpha_cov)),
-                alpha_div=float(alphas.get("alpha_div", DEFAULT_BUDGET.alpha_div)),
+                **{k: float(alphas.get(k, v)) for k, v in asdict(DEFAULT_BUDGET).items()}
             ),
             augmentation=AugmentationConfig(**doc.get("augmentation", {})),
             train=TrainConfig(**doc.get("train", {})),
@@ -117,6 +120,34 @@ class PipelineConfig:
             resolution=float(calib.get("resolution", 1e-3)),
             exact_calibration=bool(calib.get("exact", False)),
         )
+
+
+# The sections of a config file and the keys each accepts.
+_CONFIG_KEYS = {
+    "paths": ("train", "test", "catalog", "output_dir"),
+    "budget": tuple(f.name for f in fields(RiskBudget)),
+    "split": ("train_fraction", "seed"),
+    "calibration": ("resolution", "exact"),
+    "eval": ("nec",),
+    "train": tuple(f.name for f in fields(TrainConfig)),
+    "augmentation": tuple(f.name for f in fields(AugmentationConfig)),
+}
+
+
+def check_config(doc) -> None:
+    """Raise a ValueError naming the first part of a config document that is
+    not a JSON object, or the first key it does not know."""
+    _check_keys("the config", doc, _CONFIG_KEYS)
+    for name, keys in _CONFIG_KEYS.items():
+        _check_keys(f"config section {name!r}", doc.get(name, {}), keys)
+
+
+def _check_keys(where: str, section, allowed) -> None:
+    if not isinstance(section, dict):
+        raise ValueError(f"{where} must be a JSON object, got {type(section).__name__}")
+    unknown = sorted(set(section) - set(allowed))
+    if unknown:
+        raise ValueError(f"unknown key {unknown[0]!r} in {where}")
 
 
 @dataclass(eq=False)
@@ -130,6 +161,24 @@ class PipelineResult:
     lambda_hat: float
     overall_accuracy: float
     cca: float
+
+
+def evaluate_sweep(
+    model: CbmModel, test_set: Sequence[AnnotatedSample], vocab: ConceptVocabulary,
+    catalog: ConceptCatalog, budget: RiskBudget, nec: int, dat_path: "str | Path | None" = None,
+) -> EvalReport:
+    """The report at ``nec``, read off one sweep over `SWEEP_NEC_VALUES` and
+    ``nec``; given ``dat_path``, the sweep is written there as a table."""
+    sweep = cca_versus_nec(
+        model, test_set, vocab, catalog, budget, sorted({*SWEEP_NEC_VALUES, nec})
+    )
+    if dat_path is not None:
+        dataio.write_dat(
+            dat_path,
+            ["nec", "cca", "overall_accuracy", "worst_class_accuracy"],
+            ([n, r.cca, r.overall_accuracy, r.worst_class_accuracy] for n, r in sweep),
+        )
+    return dict(sweep)[nec]
 
 
 def run_pipeline(config: PipelineConfig) -> PipelineResult:
@@ -204,28 +253,16 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     dataio.save_model(model_path, model, vocab, config.train)
     dataio.save_training_log(out_dir / "training_log.csv", log)
 
-    # The sweep's NEC list holds config.nec, so its row there is the headline.
-    nec_values = sorted({*SWEEP_NEC_VALUES, config.nec})
-    sweep = stage(
+    cca_path = out_dir / "cca_vs_nec.dat"
+    report = stage(
         "evaluate",
-        lambda: cca_versus_nec(
-            model, test_samples, vocab, catalog, config.budget, nec_values
+        lambda: evaluate_sweep(
+            model, test_samples, vocab, catalog, config.budget, config.nec, cca_path
         ),
     )
-    report = dict(sweep)[config.nec]
     eval_report_path = out_dir / "eval_report.json"
     dataio.save_eval_report(eval_report_path, report)
     dataio.save_per_sample_csv(out_dir / "eval_per_sample.csv", report)
-
-    cca_path = out_dir / "cca_vs_nec.dat"
-    dataio.write_dat(
-        cca_path,
-        ["nec", "cca", "overall_accuracy", "worst_class_accuracy"],
-        (
-            [nec, r.cca, r.overall_accuracy, r.worst_class_accuracy]
-            for nec, r in sweep
-        ),
-    )
 
     return PipelineResult(
         calibration_path=calibration_path,

@@ -114,3 +114,18 @@ def assert_grid_lookups_match(profiles, neg_confidences, values, grids):
         for j, k in enumerate(profiles.criteria):
             expected = oracles.profile_matrix(neg_confidences, values, j, grid)
             assert np.array_equal(profiles.matrix_on_grid(k, grid), expected), (k, len(grid))
+
+
+PATHS = {"train": "a", "test": "b", "catalog": "c", "output_dir": "d"}
+
+# One misspelt key per place a config file can hold one.
+BAD_KEYS = {
+    "top-level": ({"evaluation": {"nec": 4}}, "evaluation"),
+    "paths": ({"paths": dict(PATHS, outdir="e")}, "outdir"),
+    "budget": ({"budget": {"alpha_dys": 0.99}}, "alpha_dys"),
+    "split": ({"split": {"fraction": 0.5}}, "fraction"),
+    "calibration": ({"calibration": {"exact_mode": True}}, "exact_mode"),
+    "eval": ({"eval": {"nec_max": 4}}, "nec_max"),
+    "train": ({"train": {"epoch": 5}}, "epoch"),
+    "augmentation": ({"augmentation": {"min_counts": 3}}, "min_counts"),
+}

@@ -96,6 +96,22 @@ def numeric_gradient(params, objective_of_params, step=1e-5):
     return grads
 
 
+def leftmost_scan(risks, budget):
+    """Index of the first risk <= budget, or None: a linear scan."""
+    for i, risk in enumerate(risks):
+        if risk <= budget:
+            return i
+    return None
+
+
+def scan_threshold(risks, budget, candidates):
+    """The calibration rule by linear scan: the first candidate whose risk is
+    <= a positive corrected budget; 1.0 when none is or the budget is not
+    positive."""
+    found = leftmost_scan(risks, budget) if budget > 0.0 else None
+    return 1.0 if found is None else float(candidates[found])
+
+
 def crc_trials(budget, generator, n_cal, n_trials, seed, resolution):
     """One trial at a time: draw, search the full-grid mean risk, combine.
 
@@ -103,12 +119,7 @@ def crc_trials(budget, generator, n_cal, n_trials, seed, resolution):
     losses and the per-criterion fallback counts, as `validate_guarantee`
     summarizes them.
     """
-    from riskcbm.calibration import (
-        _leftmost_qualifying,
-        build_loss_profiles,
-        corrected_budget,
-        default_grid,
-    )
+    from riskcbm.calibration import build_loss_profiles, corrected_budget, default_grid
     from riskcbm.concept_sets import CRITERIA
 
     pool = list(generator.samples)
@@ -139,7 +150,7 @@ def crc_trials(budget, generator, n_cal, n_trials, seed, resolution):
             idx = None
             if budgets[j] > 0.0:
                 risks = value_grids[k][cal_rows].mean(axis=0)
-                idx = _leftmost_qualifying(risks, budgets[j], "binary")
+                idx = leftmost_scan(risks, budgets[j])
             if idx is None:
                 idx = last
                 fallbacks[j] += 1

@@ -16,9 +16,11 @@ from riskcbm import dataio
 from riskcbm.calibration import (
     ExchangeablePool,
     RiskBudget,
+    build_loss_profiles,
     calibrate,
     calibrate_criterion,
     corrected_budget,
+    default_grid,
     empirical_risk,
     validate_guarantee,
 )
@@ -216,8 +218,9 @@ class TestCriterion3:
 
 
 class TestCriterion4:
-    def test_binary_search_equals_scan(self):
+    def test_search_equals_exhaustive_scan(self):
         rng = np.random.default_rng(103)
+        grid = default_grid()
         agreements = 0
         for trial in range(20):
             spec = SynthSpec(classes=2, concepts_per_class=3, samples_per_class=2,
@@ -225,13 +228,14 @@ class TestCriterion4:
             samples, catalog = generate_synthetic(spec)
             criterion = CRITERIA[trial % 3]
             alpha = float(rng.uniform(0.4, 0.9))
-            fast = calibrate_criterion(criterion, alpha, samples, catalog,
-                                       search="binary")
-            slow = calibrate_criterion(criterion, alpha, samples, catalog,
-                                       search="scan")
-            assert fast == slow
+            searched = calibrate_criterion(criterion, alpha, samples, catalog)
+            risks = build_loss_profiles(samples, catalog).risk_on_grid(criterion, grid)
+            budget = corrected_budget(alpha, len(samples))
+            assert searched == oracles.scan_threshold(risks, budget, grid), (
+                "search equals exhaustive scan"
+            )
             agreements += 1
-        passed(4, f"binary search equals exhaustive scan on {agreements} fixtures; "
+        passed(4, f"search equals exhaustive scan on {agreements} fixtures; "
                   "losses match brute force to 1e-12 (see companion test)")
 
     def test_losses_match_brute_force(self):

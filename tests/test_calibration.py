@@ -153,7 +153,7 @@ class TestCalibrateCriterion:
         with pytest.raises(ValueError):
             calibrate_criterion("cov", 1.0, samples, catalog)
 
-    def test_binary_equals_scan_on_random_fixtures(self):
+    def test_search_equals_exhaustive_scan_on_random_fixtures(self):
         rng = np.random.default_rng(31)
         for _ in range(20):
             n = int(rng.integers(4, 9))
@@ -167,9 +167,13 @@ class TestCalibrateCriterion:
                 )
             alpha = float(rng.uniform(0.15, 0.9))
             criterion = CRITERIA[int(rng.integers(3))]
-            fast = calibrate_criterion(criterion, alpha, samples, catalog, search="binary")
-            slow = calibrate_criterion(criterion, alpha, samples, catalog, search="scan")
-            assert fast == slow
+            searched = calibrate_criterion(criterion, alpha, samples, catalog)
+            grid = default_grid()
+            risks = build_loss_profiles(samples, catalog).risk_on_grid(criterion, grid)
+            budget = corrected_budget(alpha, len(samples))
+            assert searched == oracles.scan_threshold(risks, budget, grid), (
+                "search equals exhaustive scan"
+            )
 
     def test_exact_mode_finds_breakpoint_infimum(self):
         samples, catalog = step_loss_fixture([0.13, 0.377, 0.61, 0.955])

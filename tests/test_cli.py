@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import riskcbm
+from conftest import BAD_KEYS
 from riskcbm.cli import main
 
 
@@ -121,6 +122,26 @@ class TestPipelineCommand:
         assert self._run(data_dir, out2) == 0
         for name in ("eval_report.json", "model.json", "calibration.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+    def test_evaluate_matches_the_pipeline_with_and_without_the_table(self, data_dir, tmp_path):
+        """`evaluate` reads its report off the same sweep as `pipeline`, so
+        its report is one file whether or not it writes the NEC table."""
+        run = tmp_path / "run"
+        assert self._run(data_dir, run) == 0
+        argv = [
+            "evaluate", "--model", str(run / "model.json"),
+            "--dataset", str(data_dir / "test.ndjson"),
+            "--catalog", str(data_dir / "catalog.json"),
+        ]
+        assert main([*argv, "--out", str(tmp_path / "plain.json")]) == 0
+        assert main([
+            *argv, "--out", str(tmp_path / "swept.json"),
+            "--cca-dat", str(tmp_path / "cca.dat"),
+        ]) == 0
+        report = (run / "eval_report.json").read_bytes()
+        assert (tmp_path / "plain.json").read_bytes() == report
+        assert (tmp_path / "swept.json").read_bytes() == report
+        assert (tmp_path / "cca.dat").read_bytes() == (run / "cca_vs_nec.dat").read_bytes()
 
     def test_missing_catalog_names_it(self, data_dir, tmp_path, capsys):
         code = main([
@@ -248,3 +269,46 @@ class TestUsageErrors:
         assert code == 1
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("section", list(BAD_KEYS))
+    def test_unknown_config_key_is_a_one_line_usage_error(
+        self, section, data_dir, tmp_path, capsys
+    ):
+        doc, key = BAD_KEYS[section]
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(doc))
+        code = main([
+            "pipeline", "--config", str(cfg),
+            "--train", str(data_dir / "train.ndjson"),
+            "--test", str(data_dir / "test.ndjson"),
+            "--catalog", str(data_dir / "catalog.json"),
+            "--out-dir", str(tmp_path / "out"),
+        ])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert key in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "doc",
+        [[1, 2], {"paths": ["x"]}, {"budget": 5}],
+        ids=["list", "paths-list", "budget-number"],
+    )
+    def test_config_that_is_not_an_object_is_a_usage_error(
+        self, doc, data_dir, tmp_path, capsys
+    ):
+        """The document is checked before flags are merged into it."""
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(doc))
+        code = main([
+            "pipeline", "--config", str(cfg),
+            "--train", str(data_dir / "train.ndjson"),
+            "--test", str(data_dir / "test.ndjson"),
+            "--catalog", str(data_dir / "catalog.json"),
+            "--out-dir", str(tmp_path / "out"), "--alpha-dis", "0.9",
+        ])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "must be a JSON object" in err

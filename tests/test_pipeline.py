@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from conftest import BAD_KEYS, PATHS
 from riskcbm.calibration import DEFAULT_BUDGET, RiskBudget
 from riskcbm.cbm_trainer import TrainConfig
 from riskcbm.cli import main
@@ -65,3 +66,30 @@ def test_nec_sweep_uses_the_run_budget(data_dir, tmp_path):
     assert report["nec"] == config.nec
     assert report["budget"] == {"alpha_dis": 0.99, "alpha_cov": 0.9, "alpha_div": 0.9}
     assert by_nec[config.nec] == report["cca"]
+
+
+@pytest.mark.parametrize("section", list(BAD_KEYS))
+def test_from_dict_rejects_an_unknown_key_by_name(section):
+    doc, key = BAD_KEYS[section]
+    with pytest.raises(ValueError, match=f"unknown key '{key}'"):
+        PipelineConfig.from_dict({"paths": PATHS, **doc})
+
+
+@pytest.mark.parametrize("doc", [[PATHS], {"paths": PATHS, "train": 5}])
+def test_from_dict_rejects_a_part_that_is_not_an_object(doc):
+    with pytest.raises(ValueError, match="must be a JSON object"):
+        PipelineConfig.from_dict(doc)
+
+
+def test_from_dict_accepts_every_documented_key():
+    config = PipelineConfig.from_dict({
+        "paths": PATHS,
+        "budget": {"alpha_dis": 0.9, "alpha_cov": 0.3, "alpha_div": 0.4},
+        "split": {"train_fraction": 0.5, "seed": 2},
+        "calibration": {"resolution": 0.01, "exact": True},
+        "eval": {"nec": 4},
+        "train": {"epochs": 5, "learning_rate": 0.5, "rng_seed": 1, "l1_proximal": True},
+        "augmentation": {"min_count": 3, "max_placement_attempts": 7, "rng_seed": 1},
+    })
+    assert (config.split_seed, config.resolution, config.exact_calibration) == (2, 0.01, True)
+    assert (config.train.epochs, config.augmentation.max_placement_attempts) == (5, 7)

@@ -18,7 +18,7 @@ from riskcbm.calibration import (
     LossProfiles,
     RiskBudget,
     _blocked_losses,
-    _leftmost_qualifying,
+    _breakpoints,
     _leftmost_within_budget,
     build_loss_profiles,
     calibrate,
@@ -126,30 +126,30 @@ def test_batched_profiles_equal_the_per_sample_loop(instance, resolution):
     st.sampled_from([1e-3, 0.01, 0.3, 0.5]),
     st.tuples(*[st.floats(0.05, 0.95)] * 3),
 )
-def test_calibrate_and_batched_search_pick_the_same_threshold(instance, data, resolution, alphas):
-    """On one draw, `calibrate` and the search `validate_guarantee` runs per
-    trial choose the same lambda for every criterion."""
+def test_calibrate_picks_the_scanned_threshold(instance, data, resolution, alphas):
+    """On the grid and on the loss breakpoints (``exact=True``), `calibrate`
+    picks, per criterion, the threshold a linear scan of the draw's mean
+    risks picks. The breakpoints are not uniform, so exact mode also runs
+    the two-level search through block padding on uneven candidates."""
     pool, catalog = instance
     n_cal = data.draw(st.integers(1, len(pool)))
-    draws = np.array(
-        [data.draw(st.permutations(range(len(pool))))[:n_cal] for _ in range(3)]
-    )
     budget = RiskBudget(*alphas)
-    profiles = build_loss_profiles(pool, catalog)
-    grid = default_grid(resolution)
-    batched = {}
-    for k in CRITERIA:
-        corrected = corrected_budget(budget.alpha_for(k), n_cal)
-        found = np.full(len(draws), -1)
-        if corrected > 0.0:  # validate_guarantee falls back without searching
-            found = _leftmost_within_budget(_blocked_losses(profiles, k, grid), draws, corrected)
-        batched[k] = [1.0 if i < 0 else float(grid[i]) for i in found]
-    for t, rows in enumerate(draws):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # non-positive corrected budgets
-            result = calibrate(budget, [pool[i] for i in rows], catalog, resolution=resolution)
-        for k in CRITERIA:
-            assert result.lambda_for(k) == batched[k][t], (k, list(rows))
+    for _ in range(3):
+        rows = data.draw(st.permutations(range(len(pool))))[:n_cal]
+        cal_set = [pool[i] for i in rows]
+        profiles = build_loss_profiles(cal_set, catalog)
+        for exact in (False, True):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # unattainable or non-positive budgets
+                result = calibrate(
+                    budget, cal_set, catalog, resolution=resolution, exact=exact
+                )
+            candidates = _breakpoints(cal_set) if exact else default_grid(resolution)
+            for k in CRITERIA:
+                risks = profiles.risk_on_grid(k, candidates)
+                corrected = corrected_budget(budget.alpha_for(k), n_cal)
+                expected = oracles.scan_threshold(risks, corrected, candidates)
+                assert result.lambda_for(k) == expected, (k, exact, list(rows))
 
 
 # Losses whose sums round differently in different orders (2**-53 vanishes
@@ -183,6 +183,6 @@ def test_batched_search_is_exact_at_the_budget(seed, resolution):
         risks = matrix[rows[0]].mean(axis=0)
         at = risks[rng.integers(len(grid))]
         for budget in (at, np.nextafter(at, -np.inf)):
-            expected = _leftmost_qualifying(risks, budget, "scan")
+            expected = oracles.leftmost_scan(risks, budget)
             found = _leftmost_within_budget(blocked, rows, budget)[0]
             assert found == (-1 if expected is None else expected), (list(rows[0]), budget)
