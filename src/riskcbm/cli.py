@@ -342,14 +342,11 @@ def _cmd_pipeline(args) -> int:
     ):
         if value is not None:
             doc.setdefault(section, {})[key] = value
-    paths = doc.get("paths", {})
-    for key in ("train", "test", "catalog", "output_dir"):
-        if key not in paths:
-            raise _UsageError(f"missing required path: {key}")
-    for key in ("train", "test", "catalog"):
-        _require_file(paths[key], key)
-
     config = PipelineConfig.from_dict(doc)
+    for what, path in (
+        ("train", config.train_path), ("test", config.test_path), ("catalog", config.catalog_path)
+    ):
+        _require_file(path, what)
     result = run_pipeline(config)
     print(
         f"pipeline ok: lambda_hat={result.lambda_hat} "

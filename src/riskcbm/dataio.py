@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import json
 import struct
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -82,6 +83,17 @@ def _load_json(path: Path):
         raise DataFormatError(f"{path}: invalid JSON: {exc}") from None
 
 
+@contextmanager
+def _parsing(where: "str | Path", what: str):
+    """Report a fault met while building ``what`` from a parsed document,
+    a missing key or a value of the wrong type or range, as a
+    `DataFormatError` that names ``where``."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise DataFormatError(f"{where}: malformed {what}: {exc!r}") from None
+
+
 # ---------------------------------------------------------------------------
 # Pixel tensors: 16-byte header (magic "ULT1", u32 H, u32 W, u32 C), then
 # row-major little-endian float32 in [0,1].
@@ -142,7 +154,7 @@ def save_catalog(path: "str | Path", catalog: ConceptCatalog) -> None:
 def load_catalog(path: "str | Path") -> ConceptCatalog:
     path = Path(path)
     doc = _load_json(path)
-    try:
+    with _parsing(path, "catalog"):
         per_class: dict[int, list[ConceptId]] = {}
         embeddings: dict[ConceptId, np.ndarray] = {}
         for entry in doc["classes"]:
@@ -155,9 +167,7 @@ def load_catalog(path: "str | Path") -> ConceptCatalog:
                 concepts.append(concept)
                 embeddings[concept] = np.asarray(c["embedding"], dtype=np.float64)
             per_class[label] = concepts
-    except (KeyError, TypeError) as exc:
-        raise DataFormatError(f"{path}: malformed catalog: {exc!r}") from None
-    return ConceptCatalog(per_class=per_class, text_embeddings=embeddings)
+        return ConceptCatalog(per_class=per_class, text_embeddings=embeddings)
 
 
 # ---------------------------------------------------------------------------
@@ -202,10 +212,12 @@ def _pixels_dir(path: Path) -> Path:
     return path.parent / f"{path.stem}.pixels"
 
 
-def save_dataset(
-    path: "str | Path", samples: Sequence[AnnotatedSample]
+def _save_samples(
+    path: "str | Path", samples: Sequence, extra_fields: Callable[..., dict]
 ) -> None:
-    """Write samples as NDJSON; pixel tensors go to a sibling directory."""
+    """Write one NDJSON record per sample: the fields every sample file
+    shares, plus ``extra_fields(sample)``. Pixel tensors go to a sibling
+    directory."""
     path = Path(path)
     pixels_dir = _pixels_dir(path)
     lines = []
@@ -215,6 +227,7 @@ def save_dataset(
             "label": int(sample.label),
             "embedding": sample.image_embedding.tolist(),
             "detections": _detections_to_json(sample.detections),
+            **extra_fields(sample),
         }
         if sample.image_pixels is not None:
             pixels_dir.mkdir(parents=True, exist_ok=True)
@@ -223,6 +236,48 @@ def save_dataset(
             record["pixels_path"] = rel
         lines.append(json.dumps(record, sort_keys=True))
     path.write_text("\n".join(lines) + ("\n" if lines else ""))
+
+
+def _load_samples(
+    path: Path, catalog: ConceptCatalog, build: Callable[..., object]
+) -> list:
+    """Parse an NDJSON sample file line by line. The shared fields are parsed
+    here and handed on as keyword arguments: ``build(record, common, where,
+    concept_by_id)`` returns the sample."""
+    concept_by_id = {c.id: c for c in catalog.all_concepts()}
+    samples = []
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            where = f"{path}:{lineno}"
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise DataFormatError(f"{where}: invalid JSON: {exc.msg}") from None
+            with _parsing(where, "sample"):
+                pixels = None
+                if record.get("pixels_path"):
+                    pixels = load_pixels(path.parent / record["pixels_path"])
+                common = dict(
+                    sample_id=str(record["id"]),
+                    label=int(record["label"]),
+                    image_embedding=np.asarray(record["embedding"], dtype=np.float64),
+                    detections=_detections_from_json(
+                        record.get("detections", ()), concept_by_id, where
+                    ),
+                    image_pixels=pixels,
+                )
+                samples.append(build(record, common, where, concept_by_id))
+    return samples
+
+
+def save_dataset(
+    path: "str | Path", samples: Sequence[AnnotatedSample]
+) -> None:
+    """Write samples as NDJSON; pixel tensors go to a sibling directory."""
+    _save_samples(path, samples, lambda sample: {})
 
 
 def load_dataset(
@@ -234,35 +289,9 @@ def load_dataset(
     `core.validate_dataset` and any violation raises `DataError`.
     """
     path = Path(path)
-    concept_by_id = {c.id: c for c in catalog.all_concepts()}
-    samples: list[AnnotatedSample] = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            where = f"{path}:{lineno}"
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataFormatError(f"{where}: invalid JSON: {exc.msg}") from None
-            try:
-                pixels = None
-                if record.get("pixels_path"):
-                    pixels = load_pixels(path.parent / record["pixels_path"])
-                samples.append(
-                    AnnotatedSample(
-                        sample_id=str(record["id"]),
-                        label=int(record["label"]),
-                        image_embedding=np.asarray(record["embedding"], dtype=np.float64),
-                        detections=_detections_from_json(
-                            record.get("detections", ()), concept_by_id, where
-                        ),
-                        image_pixels=pixels,
-                    )
-                )
-            except (KeyError, TypeError, ValueError) as exc:
-                raise DataFormatError(f"{where}: malformed sample: {exc!r}") from None
+    samples = _load_samples(
+        path, catalog, lambda record, common, *_: AnnotatedSample(**common)
+    )
     if validate:
         problems = validate_dataset(samples, catalog)
         if problems:
@@ -274,95 +303,58 @@ def load_dataset(
 
 
 # ---------------------------------------------------------------------------
-# Concept-labeled samples (NDJSON)
+# Concept-labeled samples (NDJSON): the annotated-sample record plus
+# `concept_vector` and `provenance`
 # ---------------------------------------------------------------------------
+
+
+def _labeled_fields(sample: ConceptLabeledSample) -> dict:
+    prov: dict = {"kind": sample.provenance.kind}
+    if sample.provenance.kind == "augmented":
+        prov["source_id"] = sample.provenance.source_id
+        prov["inserted_concept_id"] = sample.provenance.inserted_concept.id
+        if sample.provenance.placement is not None:
+            prov["placement"] = _box_to_list(sample.provenance.placement)
+    return {"concept_vector": sample.concept_vector.tolist(), "provenance": prov}
+
+
+def _labeled_sample(record, common, where, concept_by_id) -> ConceptLabeledSample:
+    prov_doc = record["provenance"]
+    if prov_doc["kind"] == "augmented":
+        placement = None
+        if prov_doc.get("placement"):
+            placement = BoundingBox(*(float(v) for v in prov_doc["placement"]))
+        inserted = concept_by_id.get(int(prov_doc["inserted_concept_id"]))
+        if inserted is None:
+            raise DataError(
+                f"{where}: unknown inserted concept id "
+                f"{prov_doc['inserted_concept_id']}"
+            )
+        provenance = Provenance(
+            kind="augmented",
+            source_id=str(prov_doc["source_id"]),
+            inserted_concept=inserted,
+            placement=placement,
+        )
+    else:
+        provenance = Provenance(kind="original")
+    return ConceptLabeledSample(
+        **common,
+        concept_vector=np.asarray(record["concept_vector"], dtype=np.uint8),
+        provenance=provenance,
+    )
 
 
 def save_labeled_dataset(
     path: "str | Path", samples: Sequence[ConceptLabeledSample]
 ) -> None:
-    path = Path(path)
-    pixels_dir = _pixels_dir(path)
-    lines = []
-    for sample in samples:
-        prov: dict = {"kind": sample.provenance.kind}
-        if sample.provenance.kind == "augmented":
-            prov["source_id"] = sample.provenance.source_id
-            prov["inserted_concept_id"] = sample.provenance.inserted_concept.id
-            if sample.provenance.placement is not None:
-                prov["placement"] = _box_to_list(sample.provenance.placement)
-        record = {
-            "id": sample.sample_id,
-            "label": int(sample.label),
-            "concept_vector": sample.concept_vector.tolist(),
-            "embedding": sample.image_embedding.tolist(),
-            "detections": _detections_to_json(sample.detections),
-            "provenance": prov,
-        }
-        if sample.image_pixels is not None:
-            pixels_dir.mkdir(parents=True, exist_ok=True)
-            rel = f"{pixels_dir.name}/{sample.sample_id}.ult1"
-            save_pixels(path.parent / rel, sample.image_pixels)
-            record["pixels_path"] = rel
-        lines.append(json.dumps(record, sort_keys=True))
-    path.write_text("\n".join(lines) + ("\n" if lines else ""))
+    _save_samples(path, samples, _labeled_fields)
 
 
 def load_labeled_dataset(
     path: "str | Path", catalog: ConceptCatalog
 ) -> list[ConceptLabeledSample]:
-    path = Path(path)
-    concept_by_id = {c.id: c for c in catalog.all_concepts()}
-    samples: list[ConceptLabeledSample] = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            where = f"{path}:{lineno}"
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataFormatError(f"{where}: invalid JSON: {exc.msg}") from None
-            try:
-                prov_doc = record["provenance"]
-                if prov_doc["kind"] == "augmented":
-                    placement = None
-                    if prov_doc.get("placement"):
-                        placement = BoundingBox(*(float(v) for v in prov_doc["placement"]))
-                    inserted = concept_by_id.get(int(prov_doc["inserted_concept_id"]))
-                    if inserted is None:
-                        raise DataError(
-                            f"{where}: unknown inserted concept id "
-                            f"{prov_doc['inserted_concept_id']}"
-                        )
-                    provenance = Provenance(
-                        kind="augmented",
-                        source_id=str(prov_doc["source_id"]),
-                        inserted_concept=inserted,
-                        placement=placement,
-                    )
-                else:
-                    provenance = Provenance(kind="original")
-                pixels = None
-                if record.get("pixels_path"):
-                    pixels = load_pixels(path.parent / record["pixels_path"])
-                samples.append(
-                    ConceptLabeledSample(
-                        sample_id=str(record["id"]),
-                        label=int(record["label"]),
-                        concept_vector=np.asarray(record["concept_vector"], dtype=np.uint8),
-                        image_embedding=np.asarray(record["embedding"], dtype=np.float64),
-                        detections=_detections_from_json(
-                            record.get("detections", ()), concept_by_id, where
-                        ),
-                        image_pixels=pixels,
-                        provenance=provenance,
-                    )
-                )
-            except (KeyError, TypeError, ValueError) as exc:
-                raise DataFormatError(f"{where}: malformed sample: {exc!r}") from None
-    return samples
+    return _load_samples(Path(path), catalog, _labeled_sample)
 
 
 # ---------------------------------------------------------------------------
@@ -393,10 +385,8 @@ def save_vocabulary(path: "str | Path", vocab: ConceptVocabulary) -> None:
 
 def load_vocabulary(path: "str | Path") -> ConceptVocabulary:
     doc = _load_json(Path(path))
-    try:
+    with _parsing(path, "vocabulary"):
         return _vocab_from_json(doc["concepts"])
-    except (KeyError, TypeError) as exc:
-        raise DataFormatError(f"{path}: malformed vocabulary: {exc!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -437,7 +427,7 @@ def save_model(
 def load_model(path: "str | Path") -> tuple[CbmModel, ConceptVocabulary, TrainConfig]:
     path = Path(path)
     doc = _load_json(path)
-    try:
+    with _parsing(path, "model checkpoint"):
         model = CbmModel(
             concept_weights=np.asarray(doc["concept_weights"], dtype=np.float64),
             concept_bias=np.asarray(doc["concept_bias"], dtype=np.float64),
@@ -446,8 +436,6 @@ def load_model(path: "str | Path") -> tuple[CbmModel, ConceptVocabulary, TrainCo
         ).freeze()
         vocab = _vocab_from_json(doc["vocabulary"])
         config = TrainConfig(**doc["config"])
-    except (KeyError, TypeError) as exc:
-        raise DataFormatError(f"{path}: malformed model checkpoint: {exc!r}") from None
     if model.num_concepts != len(vocab):
         raise DataError(
             f"{path}: checkpoint bottleneck width {model.num_concepts} "
@@ -496,7 +484,7 @@ def save_calibration(path: "str | Path", result: CalibrationResult) -> None:
 def load_calibration(path: "str | Path") -> CalibrationResult:
     path = Path(path)
     doc = _load_json(path)
-    try:
+    with _parsing(path, "calibration result"):
         curves = {
             k: RiskCurve(
                 criterion=k,
@@ -514,8 +502,6 @@ def load_calibration(path: "str | Path") -> CalibrationResult:
             budget=_budget_from_json(doc["budget"]),
             curves=curves,
         )
-    except (KeyError, TypeError) as exc:
-        raise DataFormatError(f"{path}: malformed calibration result: {exc!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -554,7 +540,7 @@ def save_guarantee_report(path: "str | Path", report: GuaranteeReport) -> None:
 def load_guarantee_report(path: "str | Path") -> GuaranteeReport:
     path = Path(path)
     doc = _load_json(path)
-    try:
+    with _parsing(path, "guarantee report"):
         per = {
             k: CriterionCoverage(
                 criterion=k,
@@ -580,8 +566,6 @@ def load_guarantee_report(path: "str | Path") -> GuaranteeReport:
             verdict=str(doc["verdict"]),
             notes=list(doc["notes"]),
         )
-    except (KeyError, TypeError) as exc:
-        raise DataFormatError(f"{path}: malformed guarantee report: {exc!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -615,7 +599,7 @@ def save_eval_report(path: "str | Path", report: EvalReport) -> None:
 def load_eval_report(path: "str | Path") -> EvalReport:
     path = Path(path)
     doc = _load_json(path)
-    try:
+    with _parsing(path, "eval report"):
         per_sample = [
             SampleCompliance(
                 sample_id=str(s["id"]),
@@ -636,8 +620,6 @@ def load_eval_report(path: "str | Path") -> EvalReport:
             budget=_budget_from_json(doc["budget"]),
             n_samples=int(doc["n_samples"]),
         )
-    except (KeyError, TypeError) as exc:
-        raise DataFormatError(f"{path}: malformed eval report: {exc!r}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,9 @@ randomness flows from seeds in the config, so reruns are byte-identical.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Sequence, get_type_hints
 
 import numpy as np
 
@@ -98,9 +98,13 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "PipelineConfig":
-        """Config from its JSON form, checked by `check_config`."""
+        """Config from its JSON form, checked by `check_config`. A missing path
+        or a value out of range raises a ValueError."""
         check_config(doc)
         paths = doc.get("paths", {})
+        for key in _CONFIG_KEYS["paths"]:
+            if key not in paths:
+                raise ValueError(f"missing required path: {key}")
         alphas = doc.get("budget", {})
         split = doc.get("split", {})
         calib = doc.get("calibration", {})
@@ -122,24 +126,39 @@ class PipelineConfig:
         )
 
 
-# The sections of a config file and the keys each accepts.
+# The sections of a config file, the keys each accepts and the type of each.
 _CONFIG_KEYS = {
-    "paths": ("train", "test", "catalog", "output_dir"),
-    "budget": tuple(f.name for f in fields(RiskBudget)),
-    "split": ("train_fraction", "seed"),
-    "calibration": ("resolution", "exact"),
-    "eval": ("nec",),
-    "train": tuple(f.name for f in fields(TrainConfig)),
-    "augmentation": tuple(f.name for f in fields(AugmentationConfig)),
+    "paths": dict.fromkeys(("train", "test", "catalog", "output_dir"), str),
+    "budget": get_type_hints(RiskBudget),
+    "split": {"train_fraction": float, "seed": int},
+    "calibration": {"resolution": float, "exact": bool},
+    "eval": {"nec": int},
+    "train": get_type_hints(TrainConfig),
+    "augmentation": get_type_hints(AugmentationConfig),
 }
 
 
 def check_config(doc) -> None:
     """Raise a ValueError naming the first part of a config document that is
-    not a JSON object, or the first key it does not know."""
+    not a JSON object, the first key it does not know, or the first value of
+    the wrong type."""
     _check_keys("the config", doc, _CONFIG_KEYS)
-    for name, keys in _CONFIG_KEYS.items():
-        _check_keys(f"config section {name!r}", doc.get(name, {}), keys)
+    for name, types in _CONFIG_KEYS.items():
+        where = f"config section {name!r}"
+        section = doc.get(name, {})
+        _check_keys(where, section, types)
+        for key, value in section.items():
+            if not _is_a(value, types[key]):
+                raise ValueError(
+                    f"{key} in {where} must be {types[key].__name__}, got {value!r}"
+                )
+
+
+def _is_a(value, kind: type) -> bool:
+    """JSON typing: an int is also a float, a bool is neither."""
+    if isinstance(value, bool):
+        return kind is bool
+    return isinstance(value, (int, float) if kind is float else kind)
 
 
 def _check_keys(where: str, section, allowed) -> None:
@@ -152,12 +171,6 @@ def _check_keys(where: str, section, allowed) -> None:
 
 @dataclass(eq=False)
 class PipelineResult:
-    calibration_path: Path
-    vocabulary_path: Path
-    augmented_path: Path
-    model_path: Path
-    eval_report_path: Path
-    plot_paths: list[Path]
     lambda_hat: float
     overall_accuracy: float
     cca: float
@@ -215,12 +228,10 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
             exact=config.exact_calibration,
         ),
     )
-    calibration_path = out_dir / "calibration.json"
-    dataio.save_calibration(calibration_path, result)
-    curves_path = out_dir / "risk_curves.dat"
+    dataio.save_calibration(out_dir / "calibration.json", result)
     grid = result.curves["dis"].grid
     dataio.write_dat(
-        curves_path,
+        out_dir / "risk_curves.dat",
         ["lambda"] + [f"risk_{k}" for k in CRITERIA],
         (
             [float(grid[i])] + [float(result.curves[k].risks[i]) for k in CRITERIA]
@@ -231,8 +242,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     vocab = stage(
         "build", lambda: build_vocabulary(train_part, catalog, result.lambda_hat)
     )
-    vocabulary_path = out_dir / "vocabulary.json"
-    dataio.save_vocabulary(vocabulary_path, vocab)
+    dataio.save_vocabulary(out_dir / "vocabulary.json", vocab)
     labeled = stage(
         "build",
         lambda: [label_sample(s, vocab, result.lambda_hat) for s in train_part],
@@ -242,35 +252,26 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
         "augment",
         lambda: augment_dataset(labeled, vocab, result.lambda_hat, config.augmentation),
     )
-    augmented_path = out_dir / "dataset_aug.ndjson"
-    dataio.save_labeled_dataset(augmented_path, augmented)
+    dataio.save_labeled_dataset(out_dir / "dataset_aug.ndjson", augmented)
 
     model, log = stage(
         "train",
         lambda: train(augmented, vocab, config.train, n_classes=catalog.num_classes),
     )
-    model_path = out_dir / "model.json"
-    dataio.save_model(model_path, model, vocab, config.train)
+    dataio.save_model(out_dir / "model.json", model, vocab, config.train)
     dataio.save_training_log(out_dir / "training_log.csv", log)
 
-    cca_path = out_dir / "cca_vs_nec.dat"
     report = stage(
         "evaluate",
         lambda: evaluate_sweep(
-            model, test_samples, vocab, catalog, config.budget, config.nec, cca_path
+            model, test_samples, vocab, catalog, config.budget, config.nec,
+            out_dir / "cca_vs_nec.dat",
         ),
     )
-    eval_report_path = out_dir / "eval_report.json"
-    dataio.save_eval_report(eval_report_path, report)
+    dataio.save_eval_report(out_dir / "eval_report.json", report)
     dataio.save_per_sample_csv(out_dir / "eval_per_sample.csv", report)
 
     return PipelineResult(
-        calibration_path=calibration_path,
-        vocabulary_path=vocabulary_path,
-        augmented_path=augmented_path,
-        model_path=model_path,
-        eval_report_path=eval_report_path,
-        plot_paths=[curves_path, cca_path],
         lambda_hat=result.lambda_hat,
         overall_accuracy=report.overall_accuracy,
         cca=report.cca,

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import riskcbm
-from conftest import BAD_KEYS
+from conftest import BAD_KEYS, BAD_VALUES
 from riskcbm.cli import main
 
 
@@ -93,6 +93,29 @@ class TestStagedCommands:
         ]) == 0
         assert report.is_file()
         assert (tmp_path / "cca.dat").read_text().startswith("# nec")
+
+    def test_malformed_calibration_is_a_one_line_data_error(self, data_dir, tmp_path, capsys):
+        cal_json = tmp_path / "calibration.json"
+        assert main([
+            "calibrate", "--dataset", str(data_dir / "train.ndjson"),
+            "--catalog", str(data_dir / "catalog.json"),
+            "--out", str(cal_json),
+        ]) == 0
+        doc = json.loads(cal_json.read_text())
+        doc["lambda_hat"] += 1.0  # no longer the max of the three thresholds
+        cal_json.write_text(json.dumps(doc))
+        capsys.readouterr()
+        code = main([
+            "build", "--dataset", str(data_dir / "train.ndjson"),
+            "--catalog", str(data_dir / "catalog.json"),
+            "--calibration", str(cal_json),
+            "--out", str(tmp_path / "labeled.ndjson"),
+            "--vocab-out", str(tmp_path / "vocab.json"),
+        ])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: {cal_json}: malformed calibration result")
+        assert err.count("\n") == 1, err
 
 
 class TestPipelineCommand:
@@ -288,6 +311,26 @@ class TestUsageErrors:
         assert code == 1
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert key in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("case", list(BAD_VALUES))
+    def test_bad_config_value_or_missing_path_is_a_one_line_usage_error(
+        self, case, data_dir, tmp_path, capsys
+    ):
+        """The test path comes from the config file, so the case that drops
+        it from the file leaves the run without one."""
+        doc, message = BAD_VALUES[case]
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"paths": {"test": str(data_dir / "test.ndjson")}, **doc}))
+        code = main([
+            "pipeline", "--config", str(cfg),
+            "--train", str(data_dir / "train.ndjson"),
+            "--catalog", str(data_dir / "catalog.json"),
+            "--out-dir", str(tmp_path / "out"),
+        ])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1, err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(

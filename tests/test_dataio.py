@@ -1,6 +1,7 @@
 """Serialization round trips and parse error reporting."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -124,6 +125,13 @@ class TestDataset:
         with pytest.raises(DataError, match="unknown concept id 999"):
             dataio.load_dataset(path, catalog)
 
+    def test_line_that_is_not_an_object(self, tmp_path, synth):
+        _, catalog = synth
+        path = tmp_path / "data.ndjson"
+        path.write_text("[1, 2]\n")
+        with pytest.raises(dataio.DataFormatError, match=r"data\.ndjson:1: malformed sample"):
+            dataio.load_dataset(path, catalog)
+
     def test_validation_failures_reported(self, tmp_path, synth):
         samples, catalog = synth
         path = tmp_path / "data.ndjson"
@@ -164,6 +172,25 @@ class TestLabeledDataset:
         path2 = tmp_path / "again" / "labeled.ndjson"
         dataio.save_labeled_dataset(path2, back)
         assert path.read_text() == path2.read_text()
+
+    def test_record_is_the_annotated_record_plus_two_fields(self, tmp_path, synth):
+        """Both sample files share one layout: a labeled line without
+        `concept_vector` and `provenance` is the annotated line."""
+        samples, catalog = synth
+        vocab = build_vocabulary(samples, catalog, 0.4)
+        labeled = [label_sample(s, vocab, 0.4) for s in samples]
+        (tmp_path / "a").mkdir()
+        (tmp_path / "b").mkdir()
+        dataio.save_dataset(tmp_path / "a" / "data.ndjson", samples)
+        dataio.save_labeled_dataset(tmp_path / "b" / "data.ndjson", labeled)
+        plain = (tmp_path / "a" / "data.ndjson").read_text().splitlines()
+        rich = (tmp_path / "b" / "data.ndjson").read_text().splitlines()
+        assert len(plain) == len(rich) == len(samples)
+        for a, b in zip(plain, rich):
+            doc = json.loads(b)
+            assert set(doc) - set(json.loads(a)) == {"concept_vector", "provenance"}
+            del doc["concept_vector"], doc["provenance"]
+            assert json.dumps(doc, sort_keys=True) == a
 
 
 class TestVocabularyAndModel:
@@ -260,6 +287,67 @@ class TestReports:
         lines = (tmp_path / "t.dat").read_text().splitlines()
         assert lines[0] == "# a b"
         assert lines[1] == "1 2.5"
+
+
+@pytest.fixture(scope="module")
+def artifacts(tmp_path_factory):
+    """One valid file of each JSON artifact kind, by kind."""
+    out = tmp_path_factory.mktemp("artifacts")
+    samples, catalog = generate_synthetic(
+        SynthSpec(classes=2, concepts_per_class=3, samples_per_class=8, seed=17,
+                  with_pixels=False)
+    )
+    vocab = build_vocabulary(samples, catalog, 0.5)
+    labeled = [label_sample(s, vocab, 0.5) for s in samples]
+    config = TrainConfig(epochs=3)
+    model, _ = train(labeled, vocab, config, n_classes=catalog.num_classes)
+    budget = RiskBudget(0.7, 0.2, 0.2)
+    pool = ExchangeablePool(samples=samples, catalog=catalog)
+    dataio.save_catalog(out / "catalog.json", catalog)
+    dataio.save_vocabulary(out / "vocabulary.json", vocab)
+    dataio.save_model(out / "model.json", model, vocab, config)
+    dataio.save_calibration(
+        out / "calibration.json", calibrate(budget, samples, catalog, resolution=1e-2)
+    )
+    dataio.save_guarantee_report(
+        out / "guarantee.json",
+        validate_guarantee(budget, pool, n_cal=6, n_trials=100, seed=3),
+    )
+    dataio.save_eval_report(
+        out / "eval.json", accuracy_report(model, samples, vocab, catalog, EvalConfig())
+    )
+    return out
+
+
+def _set(*keys, value):
+    def mutate(doc):
+        for key in keys[:-1]:
+            doc = doc[key]
+        doc[keys[-1]] = value(doc[keys[-1]]) if callable(value) else value
+    return mutate
+
+
+# A value of the right JSON shape that the loader cannot build from, per kind.
+MALFORMED_VALUES = {
+    "catalog": (dataio.load_catalog, _set("classes", 0, "label", value="x")),
+    "vocabulary": (dataio.load_vocabulary, _set("concepts", 0, "id", value="x")),
+    "model": (dataio.load_model, _set("config", "epochs", value=0)),
+    "calibration": (dataio.load_calibration, _set("lambda_hat", value=lambda v: v + 1.0)),
+    "guarantee": (dataio.load_guarantee_report, _set("n_trials", value="x")),
+    "eval": (dataio.load_eval_report, _set("nec", value="x")),
+}
+
+
+@pytest.mark.parametrize("kind", list(MALFORMED_VALUES))
+def test_malformed_value_is_a_format_error_naming_the_file(kind, artifacts, tmp_path):
+    load, mutate = MALFORMED_VALUES[kind]
+    load(artifacts / f"{kind}.json")  # the file as written loads
+    doc = json.loads((artifacts / f"{kind}.json").read_text())
+    mutate(doc)
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(dataio.DataFormatError, match=re.escape(f"{path}: malformed")):
+        load(path)
 
 
 class TestSplit:

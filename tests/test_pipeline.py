@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from conftest import BAD_KEYS, PATHS
+from conftest import BAD_KEYS, BAD_VALUES, PATHS
 from riskcbm.calibration import DEFAULT_BUDGET, RiskBudget
 from riskcbm.cbm_trainer import TrainConfig
 from riskcbm.cli import main
@@ -72,6 +72,13 @@ def test_nec_sweep_uses_the_run_budget(data_dir, tmp_path):
 def test_from_dict_rejects_an_unknown_key_by_name(section):
     doc, key = BAD_KEYS[section]
     with pytest.raises(ValueError, match=f"unknown key '{key}'"):
+        PipelineConfig.from_dict({"paths": PATHS, **doc})
+
+
+@pytest.mark.parametrize("case", list(BAD_VALUES))
+def test_from_dict_rejects_a_bad_value_or_missing_path_by_name(case):
+    doc, message = BAD_VALUES[case]
+    with pytest.raises(ValueError, match=message):
         PipelineConfig.from_dict({"paths": PATHS, **doc})
 
 
