@@ -58,9 +58,7 @@ from .dataset_builder import (
     ConceptLabeledSample,
     ConceptVocabulary,
     Provenance,
-    UnseedableConceptError,
     augment_dataset,
-    augment_rare_concept,
     build_vocabulary,
     composite_patch,
     find_sparse_concepts,

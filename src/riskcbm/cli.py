@@ -321,7 +321,11 @@ def _cmd_evaluate(args) -> int:
 def _cmd_pipeline(args) -> int:
     doc: dict = {}
     if args.config:
-        doc = json.loads(_require_file(args.config, "config").read_text())
+        config_path = _require_file(args.config, "config")
+        try:
+            doc = json.loads(config_path.read_text())
+        except json.JSONDecodeError as exc:
+            raise _UsageError(f"{config_path}: invalid JSON: {exc}") from None
         check_config(doc)
     # Flags override the config file key by key.
     for section, key, value in (

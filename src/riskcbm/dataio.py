@@ -259,7 +259,13 @@ def _load_samples(
             with _parsing(where, "sample"):
                 pixels = None
                 if record.get("pixels_path"):
-                    pixels = load_pixels(path.parent / record["pixels_path"])
+                    pixels_path = path.parent / record["pixels_path"]
+                    try:
+                        pixels = load_pixels(pixels_path)
+                    except OSError as exc:
+                        raise DataFormatError(
+                            f"{where}: cannot read pixel tensor {pixels_path}: {exc.strerror}"
+                        ) from None
                 common = dict(
                     sample_id=str(record["id"]),
                     label=int(record["label"]),

@@ -3,9 +3,10 @@
 The vocabulary is the union of calibrated concept sets over the training
 samples; each sample's concept label vector is the membership indicator of
 its calibrated set. Concepts whose positive count falls below a threshold
-get synthesized extra positives: a reliably detected patch from a source
-image is pasted into a same-class target at a window that does not overlap
-any of the target's reliable (threshold-passing) boxes.
+get synthesized extra positives: the box of a reliable detection in a source
+image is resized and pasted, as a plain rectangle, into a same-class target
+at a window that does not overlap any of the target's reliable
+(threshold-passing) boxes.
 """
 
 from __future__ import annotations
@@ -35,23 +36,17 @@ __all__ = [
     "ConceptLabeledSample",
     "AugmentationConfig",
     "AugmentationReport",
-    "UnseedableConceptError",
     "build_vocabulary",
     "label_sample",
     "find_sparse_concepts",
     "sample_placement",
     "composite_patch",
-    "augment_rare_concept",
     "augment_dataset",
 ]
 
 # Pasted windows keep the source aspect ratio and are scaled uniformly at
 # random within this range of the source box size (then clipped to fit).
 SCALE_RANGE = (0.5, 1.0)
-
-
-class UnseedableConceptError(DataError):
-    """No sample provides a reliable source patch for the concept."""
 
 
 @dataclass(eq=False)
@@ -198,11 +193,16 @@ def find_sparse_concepts(
     config: AugmentationConfig,
 ) -> list[tuple[ConceptId, int]]:
     """Vocabulary concepts with fewer than ``min_count`` positive labels, rarest first."""
-    counts = positive_counts(dataset, vocab)
+    return _rarest_first(positive_counts(dataset, vocab), vocab, config.min_count)
+
+
+def _rarest_first(
+    counts: np.ndarray, vocab: ConceptVocabulary, min_count: int
+) -> list[tuple[ConceptId, int]]:
     sparse = [
         (concept, int(counts[i]))
         for i, concept in enumerate(vocab.concepts)
-        if counts[i] < config.min_count
+        if counts[i] < min_count
     ]
     sparse.sort(key=lambda item: (item[1], item[0].id))
     return sparse
@@ -254,36 +254,34 @@ def sample_placement(
     return None
 
 
-def composite_patch(
-    target_pixels: np.ndarray,
-    source_patch: np.ndarray,
-    source_mask: np.ndarray,
-    placement: BoundingBox,
-) -> np.ndarray:
-    """Masked paste: inside the placement where mask=1 take source, elsewhere keep target.
+def _int_corners(box: BoundingBox) -> tuple[int, int, int, int]:
+    return (
+        int(round(box.x1)),
+        int(round(box.y1)),
+        int(round(box.x2)),
+        int(round(box.y2)),
+    )
 
-    The patch and mask must already be resized to the placement dimensions;
-    every pixel outside the mask is bit-identical to the target.
+
+def composite_patch(
+    target_pixels: np.ndarray, source_patch: np.ndarray, placement: BoundingBox
+) -> np.ndarray:
+    """Rectangle paste: the placement window takes the source, the rest keeps the target.
+
+    The patch must already be resized to the placement dimensions; every
+    pixel outside the window is bit-identical to the target.
     """
-    x1, y1, x2, y2 = (int(round(v)) for v in (placement.x1, placement.y1, placement.x2, placement.y2))
+    x1, y1, x2, y2 = _int_corners(placement)
     h, w = y2 - y1, x2 - x1
     if source_patch.shape != (h, w, 3):
         raise DataError(
             f"source patch shape {source_patch.shape} does not match placement ({h}, {w}, 3)"
         )
-    if source_mask.shape != (h, w):
-        raise DataError(
-            f"source mask shape {source_mask.shape} does not match placement ({h}, {w})"
-        )
-    mask = np.asarray(source_mask)
-    if not np.isin(mask, (0, 1)).all():
-        raise DataError("source mask must be binary")
     th, tw = target_pixels.shape[:2]
     if x1 < 0 or y1 < 0 or x2 > tw or y2 > th:
         raise DataError(f"placement {placement} outside target bounds ({th}, {tw})")
     out = np.array(target_pixels, copy=True)
-    region = out[y1:y2, x1:x2]
-    region[mask == 1] = np.asarray(source_patch, dtype=out.dtype)[mask == 1]
+    out[y1:y2, x1:x2] = source_patch
     out.setflags(write=False)
     return out
 
@@ -305,24 +303,6 @@ def resize_bilinear(image: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     return top * (1 - wy) + bottom * wy
 
 
-def resize_nearest(mask: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Nearest-neighbor resize; keeps a binary mask binary."""
-    arr = np.asarray(mask)
-    in_h, in_w = arr.shape[:2]
-    ys = np.minimum(((np.arange(out_h) + 0.5) * in_h / out_h).astype(np.intp), in_h - 1)
-    xs = np.minimum(((np.arange(out_w) + 0.5) * in_w / out_w).astype(np.intp), in_w - 1)
-    return arr[ys][:, xs]
-
-
-def _int_corners(box: BoundingBox) -> tuple[int, int, int, int]:
-    return (
-        int(round(box.x1)),
-        int(round(box.y1)),
-        int(round(box.x2)),
-        int(round(box.y2)),
-    )
-
-
 def _best_source_detection(sample, concept: ConceptId, lambda_hat: float):
     """Highest-confidence reliable detection of the concept, or None."""
     best = None
@@ -334,111 +314,31 @@ def _best_source_detection(sample, concept: ConceptId, lambda_hat: float):
     return best
 
 
-def augment_rare_concept(
-    dataset: Sequence[ConceptLabeledSample],
-    rare_concept: ConceptId,
-    vocab: ConceptVocabulary,
-    lambda_hat: float,
-    config: AugmentationConfig,
-    rng: np.random.Generator,
-) -> list[ConceptLabeledSample]:
-    """Append synthesized positives for one concept until it reaches ``min_count``.
+def _paste(target, source, src_det, concept, lambda_hat, config, rng):
+    """Paste the source's detection box into a free window of the target.
 
-    Patch sources are original samples with a reliable detection of the
-    concept and pixels on hand; targets are original same-class samples with
-    pixels, visited in random order without replacement. Originals are never
-    mutated; if targets run out first a warning is emitted and the partially
-    augmented dataset is returned.
+    Returns the new pixels and the window, or None when the source box
+    clipped to its image is empty or no free window was found.
     """
-    if rare_concept not in vocab:
-        raise DataError(f"concept {rare_concept.id} not in vocabulary")
-    out = list(dataset)
-    idx = vocab.index_of[rare_concept]
-    count = int(sum(int(s.concept_vector[idx]) for s in out))
-    if count >= config.min_count:
-        return out
-
-    sources = [
-        s
-        for s in out
-        if s.is_original
-        and s.image_pixels is not None
-        and _best_source_detection(s, rare_concept, lambda_hat) is not None
-    ]
-    if not sources:
-        raise UnseedableConceptError(
-            f"unseedable concept {rare_concept.id} ('{rare_concept.text}'): "
-            "no reliable source patch available"
-        )
-    targets = [
-        s
-        for s in out
-        if s.is_original
-        and s.label == rare_concept.class_of_origin
-        and s.image_pixels is not None
-    ]
-    order = rng.permutation(len(targets))
-    one_hot = np.zeros(len(vocab), dtype=np.uint8)
-    one_hot[idx] = 1
-
-    sequence = 0
-    for t in order:
-        if count >= config.min_count:
-            break
-        target = targets[int(t)]
-        candidates = [s for s in sources if s.sample_id != target.sample_id]
-        if not candidates:
-            continue
-        source = candidates[int(rng.integers(len(candidates)))]
-        src_det = _best_source_detection(source, rare_concept, lambda_hat)
-        sx1, sy1, sx2, sy2 = _int_corners(src_det.box)
-        sh, sw = source.image_pixels.shape[:2]
-        sx1, sy1 = max(0, sx1), max(0, sy1)
-        sx2, sy2 = min(sw, sx2), min(sh, sy2)
-        if sx2 - sx1 < 1 or sy2 - sy1 < 1:
-            continue
-        placement = sample_placement(
-            target,
-            rare_concept,
-            lambda_hat,
-            src_det.box,
-            rng,
-            max_attempts=config.max_placement_attempts,
-        )
-        if placement is None:
-            continue
-        px1, py1, px2, py2 = _int_corners(placement)
-        patch = source.image_pixels[sy1:sy2, sx1:sx2]
-        mask = np.ones((sy2 - sy1, sx2 - sx1), dtype=np.uint8)
-        patch = resize_bilinear(patch, py2 - py1, px2 - px1)
-        mask = resize_nearest(mask, py2 - py1, px2 - px1)
-        pixels = composite_patch(target.image_pixels, patch, mask, placement)
-        sequence += 1
-        out.append(
-            ConceptLabeledSample(
-                sample_id=f"{target.sample_id}-aug-{rare_concept.id}-{sequence}",
-                label=target.label,
-                concept_vector=np.maximum(target.concept_vector, one_hot),
-                image_embedding=target.image_embedding,
-                detections=target.detections,
-                image_pixels=make_pixels(pixels),
-                provenance=Provenance(
-                    kind="augmented",
-                    source_id=source.sample_id,
-                    inserted_concept=rare_concept,
-                    placement=placement,
-                ),
-            )
-        )
-        count += 1
-
-    if count < config.min_count:
-        warnings.warn(
-            f"augmentation exhausted for concept {rare_concept.id} "
-            f"('{rare_concept.text}'): reached {count} < {config.min_count} positives",
-            stacklevel=2,
-        )
-    return out
+    sx1, sy1, sx2, sy2 = _int_corners(src_det.box)
+    sh, sw = source.image_pixels.shape[:2]
+    sx1, sy1 = max(0, sx1), max(0, sy1)
+    sx2, sy2 = min(sw, sx2), min(sh, sy2)
+    if sx2 - sx1 < 1 or sy2 - sy1 < 1:
+        return None
+    placement = sample_placement(
+        target,
+        concept,
+        lambda_hat,
+        src_det.box,
+        rng,
+        max_attempts=config.max_placement_attempts,
+    )
+    if placement is None:
+        return None
+    px1, py1, px2, py2 = _int_corners(placement)
+    patch = resize_bilinear(source.image_pixels[sy1:sy2, sx1:sx2], py2 - py1, px2 - px1)
+    return composite_patch(target.image_pixels, patch, placement), placement
 
 
 @dataclass(eq=False)
@@ -453,10 +353,6 @@ class AugmentationOutcome:
 class AugmentationReport:
     outcomes: list[AugmentationOutcome] = field(default_factory=list)
 
-    @property
-    def added(self) -> int:
-        return sum(o.count_after - o.count_before for o in self.outcomes)
-
 
 def augment_dataset(
     dataset: Sequence[ConceptLabeledSample],
@@ -464,32 +360,84 @@ def augment_dataset(
     lambda_hat: float,
     config: AugmentationConfig,
 ) -> tuple[list[ConceptLabeledSample], AugmentationReport]:
-    """Run rare-concept augmentation for every sparse vocabulary concept.
+    """Append synthesized positives for every sparse vocabulary concept.
 
-    Concepts are processed rarest-first and sequentially: positives added for
-    one concept count toward the next. Unseedable concepts are reported and
-    skipped rather than failing the run.
+    Concepts are processed rarest-first and sequentially against one running
+    positive count: each appended row adds its whole concept vector, so
+    positives added for one concept count toward the next. Patch sources are
+    original samples with pixels and a reliable detection of the concept;
+    targets are original same-class samples with pixels, visited in random
+    order without replacement. Originals are never mutated. A concept that
+    no sample can seed is reported "unseedable", one whose targets run out
+    first "exhausted"; either gets a warning and the run goes on.
     """
     rng = np.random.default_rng(config.rng_seed)
     out = list(dataset)
+    originals = [s for s in out if s.is_original and s.image_pixels is not None]
+    counts = positive_counts(out, vocab)
     report = AugmentationReport()
-    for concept, _ in find_sparse_concepts(out, vocab, config):
+    for concept, _ in _rarest_first(counts, vocab, config.min_count):
         idx = vocab.index_of[concept]
-        before = int(sum(int(s.concept_vector[idx]) for s in out))
-        if before >= config.min_count:
-            report.outcomes.append(
-                AugmentationOutcome(concept, before, before, "met")
+        before = int(counts[idx])
+        sources = []
+        if before < config.min_count:
+            sources = [
+                (s, det)
+                for s in originals
+                if (det := _best_source_detection(s, concept, lambda_hat)) is not None
+            ]
+        if sources:
+            targets = [s for s in originals if s.label == concept.class_of_origin]
+            one_hot = np.zeros(len(vocab), dtype=np.uint8)
+            one_hot[idx] = 1
+            sequence = 0
+            for t in rng.permutation(len(targets)):
+                if counts[idx] >= config.min_count:
+                    break
+                target = targets[int(t)]
+                candidates = [
+                    (s, det) for s, det in sources if s.sample_id != target.sample_id
+                ]
+                if not candidates:
+                    continue
+                source, src_det = candidates[int(rng.integers(len(candidates)))]
+                pasted = _paste(target, source, src_det, concept, lambda_hat, config, rng)
+                if pasted is None:
+                    continue
+                pixels, placement = pasted
+                sequence += 1
+                row = ConceptLabeledSample(
+                    sample_id=f"{target.sample_id}-aug-{concept.id}-{sequence}",
+                    label=target.label,
+                    concept_vector=np.maximum(target.concept_vector, one_hot),
+                    image_embedding=target.image_embedding,
+                    detections=target.detections,
+                    image_pixels=make_pixels(pixels),
+                    provenance=Provenance(
+                        kind="augmented",
+                        source_id=source.sample_id,
+                        inserted_concept=concept,
+                        placement=placement,
+                    ),
+                )
+                out.append(row)
+                counts += row.concept_vector
+        after = int(counts[idx])
+        if after >= config.min_count:
+            status = "met"
+        elif not sources:
+            status = "unseedable"
+            warnings.warn(
+                f"unseedable concept {concept.id} ('{concept.text}'): "
+                "no reliable source patch available",
+                stacklevel=2,
             )
-            continue
-        try:
-            out = augment_rare_concept(out, concept, vocab, lambda_hat, config, rng)
-        except UnseedableConceptError as exc:
-            warnings.warn(str(exc), stacklevel=2)
-            report.outcomes.append(
-                AugmentationOutcome(concept, before, before, "unseedable")
+        else:
+            status = "exhausted"
+            warnings.warn(
+                f"augmentation exhausted for concept {concept.id} "
+                f"('{concept.text}'): reached {after} < {config.min_count} positives",
+                stacklevel=2,
             )
-            continue
-        after = int(sum(int(s.concept_vector[idx]) for s in out))
-        status = "met" if after >= config.min_count else "exhausted"
         report.outcomes.append(AugmentationOutcome(concept, before, after, status))
     return out, report

@@ -54,6 +54,19 @@ class TestSynthAndValidate:
         assert "confidence out of" in capsys.readouterr().out
 
 
+    def test_missing_pixel_tensor_is_a_one_line_data_error(self, data_dir, tmp_path, capsys):
+        copy = tmp_path / "train.ndjson"
+        copy.write_text((data_dir / "train.ndjson").read_text())  # no .pixels/
+        code = main([
+            "validate", "--dataset", str(copy),
+            "--catalog", str(data_dir / "catalog.json"),
+        ])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: {copy}:1: cannot read pixel tensor")
+        assert err.count("\n") == 1 and "Traceback" not in err, err
+
+
 class TestStagedCommands:
     def test_stage_by_stage(self, data_dir, tmp_path, capsys):
         cal_json = tmp_path / "calibration.json"
@@ -331,6 +344,23 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith(f"error: {message}") and err.count("\n") == 1, err
+        assert not (tmp_path / "out").exists()
+
+    def test_config_that_is_not_json_is_a_one_line_usage_error(
+        self, data_dir, tmp_path, capsys
+    ):
+        cfg = tmp_path / "config.json"
+        cfg.write_text("{bad")
+        code = main([
+            "pipeline", "--config", str(cfg),
+            "--train", str(data_dir / "train.ndjson"),
+            "--test", str(data_dir / "test.ndjson"),
+            "--catalog", str(data_dir / "catalog.json"),
+            "--out-dir", str(tmp_path / "out"),
+        ])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: {cfg}: invalid JSON") and err.count("\n") == 1, err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(

@@ -115,6 +115,17 @@ class TestDataset:
         with pytest.raises(dataio.DataFormatError, match=r"data\.ndjson:2"):
             dataio.load_dataset(path, catalog)
 
+    def test_missing_pixel_tensor_names_the_line(self, tmp_path, synth):
+        samples, catalog = synth
+        dataio.save_dataset(tmp_path / "train.ndjson", samples)
+        (tmp_path / "copy").mkdir()
+        copy = tmp_path / "copy" / "train.ndjson"
+        copy.write_text((tmp_path / "train.ndjson").read_text())  # no .pixels/
+        missing = re.escape(f"train.pixels/{samples[0].sample_id}.ult1")
+        with pytest.raises(dataio.DataFormatError,
+                           match=rf"train\.ndjson:1: cannot read pixel tensor .*{missing}"):
+            dataio.load_dataset(copy, catalog)
+
     def test_unknown_concept_id(self, tmp_path, synth):
         samples, catalog = synth
         path = tmp_path / "data.ndjson"

@@ -1,5 +1,8 @@
 """Vocabulary, labeling, and rare-concept augmentation."""
 
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,15 +12,12 @@ from riskcbm.core import BoundingBox, DataError, Detection
 from riskcbm.dataset_builder import (
     AugmentationConfig,
     ConceptVocabulary,
-    UnseedableConceptError,
     augment_dataset,
-    augment_rare_concept,
     build_vocabulary,
     composite_patch,
     find_sparse_concepts,
     label_sample,
     resize_bilinear,
-    resize_nearest,
     sample_placement,
 )
 from riskcbm.synth import SynthSpec, generate_synthetic
@@ -202,56 +202,25 @@ class TestPlacement:
 
 
 class TestComposite:
-    def test_zero_mask_is_identity(self):
+    def test_copies_source_inside_only(self):
         target = gray(16, 16)
         patch = np.ones((4, 4, 3), dtype=np.float32)
-        mask = np.zeros((4, 4), dtype=np.uint8)
-        out = composite_patch(target, patch, mask, BoundingBox(2, 3, 6, 7))
-        assert np.array_equal(out, target)
-
-    def test_full_mask_copies_source_inside_only(self):
-        target = gray(16, 16)
-        patch = np.ones((4, 4, 3), dtype=np.float32)
-        mask = np.ones((4, 4), dtype=np.uint8)
-        out = composite_patch(target, patch, mask, BoundingBox(2, 3, 6, 7))
+        out = composite_patch(target, patch, BoundingBox(2, 3, 6, 7))
         assert np.all(out[3:7, 2:6] == 1.0)
         untouched = np.ones((16, 16), dtype=bool)
         untouched[3:7, 2:6] = False
         assert np.array_equal(out[untouched], target[untouched])
 
-    def test_checkerboard_mask_per_pixel(self):
-        """Per-pixel oracle: each coordinate follows its own mask bit."""
-        rng = np.random.default_rng(42)
-        target = rng.random((12, 12, 3)).astype(np.float32)
-        patch = rng.random((6, 6, 3)).astype(np.float32)
-        mask = np.indices((6, 6)).sum(axis=0) % 2
-        out = composite_patch(target, patch, mask, BoundingBox(3, 4, 9, 10))
-        for i in range(12):
-            for j in range(12):
-                inside = 4 <= i < 10 and 3 <= j < 9
-                if inside and mask[i - 4, j - 3] == 1:
-                    expected = patch[i - 4, j - 3]
-                else:
-                    expected = target[i, j]
-                assert np.array_equal(out[i, j], expected)
-
     def test_shape_mismatch_rejected(self):
         with pytest.raises(DataError):
             composite_patch(gray(8, 8), np.ones((3, 3, 3), np.float32),
-                            np.ones((4, 4), np.uint8), BoundingBox(0, 0, 4, 4))
-        with pytest.raises(DataError):
-            composite_patch(gray(8, 8), np.ones((4, 4, 3), np.float32),
-                            np.full((4, 4), 2, np.uint8), BoundingBox(0, 0, 4, 4))
+                            BoundingBox(0, 0, 4, 4))
 
-    def test_resize_helpers(self):
+    def test_resize_bilinear_keeps_range(self):
         img = np.arange(16, dtype=np.float32).reshape(4, 4, 1).repeat(3, axis=2) / 15.0
         up = resize_bilinear(img, 8, 8)
         assert up.shape == (8, 8, 3)
         assert float(up.min()) >= 0.0 and float(up.max()) <= 1.0
-        mask = np.array([[1, 0], [0, 1]], dtype=np.uint8)
-        big = resize_nearest(mask, 4, 4)
-        assert big.shape == (4, 4)
-        assert set(np.unique(big)) <= {0, 1}
 
 
 def build_augmentation_fixture(seed=3, lam_hat=0.3, min_count=8):
@@ -266,9 +235,12 @@ def build_augmentation_fixture(seed=3, lam_hat=0.3, min_count=8):
 
 
 class TestAugmentation:
+    # Hand-built vocabularies below hold one sparse concept, `a`; every other
+    # vocabulary concept already has `min_count` positives.
+
     def test_appends_exactly_the_shortfall(self, catalog):
-        a, b, c = catalog.concepts_for(0)
-        vocab = ConceptVocabulary(concepts=(a, b, c))
+        a, b, _ = catalog.concepts_for(0)
+        vocab = ConceptVocabulary(concepts=(a, b))
         samples = []
         for i in range(8):
             confs = [(b, 0.9)] + ([(a, 0.9)] if i < 3 else [(a, 0.1)])
@@ -276,63 +248,108 @@ class TestAugmentation:
                 make_sample(f"s{i}", 0, [1, 0], confs, pixels=gray())
             )
         labeled = [label_sample(s, vocab, 0.3) for s in samples]
-        config = AugmentationConfig(min_count=5, rng_seed=0)
-        rng = np.random.default_rng(config.rng_seed)
-        out = augment_rare_concept(labeled, a, vocab, 0.3, config, rng)
+        out, report = augment_dataset(labeled, vocab, 0.3,
+                                      AugmentationConfig(min_count=5, rng_seed=0))
         added = [s for s in out if not s.is_original]
         assert len(added) == 2
         idx = vocab.index_of[a]
         assert sum(int(s.concept_vector[idx]) for s in out) == 5
+        assert [(o.concept, o.count_before, o.count_after, o.status)
+                for o in report.outcomes] == [(a, 3, 5, "met")]
 
     def test_max_update_rule(self, catalog):
-        a, b, c = catalog.concepts_for(0)
-        vocab = ConceptVocabulary(concepts=(a, b, c))
+        a, b, _ = catalog.concepts_for(0)
+        vocab = ConceptVocabulary(concepts=(a, b))
         samples = [
             make_sample("src", 0, [1, 0], [(a, 0.9), (b, 0.9)], pixels=gray()),
             make_sample("tgt", 0, [1, 0], [(b, 0.9)], pixels=gray()),
         ]
         labeled = [label_sample(s, vocab, 0.3) for s in samples]
-        assert labeled[1].concept_vector.tolist() == [0, 1, 0]
-        rng = np.random.default_rng(0)
-        out = augment_rare_concept(labeled, a, vocab, 0.3,
-                                   AugmentationConfig(min_count=2), rng)
+        assert labeled[1].concept_vector.tolist() == [0, 1]
+        out, report = augment_dataset(labeled, vocab, 0.3,
+                                      AugmentationConfig(min_count=2))
         added = [s for s in out if not s.is_original]
         assert len(added) == 1
-        assert added[0].concept_vector.tolist() == [1, 1, 0]
+        assert added[0].concept_vector.tolist() == [1, 1]
         assert added[0].provenance.source_id == "src"
         assert added[0].provenance.inserted_concept == a
+        assert [o.concept for o in report.outcomes] == [a]
         # originals untouched
-        assert labeled[1].concept_vector.tolist() == [0, 1, 0]
+        assert labeled[1].concept_vector.tolist() == [0, 1]
 
-    def test_unseedable_concept_raises(self, catalog):
+    def test_unseedable_concept_is_reported_and_warned(self, catalog):
         a, b, _ = catalog.concepts_for(0)
         vocab = ConceptVocabulary(concepts=(a, b))
-        samples = [make_sample("s0", 0, [1, 0], [(b, 0.9)], pixels=gray())]
+        samples = [
+            make_sample(f"s{i}", 0, [1, 0], [(b, 0.9)], pixels=gray()) for i in range(2)
+        ]
         labeled = [label_sample(s, vocab, 0.3) for s in samples]
-        rng = np.random.default_rng(0)
-        with pytest.raises(UnseedableConceptError):
-            augment_rare_concept(labeled, a, vocab, 0.3,
-                                 AugmentationConfig(min_count=2), rng)
+        with pytest.warns(UserWarning, match=r"unseedable concept \d+ .*no reliable source"):
+            out, report = augment_dataset(labeled, vocab, 0.3,
+                                          AugmentationConfig(min_count=2))
+        assert len(out) == len(labeled)
+        assert [(o.concept, o.count_before, o.count_after, o.status)
+                for o in report.outcomes] == [(a, 0, 0, "unseedable")]
 
-    def test_exhaustion_warns_and_keeps_dataset(self, catalog):
+    def test_exhaustion_is_reported_and_warned(self, catalog):
         a, b, _ = catalog.concepts_for(0)
         vocab = ConceptVocabulary(concepts=(a, b))
-        # the only possible target is fully blocked by a reliable box of b
-        blocked = make_sample("tgt", 0, [1, 0], [(b, 0.95)], pixels=gray())
-        blocked.detections = (
-            Detection(box=BoundingBox(0, 0, 64, 64), confidence=0.95, concept=b),
-        )
+        # every possible target is fully blocked by a reliable box of b
+        blocked = []
+        for i in range(3):
+            target = make_sample(f"tgt{i}", 0, [1, 0], [], pixels=gray())
+            target.detections = (
+                Detection(box=BoundingBox(0, 0, 64, 64), confidence=0.95, concept=b),
+            )
+            blocked.append(target)
         source = make_sample("src", 0, [1, 0], [(a, 0.9)], pixels=gray())
-        labeled = [label_sample(s, vocab, 0.3) for s in (source, blocked)]
-        rng = np.random.default_rng(0)
-        with pytest.warns(UserWarning, match="exhausted"):
-            out = augment_rare_concept(labeled, a, vocab, 0.3,
-                                       AugmentationConfig(min_count=3,
-                                                          max_placement_attempts=20),
-                                       rng)
-        # source already counts one positive; the blocked target adds nothing
-        idx = vocab.index_of[a]
-        assert sum(int(s.concept_vector[idx]) for s in out) == 1
+        labeled = [label_sample(s, vocab, 0.3) for s in (source, *blocked)]
+        config = AugmentationConfig(min_count=3, max_placement_attempts=20)
+        with pytest.warns(UserWarning, match="exhausted .*reached 1 < 3 positives"):
+            out, report = augment_dataset(labeled, vocab, 0.3, config)
+        # source already counts one positive; the blocked targets add nothing
+        assert len(out) == len(labeled)
+        assert [(o.concept, o.count_before, o.count_after, o.status)
+                for o in report.outcomes] == [(a, 1, 1, "exhausted")]
+
+    def test_report_is_the_running_count(self):
+        """Each outcome's counts agree with a recount of the rows on hand at
+        its turn, and its status with ``min_count``."""
+        seen = set()
+        for seed, min_count, class1_pixels in ((3, 10, True), (3, 16, False), (5, 16, False)):
+            labeled, vocab, _, config = build_augmentation_fixture(
+                seed=seed, min_count=min_count
+            )
+            if not class1_pixels:
+                labeled = [
+                    s if s.label != 1 else replace(s, image_pixels=None) for s in labeled
+                ]
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                augmented, report = augment_dataset(labeled, vocab, 0.3, config)
+            done = set()
+            for outcome in report.outcomes:
+                concept = outcome.concept
+                idx = vocab.index_of[concept]
+                before_turn = [
+                    s for s in augmented
+                    if s.is_original or s.provenance.inserted_concept in done
+                ]
+                assert outcome.count_before == sum(
+                    int(s.concept_vector[idx]) for s in before_turn
+                )
+                inserted = sum(
+                    1 for s in augmented
+                    if not s.is_original and s.provenance.inserted_concept == concept
+                )
+                assert outcome.count_after - outcome.count_before == inserted
+                met = outcome.count_after >= config.min_count
+                assert (outcome.status == "met") == met
+                if outcome.status == "unseedable":
+                    assert inserted == 0
+                done.add(concept)
+                seen.add(outcome.status)
+        assert seen == {"met", "exhausted", "unseedable"}
 
     def test_full_run_meets_counts_and_invariants(self):
         labeled, vocab, catalog, config = build_augmentation_fixture()
