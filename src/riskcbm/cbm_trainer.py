@@ -13,7 +13,7 @@ float64 numpy and is bit-deterministic for a fixed seed and batch order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -155,23 +155,20 @@ def make_batch(samples: Sequence[ConceptLabeledSample]) -> Batch:
     )
 
 
-def forward(model: CbmModel, embedding: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Single-sample forward pass: (concept logits, class logits).
+def forward(
+    model: CbmModel, embeddings: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Forward pass over an (n, d) batch: (concept logits, sigmoid concept
+    activations, class logits), one row per sample.
 
-    Class logits are computed from the sigmoid concept activations, never
-    from the embedding directly.
+    Class logits are computed from the activations, never from the
+    embeddings directly.
     """
-    z = np.asarray(embedding, dtype=np.float64)
-    if z.shape != (model.embedding_dim,):
+    Z = np.asarray(embeddings, dtype=np.float64)
+    if Z.ndim != 2 or Z.shape[1] != model.embedding_dim:
         raise DataError(
-            f"embedding shape {z.shape} != ({model.embedding_dim},)"
+            f"embedding shape {Z.shape[1:]} != ({model.embedding_dim},)"
         )
-    concept_logits = model.concept_weights @ z + model.concept_bias
-    class_logits = model.head_weights @ sigmoid(concept_logits) + model.head_bias
-    return concept_logits, class_logits
-
-
-def _forward_batch(model: CbmModel, Z: np.ndarray):
     U = Z @ model.concept_weights.T + model.concept_bias
     A = sigmoid(U)
     V = A @ model.head_weights.T + model.head_bias
@@ -191,13 +188,13 @@ def _cross_entropy(V: np.ndarray, labels: np.ndarray) -> float:
 
 def loss_concept(model: CbmModel, batch: Batch) -> float:
     """Binary cross entropy between concept activations and labels, averaged over samples and concepts."""
-    U, _, _ = _forward_batch(model, batch.embeddings)
+    U, _, _ = forward(model, batch.embeddings)
     return _bce(U, batch.concept_targets)
 
 
 def loss_task(model: CbmModel, batch: Batch) -> float:
     """Softmax cross entropy of the class logits, averaged over samples."""
-    _, _, V = _forward_batch(model, batch.embeddings)
+    _, _, V = forward(model, batch.embeddings)
     return _cross_entropy(V, batch.labels)
 
 
@@ -209,16 +206,22 @@ def regularizer(model: CbmModel, beta: float) -> float:
     return float((1.0 - beta) * 0.5 * np.sum(W * W) + beta * np.sum(np.abs(W)))
 
 
+def _terms(model: CbmModel, batch: Batch, config: TrainConfig) -> tuple[float, ...]:
+    """(concept loss, task loss, regularizer, total) from one forward pass."""
+    U, _, V = forward(model, batch.embeddings)
+    lc = _bce(U, batch.concept_targets)
+    ly = _cross_entropy(V, batch.labels)
+    reg = regularizer(model, config.beta)
+    return lc, ly, reg, lc + config.gamma1 * ly + config.gamma2 * reg
+
+
 def objective(model: CbmModel, batch: Batch, config: TrainConfig) -> float:
-    return (
-        loss_concept(model, batch)
-        + config.gamma1 * loss_task(model, batch)
-        + config.gamma2 * regularizer(model, config.beta)
-    )
+    return _terms(model, batch, config)[3]
 
 
-@dataclass(eq=False)
-class Gradients:
+class Gradients(NamedTuple):
+    """One gradient array per model parameter, in `CbmModel._arrays` order."""
+
     concept_weights: np.ndarray
     concept_bias: np.ndarray
     head_weights: np.ndarray
@@ -236,7 +239,7 @@ def gradients(
     """
     n, k = batch.concept_targets.shape
     Z = batch.embeddings
-    U, A, V = _forward_batch(model, Z)
+    U, A, V = forward(model, Z)
 
     # Concept BCE: d/dU mean(softplus(U) - O*U) = (sigmoid(U) - O) / (n*k)
     dU = (A - batch.concept_targets) / (n * k)
@@ -322,21 +325,8 @@ def train(
 
     rng = np.random.default_rng(config.rng_seed)
     model = _init_model(d, k, L, rng)
-    velocity = Gradients(
-        np.zeros_like(model.concept_weights),
-        np.zeros_like(model.concept_bias),
-        np.zeros_like(model.head_weights),
-        np.zeros_like(model.head_bias),
-    )
-
-    def log_row(epoch: int) -> TrainLogRow:
-        U, _, V = _forward_batch(model, full.embeddings)
-        lc = _bce(U, full.concept_targets)
-        ly = _cross_entropy(V, full.labels)
-        reg = regularizer(model, config.beta)
-        return TrainLogRow(epoch, lc, ly, reg, lc + config.gamma1 * ly + config.gamma2 * reg)
-
-    log = [log_row(0)]
+    velocity = [np.zeros_like(param) for param in model._arrays()]
+    log = [TrainLogRow(0, *_terms(model, full, config))]
     for epoch in range(1, config.epochs + 1):
         order = rng.permutation(n)
         for start in range(0, n, config.batch_size):
@@ -347,12 +337,7 @@ def train(
                 labels=full.labels[rows],
             )
             grad = gradients(model, batch, config, include_l1=not config.l1_proximal)
-            for vel, g, param in (
-                (velocity.concept_weights, grad.concept_weights, model.concept_weights),
-                (velocity.concept_bias, grad.concept_bias, model.concept_bias),
-                (velocity.head_weights, grad.head_weights, model.head_weights),
-                (velocity.head_bias, grad.head_bias, model.head_bias),
-            ):
+            for vel, g, param in zip(velocity, grad, model._arrays()):
                 vel *= config.momentum
                 vel += g
                 param -= config.learning_rate * vel
@@ -361,7 +346,7 @@ def train(
                     model.head_weights,
                     config.learning_rate * config.gamma2 * config.beta,
                 )
-        row = log_row(epoch)
+        row = TrainLogRow(epoch, *_terms(model, full, config))
         if not np.isfinite(row.total):
             raise TrainingDivergedError(
                 f"objective diverged at epoch {epoch}: total={row.total} "
@@ -387,14 +372,8 @@ def gradient_check(
     """
     work = model.clone()
     analytic = gradients(work, batch, config)
-    pairs = (
-        (work.concept_weights, analytic.concept_weights),
-        (work.concept_bias, analytic.concept_bias),
-        (work.head_weights, analytic.head_weights),
-        (work.head_bias, analytic.head_bias),
-    )
     worst = 0.0
-    for param, grad in pairs:
+    for param, grad in zip(work._arrays(), analytic):
         flat = param.reshape(-1)
         gflat = grad.reshape(-1)
         for i in range(flat.size):

@@ -13,7 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from .calibration import DEFAULT_BUDGET, RiskBudget
-from .cbm_trainer import CbmModel, forward, sigmoid
+from .cbm_trainer import CbmModel, forward
 from .concept_sets import CRITERIA, ConceptSet, batch_prefix_losses
 from .core import AnnotatedSample, ClassLabel, ConceptCatalog, DataError
 from .dataset_builder import ConceptVocabulary
@@ -75,21 +75,25 @@ class EvalReport:
         self.per_class_accuracy = np.asarray(self.per_class_accuracy, dtype=np.float64)
 
 
+def _ranked_candidates(model: CbmModel, samples: Sequence, vocab: ConceptVocabulary):
+    """Per sample, from one forward pass over the stacked embeddings: the
+    argmax class (ties: smaller class index) and that class's vocabulary
+    indices by activation (ties: smaller vocabulary index)."""
+    _, activations, class_logits = forward(
+        model, np.stack([s.image_embedding for s in samples])
+    )
+    predicted = np.argmax(class_logits, axis=1).tolist()
+    origin = np.array([c.class_of_origin for c in vocab.concepts])
+    ranked = []
+    for pred, acts in zip(predicted, activations):
+        candidates = np.flatnonzero(origin == pred)
+        ranked.append(candidates[np.argsort(-acts[candidates], kind="stable")])
+    return predicted, ranked
+
+
 def predict(model: CbmModel, sample) -> ClassLabel:
     """Argmax class; ties go to the smallest class index."""
-    _, class_logits = forward(model, sample.image_embedding)
-    return int(np.argmax(class_logits))
-
-
-def _ranked_candidates(model: CbmModel, sample, vocab: ConceptVocabulary):
-    """Predicted class, and its vocabulary indices by activation (ties: smaller index)."""
-    concept_logits, class_logits = forward(model, sample.image_embedding)
-    predicted = int(np.argmax(class_logits))
-    activations = sigmoid(concept_logits)
-    candidates = [
-        i for i, c in enumerate(vocab.concepts) if c.class_of_origin == predicted
-    ]
-    return predicted, sorted(candidates, key=lambda i: (-activations[i], i))
+    return _ranked_candidates(model, [sample], ConceptVocabulary(concepts=()))[0][0]
 
 
 def effective_concept_set(
@@ -102,7 +106,7 @@ def effective_concept_set(
     """
     if nec < 1:
         raise ValueError(f"nec must be >= 1, got {nec}")
-    _, ranked = _ranked_candidates(model, sample, vocab)
+    ranked = _ranked_candidates(model, [sample], vocab)[1][0]
     return ConceptSet(
         members=frozenset(vocab.concepts[i] for i in ranked[:nec]), lambda_used=None
     )
@@ -115,9 +119,9 @@ def _reports(
     catalog: ConceptCatalog,
     configs: Sequence[EvalConfig],
 ) -> list[EvalReport]:
-    """One report per config from one pass: per sample one forward pass and
-    one ranking, then one prefix-kernel call for all samples; NEC n reads
-    column ``min(n, len)``."""
+    """One report per config from one pass: one forward pass and one ranking
+    for all samples, then one prefix-kernel call; NEC n reads column
+    ``min(n, len)``."""
     samples = [
         s
         for s in test_set
@@ -126,15 +130,19 @@ def _reports(
     if not samples:
         raise DataError("test set is empty")
     num_classes = catalog.num_classes
+    if model.num_classes != num_classes:
+        raise DataError(
+            f"model has {model.num_classes} classes, catalog has {num_classes}"
+        )
     correct = np.zeros(num_classes, dtype=np.int64)
     totals = np.zeros(num_classes, dtype=np.int64)
+    predicted, ranked = _ranked_candidates(model, samples, vocab)
     hits, ranked_lists = [], []
-    for sample in samples:
+    for sample, pred, order in zip(samples, predicted, ranked):
         if not 0 <= sample.label < num_classes:
             raise DataError(f"sample {sample.sample_id}: unknown class label {sample.label}")
-        predicted, ranked = _ranked_candidates(model, sample, vocab)
-        hits.append(predicted == sample.label)
-        ranked_lists.append([vocab.concepts[i] for i in ranked])
+        hits.append(pred == sample.label)
+        ranked_lists.append([vocab.concepts[i] for i in order])
         totals[sample.label] += 1
         correct[sample.label] += int(hits[-1])
     losses = batch_prefix_losses(samples, catalog, ranked_lists)

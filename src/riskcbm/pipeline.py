@@ -9,14 +9,14 @@ randomness flows from seeds in the config, so reruns are byte-identical.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Sequence, get_type_hints
 
 import numpy as np
 
 from . import dataio
-from .calibration import DEFAULT_BUDGET, RiskBudget, calibrate
+from .calibration import DEFAULT_BUDGET, DEFAULT_RESOLUTION, RiskBudget, calibrate
 from .cbm_trainer import CbmModel, TrainConfig, train
 from .concept_sets import CRITERIA
 from .core import AnnotatedSample, ConceptCatalog, DataError
@@ -85,7 +85,7 @@ class PipelineConfig:
     nec: int = 10
     train_fraction: float = 0.8
     split_seed: int = 0
-    resolution: float = 1e-3
+    resolution: float = DEFAULT_RESOLUTION
     exact_calibration: bool = False
 
     def __post_init__(self) -> None:
@@ -105,24 +105,22 @@ class PipelineConfig:
         for key in _CONFIG_KEYS["paths"]:
             if key not in paths:
                 raise ValueError(f"missing required path: {key}")
-        alphas = doc.get("budget", {})
-        split = doc.get("split", {})
-        calib = doc.get("calibration", {})
+        scalars = {
+            name: _CONFIG_KEYS[section][key](doc[section][key])
+            for (section, key), name in _SCALAR_FIELDS.items()
+            if key in doc.get(section, {})
+        }
         return cls(
             train_path=paths["train"],
             test_path=paths["test"],
             catalog_path=paths["catalog"],
             output_dir=paths["output_dir"],
-            budget=RiskBudget(
-                **{k: float(alphas.get(k, v)) for k, v in asdict(DEFAULT_BUDGET).items()}
+            budget=replace(
+                DEFAULT_BUDGET, **{k: float(v) for k, v in doc.get("budget", {}).items()}
             ),
             augmentation=AugmentationConfig(**doc.get("augmentation", {})),
             train=TrainConfig(**doc.get("train", {})),
-            nec=int(doc.get("eval", {}).get("nec", 10)),
-            train_fraction=float(split.get("train_fraction", 0.8)),
-            split_seed=int(split.get("seed", 0)),
-            resolution=float(calib.get("resolution", 1e-3)),
-            exact_calibration=bool(calib.get("exact", False)),
+            **scalars,
         )
 
 
@@ -135,6 +133,15 @@ _CONFIG_KEYS = {
     "eval": {"nec": int},
     "train": get_type_hints(TrainConfig),
     "augmentation": get_type_hints(AugmentationConfig),
+}
+
+# The PipelineConfig field each scalar config key sets when present.
+_SCALAR_FIELDS = {
+    ("eval", "nec"): "nec",
+    ("split", "train_fraction"): "train_fraction",
+    ("split", "seed"): "split_seed",
+    ("calibration", "resolution"): "resolution",
+    ("calibration", "exact"): "exact_calibration",
 }
 
 

@@ -57,26 +57,26 @@ def random_batch(rng, n=6, d=3, k=4, L=3):
 class TestForward:
     def test_zero_model(self):
         model = model_of(np.zeros((2, 3)), np.zeros(2), np.zeros((2, 2)), np.zeros(2))
-        cl, yl = forward(model, np.zeros(3))
+        cl, acts, yl = forward(model, np.zeros((1, 3)))
         assert np.all(cl == 0.0) and np.all(yl == 0.0)
-        assert np.all(sigmoid(cl) == 0.5)
+        assert np.all(acts == 0.5) and np.all(sigmoid(cl) == acts)
 
     def test_one_by_one(self):
         model = model_of([[1.0]], [0.0], [[2.0]], [0.0])
-        cl, yl = forward(model, np.array([0.0]))
-        assert cl[0] == 0.0
-        assert yl[0] == 1.0  # 2 * sigmoid(0)
+        cl, _, yl = forward(model, np.array([[0.0]]))
+        assert cl[0, 0] == 0.0
+        assert yl[0, 0] == 1.0  # 2 * sigmoid(0)
 
     def test_dimension_mismatch(self):
         model = model_of(np.zeros((2, 3)), np.zeros(2), np.zeros((2, 2)), np.zeros(2))
-        with pytest.raises(DataError):
-            forward(model, np.zeros(4))
+        with pytest.raises(DataError, match=r"embedding shape \(4,\) != \(3,\)"):
+            forward(model, np.zeros((1, 4)))
 
     def test_bottleneck_exclusivity(self):
         """Permuting embedding coordinates together with bottleneck columns is a no-op."""
         rng = np.random.default_rng(51)
         model = random_model(rng)
-        z = rng.normal(size=3)
+        z = rng.normal(size=(1, 3))
         perm = rng.permutation(3)
         permuted = model_of(
             model.concept_weights[:, perm],
@@ -84,8 +84,8 @@ class TestForward:
             model.head_weights,
             model.head_bias,
         )
-        cl, yl = forward(model, z)
-        cl2, yl2 = forward(permuted, z[perm])
+        cl, _, yl = forward(model, z)
+        cl2, _, yl2 = forward(permuted, z[:, perm])
         np.testing.assert_allclose(cl, cl2, atol=1e-12)
         np.testing.assert_allclose(yl, yl2, atol=1e-12)
 

@@ -207,6 +207,43 @@ class TestPipelineCommand:
         assert (tmp_path / "cfg_run" / "eval_report.json").is_file()
 
 
+class TestEvaluateMismatch:
+    """A model that does not fit the evaluated data is a one-line data error."""
+
+    @pytest.mark.parametrize(
+        "synth_flags, message",
+        [
+            (["--classes", "2"], "model has 3 classes, catalog has 2"),
+            (["--classes", "3", "--dim", "32"], "embedding shape (32,) != (16,)"),
+        ],
+        ids=["class_count", "embedding_width"],
+    )
+    def test_exits_2_naming_both_sides(self, synth_flags, message, data_dir, tmp_path, capsys):
+        run = tmp_path / "run"
+        assert main([
+            "pipeline", "--train", str(data_dir / "train.ndjson"),
+            "--test", str(data_dir / "test.ndjson"),
+            "--catalog", str(data_dir / "catalog.json"),
+            "--out-dir", str(run), "--epochs", "5",
+        ]) == 0
+        other = tmp_path / "other"
+        assert main([
+            "synth", "--out-dir", str(other), *synth_flags,
+            "--concepts-per-class", "4", "--samples-per-class", "4",
+            "--test-samples-per-class", "4", "--seed", "2",
+        ]) == 0
+        capsys.readouterr()
+        code = main([
+            "evaluate", "--model", str(run / "model.json"),
+            "--dataset", str(other / "test.ndjson"),
+            "--catalog", str(other / "catalog.json"),
+            "--out", str(tmp_path / "report.json"),
+        ])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == f"error: {message}\n"
+
+
 class TestCrcCheckCommand:
     def test_small_run_passes(self, tmp_path, capsys):
         code = main([

@@ -7,7 +7,7 @@ from conftest import make_catalog, make_sample
 from riskcbm.calibration import RiskBudget
 from riskcbm.cbm_trainer import CbmModel
 from riskcbm.core import DataError
-from riskcbm.dataset_builder import ConceptVocabulary
+from riskcbm.dataset_builder import ConceptLabeledSample, ConceptVocabulary, Provenance
 from riskcbm.evaluation import (
     EvalConfig,
     accuracy_report,
@@ -160,6 +160,27 @@ class TestAccuracyReport:
         samples = [make_sample("a", 0, [1.0, 0.1], [])]
         with pytest.raises(DataError, match="absent"):
             accuracy_report(self._good_model(vocab), samples, vocab, catalog,
+                            EvalConfig())
+
+    @pytest.mark.parametrize("n_classes", [1, 3])
+    def test_model_and_catalog_class_counts_must_match(self, catalog, vocab, n_classes):
+        k = len(vocab)
+        model = CbmModel(np.zeros((k, 2)), np.zeros(k), np.zeros((n_classes, k)),
+                         np.zeros(n_classes))
+        with pytest.raises(DataError, match=f"model has {n_classes} classes, catalog has 2"):
+            accuracy_report(model, self._samples(catalog), vocab, catalog, EvalConfig())
+
+    def test_augmented_only_test_set_is_empty(self, catalog, vocab):
+        augmented = [
+            ConceptLabeledSample(
+                sample_id=f"aug-{s.sample_id}", label=s.label,
+                concept_vector=np.zeros(len(vocab)), image_embedding=s.image_embedding,
+                provenance=Provenance("augmented", s.sample_id, vocab.concepts[0]),
+            )
+            for s in self._samples(catalog)
+        ]
+        with pytest.raises(DataError, match="test set is empty"):
+            accuracy_report(self._good_model(vocab), augmented, vocab, catalog,
                             EvalConfig())
 
     def test_cca_bounded_by_overall(self, catalog, vocab):

@@ -29,9 +29,14 @@ def test_from_dict_parses_the_budget_and_nec():
         "paths": {"train": "a", "test": "b", "catalog": "c", "output_dir": "d"},
         "budget": {"alpha_dis": 0.9, "alpha_cov": 0.3, "alpha_div": 0.4},
         "eval": {"nec": 4},
+        "split": {"train_fraction": 0.5, "seed": 3},
+        "calibration": {"resolution": 1, "exact": True},
     })
     assert config.budget == RiskBudget(0.9, 0.3, 0.4)
     assert config.nec == 4
+    assert (config.train_fraction, config.split_seed) == (0.5, 3)
+    assert type(config.resolution) is float and config.resolution == 1.0
+    assert config.exact_calibration is True
 
 
 def test_from_dict_defaults_to_the_default_budget():
@@ -39,7 +44,7 @@ def test_from_dict_defaults_to_the_default_budget():
         {"paths": {"train": "a", "test": "b", "catalog": "c", "output_dir": "d"}}
     )
     assert config.budget == DEFAULT_BUDGET == EvalConfig().budget
-    assert config.nec == 10
+    assert config == PipelineConfig("a", "b", "c", "d")
 
 
 def test_nec_sweep_uses_the_run_budget(data_dir, tmp_path):
