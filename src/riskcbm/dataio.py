@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import struct
 from contextlib import contextmanager
+from dataclasses import asdict, fields
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -86,11 +87,17 @@ def _load_json(path: Path):
 @contextmanager
 def _parsing(where: "str | Path", what: str):
     """Report a fault met while building ``what`` from a parsed document,
-    a missing key or a value of the wrong type or range, as a
-    `DataFormatError` that names ``where``."""
+    a missing key, a value of the wrong type or range, or a `DataError`
+    from a constructor's checks, as a `DataFormatError` that names
+    ``where``. A `DataFormatError` already names its location and passes
+    through unchanged."""
     try:
         yield
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+    except DataFormatError:
+        raise
+    except (
+        DataError, KeyError, TypeError, ValueError, OverflowError, AttributeError
+    ) as exc:
         raise DataFormatError(f"{where}: malformed {what}: {exc!r}") from None
 
 
@@ -190,13 +197,13 @@ def _detections_to_json(detections) -> list[dict]:
     ]
 
 
-def _detections_from_json(entries, concept_by_id, where: str):
+def _detections_from_json(entries, concept_by_id):
     out = []
     for entry in entries:
         cid = int(entry["concept_id"])
         concept = concept_by_id.get(cid)
         if concept is None:
-            raise DataError(f"{where}: unknown concept id {cid}")
+            raise DataError(f"unknown concept id {cid}")
         x1, y1, x2, y2 = (float(v) for v in entry["box"])
         out.append(
             Detection(
@@ -239,11 +246,16 @@ def _save_samples(
 
 
 def _load_samples(
-    path: Path, catalog: ConceptCatalog, build: Callable[..., object]
+    path: Path,
+    catalog: ConceptCatalog,
+    build: Callable[..., object],
+    validate: bool = True,
 ) -> list:
-    """Parse an NDJSON sample file line by line. The shared fields are parsed
-    here and handed on as keyword arguments: ``build(record, common, where,
-    concept_by_id)`` returns the sample."""
+    """Parse an NDJSON sample file line by line and check it against the
+    catalog with `core.validate_dataset`. The shared fields are parsed here
+    and handed on as keyword arguments: ``build(record, common,
+    concept_by_id)`` returns the sample. Any fault names the file, and a
+    fault in one record also its line."""
     concept_by_id = {c.id: c for c in catalog.all_concepts()}
     samples = []
     with open(path) as fh:
@@ -271,11 +283,18 @@ def _load_samples(
                     label=int(record["label"]),
                     image_embedding=np.asarray(record["embedding"], dtype=np.float64),
                     detections=_detections_from_json(
-                        record.get("detections", ()), concept_by_id, where
+                        record.get("detections", ()), concept_by_id
                     ),
                     image_pixels=pixels,
                 )
-                samples.append(build(record, common, where, concept_by_id))
+                samples.append(build(record, common, concept_by_id))
+    if validate:
+        problems = validate_dataset(samples, catalog)
+        if problems:
+            summary = "; ".join(problems[:5])
+            raise DataError(
+                f"{path}: {len(problems)} validation violation(s): {summary}"
+            )
     return samples
 
 
@@ -294,18 +313,12 @@ def load_dataset(
     With ``validate=True`` (the default) the parsed samples also pass through
     `core.validate_dataset` and any violation raises `DataError`.
     """
-    path = Path(path)
-    samples = _load_samples(
-        path, catalog, lambda record, common, *_: AnnotatedSample(**common)
+    return _load_samples(
+        Path(path),
+        catalog,
+        lambda record, common, _: AnnotatedSample(**common),
+        validate,
     )
-    if validate:
-        problems = validate_dataset(samples, catalog)
-        if problems:
-            summary = "; ".join(problems[:5])
-            raise DataError(
-                f"{path}: {len(problems)} validation violation(s): {summary}"
-            )
-    return samples
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +337,7 @@ def _labeled_fields(sample: ConceptLabeledSample) -> dict:
     return {"concept_vector": sample.concept_vector.tolist(), "provenance": prov}
 
 
-def _labeled_sample(record, common, where, concept_by_id) -> ConceptLabeledSample:
+def _labeled_sample(record, common, concept_by_id) -> ConceptLabeledSample:
     prov_doc = record["provenance"]
     if prov_doc["kind"] == "augmented":
         placement = None
@@ -333,8 +346,7 @@ def _labeled_sample(record, common, where, concept_by_id) -> ConceptLabeledSampl
         inserted = concept_by_id.get(int(prov_doc["inserted_concept_id"]))
         if inserted is None:
             raise DataError(
-                f"{where}: unknown inserted concept id "
-                f"{prov_doc['inserted_concept_id']}"
+                f"unknown inserted concept id {prov_doc['inserted_concept_id']}"
             )
         provenance = Provenance(
             kind="augmented",
@@ -343,7 +355,7 @@ def _labeled_sample(record, common, where, concept_by_id) -> ConceptLabeledSampl
             placement=placement,
         )
     else:
-        provenance = Provenance(kind="original")
+        provenance = Provenance(kind=prov_doc["kind"])
     return ConceptLabeledSample(
         **common,
         concept_vector=np.asarray(record["concept_vector"], dtype=np.uint8),
@@ -360,6 +372,8 @@ def save_labeled_dataset(
 def load_labeled_dataset(
     path: "str | Path", catalog: ConceptCatalog
 ) -> list[ConceptLabeledSample]:
+    """Parse a labeled NDJSON dataset; it passes the same checks as
+    `load_dataset`, and any violation raises `DataError`."""
     return _load_samples(Path(path), catalog, _labeled_sample)
 
 
@@ -415,17 +429,7 @@ def save_model(
         "head_weights": model.head_weights.tolist(),
         "head_bias": model.head_bias.tolist(),
         "vocabulary": _vocab_to_json(vocab),
-        "config": {
-            "gamma1": config.gamma1,
-            "gamma2": config.gamma2,
-            "beta": config.beta,
-            "learning_rate": config.learning_rate,
-            "epochs": config.epochs,
-            "batch_size": config.batch_size,
-            "rng_seed": config.rng_seed,
-            "momentum": config.momentum,
-            "l1_proximal": config.l1_proximal,
-        },
+        "config": asdict(config),
     }
     _dump_json(Path(path), doc)
 
@@ -455,20 +459,8 @@ def load_model(path: "str | Path") -> tuple[CbmModel, ConceptVocabulary, TrainCo
 # ---------------------------------------------------------------------------
 
 
-def _budget_to_json(budget: RiskBudget) -> dict:
-    return {
-        "alpha_dis": budget.alpha_dis,
-        "alpha_cov": budget.alpha_cov,
-        "alpha_div": budget.alpha_div,
-    }
-
-
 def _budget_from_json(doc) -> RiskBudget:
-    return RiskBudget(
-        alpha_dis=float(doc["alpha_dis"]),
-        alpha_cov=float(doc["alpha_cov"]),
-        alpha_div=float(doc["alpha_div"]),
-    )
+    return RiskBudget(**{f.name: float(doc[f.name]) for f in fields(RiskBudget)})
 
 
 def save_calibration(path: "str | Path", result: CalibrationResult) -> None:
@@ -478,7 +470,7 @@ def save_calibration(path: "str | Path", result: CalibrationResult) -> None:
         "lambda_div": result.lambda_div,
         "lambda_hat": result.lambda_hat,
         "n_cal": result.n_cal,
-        "budget": _budget_to_json(result.budget),
+        "budget": asdict(result.budget),
         "curves": {
             k: {"grid": curve.grid.tolist(), "risks": curve.risks.tolist()}
             for k, curve in result.curves.items()
@@ -524,7 +516,7 @@ def save_guarantee_report(path: "str | Path", report: GuaranteeReport) -> None:
         "resolution": report.resolution,
         "exchangeable": report.exchangeable,
         "pool_size": report.pool_size,
-        "budget": _budget_to_json(report.budget),
+        "budget": asdict(report.budget),
         "per_criterion": {
             k: {
                 "alpha": c.alpha,
@@ -586,7 +578,7 @@ def save_eval_report(path: "str | Path", report: EvalReport) -> None:
         "cca": report.cca,
         "per_class_accuracy": report.per_class_accuracy.tolist(),
         "nec": report.nec,
-        "budget": _budget_to_json(report.budget),
+        "budget": asdict(report.budget),
         "n_samples": report.n_samples,
         "per_sample": [
             {

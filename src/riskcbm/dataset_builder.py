@@ -12,7 +12,7 @@ at a window that does not overlap any of the target's reliable
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import KW_ONLY, dataclass, field, fields, replace
 from typing import Sequence
 
 import numpy as np
@@ -21,12 +21,9 @@ from .concept_sets import build_concept_set, confidence_admits
 from .core import (
     AnnotatedSample,
     BoundingBox,
-    ClassLabel,
     ConceptCatalog,
     ConceptId,
     DataError,
-    Detection,
-    make_pixels,
 )
 
 __all__ = [
@@ -98,18 +95,22 @@ ORIGINAL = Provenance(kind="original")
 
 
 @dataclass(eq=False)
-class ConceptLabeledSample:
-    """Image with a binary concept label vector aligned to a vocabulary."""
+class ConceptLabeledSample(AnnotatedSample):
+    """An annotated sample plus its binary concept label vector.
 
-    sample_id: str
-    label: ClassLabel
+    The vector is aligned to a vocabulary; ``provenance`` says whether the
+    row is an original image or an augmentation. Both fields are
+    keyword-only, and the inherited fields go through the same checks as
+    any `AnnotatedSample`: the embedding and pixels are validated and
+    frozen read-only.
+    """
+
+    _: KW_ONLY
     concept_vector: np.ndarray
-    image_embedding: np.ndarray
-    detections: Sequence[Detection] = ()
-    image_pixels: "np.ndarray | None" = None
     provenance: Provenance = ORIGINAL
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         vec = np.array(self.concept_vector, dtype=np.uint8, copy=True)
         if vec.ndim != 1:
             raise DataError(f"concept vector must be 1-D, got shape {vec.shape}")
@@ -117,7 +118,6 @@ class ConceptLabeledSample:
             raise DataError("concept vector entries must be 0 or 1")
         vec.setflags(write=False)
         self.concept_vector = vec
-        self.detections = tuple(self.detections)
 
     @property
     def is_original(self) -> bool:
@@ -152,15 +152,8 @@ def label_sample(
         idx = vocab.index_of.get(concept)
         if idx is not None:
             vector[idx] = 1
-    return ConceptLabeledSample(
-        sample_id=sample.sample_id,
-        label=sample.label,
-        concept_vector=vector,
-        image_embedding=sample.image_embedding,
-        detections=sample.detections,
-        image_pixels=sample.image_pixels,
-        provenance=ORIGINAL,
-    )
+    own = {f.name: getattr(sample, f.name) for f in fields(AnnotatedSample)}
+    return ConceptLabeledSample(**own, concept_vector=vector)
 
 
 @dataclass(frozen=True)
@@ -406,13 +399,11 @@ def augment_dataset(
                     continue
                 pixels, placement = pasted
                 sequence += 1
-                row = ConceptLabeledSample(
+                row = replace(
+                    target,
                     sample_id=f"{target.sample_id}-aug-{concept.id}-{sequence}",
-                    label=target.label,
                     concept_vector=np.maximum(target.concept_vector, one_hot),
-                    image_embedding=target.image_embedding,
-                    detections=target.detections,
-                    image_pixels=make_pixels(pixels),
+                    image_pixels=pixels,
                     provenance=Provenance(
                         kind="augmented",
                         source_id=source.sample_id,

@@ -16,7 +16,7 @@ from .calibration import DEFAULT_BUDGET, RiskBudget
 from .cbm_trainer import CbmModel, forward
 from .concept_sets import CRITERIA, ConceptSet, batch_prefix_losses
 from .core import AnnotatedSample, ClassLabel, ConceptCatalog, DataError
-from .dataset_builder import ConceptVocabulary
+from .dataset_builder import ConceptLabeledSample, ConceptVocabulary
 
 __all__ = [
     "SWEEP_NEC_VALUES",
@@ -125,7 +125,7 @@ def _reports(
     samples = [
         s
         for s in test_set
-        if getattr(s, "provenance", None) is None or s.provenance.kind == "original"
+        if not isinstance(s, ConceptLabeledSample) or s.is_original
     ]
     if not samples:
         raise DataError("test set is empty")

@@ -26,6 +26,31 @@ def data_dir(tmp_path_factory):
     return out
 
 
+@pytest.fixture(scope="module")
+def built(data_dir, tmp_path_factory):
+    """`calibrate` then `build` on the training file: the calibration, the
+    labeled file and the vocabulary."""
+    out = tmp_path_factory.mktemp("built")
+    cal_json, labeled, vocab = out / "calibration.json", out / "labeled.ndjson", out / "vocab.json"
+    assert main([
+        "calibrate", "--dataset", str(data_dir / "train.ndjson"),
+        "--catalog", str(data_dir / "catalog.json"), "--out", str(cal_json),
+    ]) == 0
+    assert main([
+        "build", "--dataset", str(data_dir / "train.ndjson"),
+        "--catalog", str(data_dir / "catalog.json"), "--calibration", str(cal_json),
+        "--out", str(labeled), "--vocab-out", str(vocab),
+    ]) == 0
+    return cal_json, labeled, vocab
+
+
+# Embeddings that load_dataset rejects, one per fault.
+FAULTY_EMBEDDINGS = {
+    "nan": lambda emb: [float("nan")] + emb[1:],
+    "short": lambda emb: emb[:-1],
+}
+
+
 class TestSynthAndValidate:
     def test_files_exist(self, data_dir):
         for name in ("catalog.json", "train.ndjson", "test.ndjson"):
@@ -129,6 +154,34 @@ class TestStagedCommands:
         assert code == 2
         assert err.startswith(f"error: {cal_json}: malformed calibration result")
         assert err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("fault", list(FAULTY_EMBEDDINGS))
+    @pytest.mark.parametrize("command", ["train", "augment"])
+    def test_faulty_labeled_embedding_is_a_one_line_data_error(
+        self, command, fault, built, data_dir, tmp_path, capsys
+    ):
+        cal_json, labeled, vocab = built
+        lines = labeled.read_text().splitlines()
+        doc = json.loads(lines[0])
+        doc["embedding"] = FAULTY_EMBEDDINGS[fault](doc["embedding"])
+        # Beside the original, so its relative pixel paths still resolve.
+        bad = labeled.parent / f"{command}-{fault}.ndjson"
+        bad.write_text("\n".join([json.dumps(doc), *lines[1:]]) + "\n")
+        flags = {
+            "train": ["--out", str(tmp_path / "model.json"), "--epochs", "5"],
+            "augment": ["--calibration", str(cal_json),
+                        "--out", str(tmp_path / "aug.ndjson")],
+        }[command]
+        capsys.readouterr()
+        code = main([
+            command, "--labeled", str(bad),
+            "--catalog", str(data_dir / "catalog.json"), "--vocab", str(vocab),
+            *flags,
+        ])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert err.startswith(f"error: {bad}")
+        assert err.count("\n") == 1 and "Traceback" not in err, err
 
 
 class TestPipelineCommand:

@@ -302,7 +302,8 @@ class TestReports:
 
 @pytest.fixture(scope="module")
 def artifacts(tmp_path_factory):
-    """One valid file of each JSON artifact kind, by kind."""
+    """One valid file of each JSON artifact kind, and one-record sample
+    files, plain and labeled."""
     out = tmp_path_factory.mktemp("artifacts")
     samples, catalog = generate_synthetic(
         SynthSpec(classes=2, concepts_per_class=3, samples_per_class=8, seed=17,
@@ -315,6 +316,8 @@ def artifacts(tmp_path_factory):
     budget = RiskBudget(0.7, 0.2, 0.2)
     pool = ExchangeablePool(samples=samples, catalog=catalog)
     dataio.save_catalog(out / "catalog.json", catalog)
+    dataio.save_dataset(out / "dataset.ndjson", samples[:1])
+    dataio.save_labeled_dataset(out / "labeled.ndjson", labeled[:1])
     dataio.save_vocabulary(out / "vocabulary.json", vocab)
     dataio.save_model(out / "model.json", model, vocab, config)
     dataio.save_calibration(
@@ -338,27 +341,58 @@ def _set(*keys, value):
     return mutate
 
 
-# A value of the right JSON shape that the loader cannot build from, per kind.
+def _beside_catalog(load):
+    """A sample-file loader that resolves concept ids against the catalog
+    file in the same directory."""
+    return lambda path: load(path, dataio.load_catalog(path.parent / "catalog.json"))
+
+
+load_samples = _beside_catalog(dataio.load_dataset)
+load_labeled = _beside_catalog(dataio.load_labeled_dataset)
+AUGMENTED_UNKNOWN_CONCEPT = {"kind": "augmented", "source_id": "x", "inserted_concept_id": 999}
+
+# A value of the right JSON shape that the loader cannot build from, by
+# input: the file it goes into, the loader and the change.
 MALFORMED_VALUES = {
-    "catalog": (dataio.load_catalog, _set("classes", 0, "label", value="x")),
-    "vocabulary": (dataio.load_vocabulary, _set("concepts", 0, "id", value="x")),
-    "model": (dataio.load_model, _set("config", "epochs", value=0)),
-    "calibration": (dataio.load_calibration, _set("lambda_hat", value=lambda v: v + 1.0)),
-    "guarantee": (dataio.load_guarantee_report, _set("n_trials", value="x")),
-    "eval": (dataio.load_eval_report, _set("nec", value="x")),
+    "catalog": ("catalog.json", dataio.load_catalog,
+                _set("classes", 0, "label", value="x")),
+    "vocabulary": ("vocabulary.json", dataio.load_vocabulary,
+                   _set("concepts", 0, "id", value="x")),
+    "model": ("model.json", dataio.load_model, _set("config", "epochs", value=0)),
+    "calibration": ("calibration.json", dataio.load_calibration,
+                    _set("lambda_hat", value=lambda v: v + 1.0)),
+    "guarantee": ("guarantee.json", dataio.load_guarantee_report,
+                  _set("n_trials", value="x")),
+    "eval": ("eval.json", dataio.load_eval_report, _set("nec", value="x")),
+    "embedding": ("dataset.ndjson", load_samples,
+                  _set("embedding", 0, value=float("nan"))),
+    "detection_concept": ("dataset.ndjson", load_samples,
+                          _set("detections", 0, "concept_id", value=999)),
+    "concept_vector": ("labeled.ndjson", load_labeled,
+                       _set("concept_vector", 0, value=2)),
+    "concept_vector_negative": ("labeled.ndjson", load_labeled,
+                                _set("concept_vector", 0, value=-1)),
+    "provenance_kind": ("labeled.ndjson", load_labeled,
+                        _set("provenance", "kind", value="pasted")),
+    "inserted_concept": ("labeled.ndjson", load_labeled,
+                         _set("provenance", value=AUGMENTED_UNKNOWN_CONCEPT)),
 }
 
 
 @pytest.mark.parametrize("kind", list(MALFORMED_VALUES))
 def test_malformed_value_is_a_format_error_naming_the_file(kind, artifacts, tmp_path):
-    load, mutate = MALFORMED_VALUES[kind]
-    load(artifacts / f"{kind}.json")  # the file as written loads
-    doc = json.loads((artifacts / f"{kind}.json").read_text())
+    """The message names the file once, and for a sample file its line."""
+    name, load, mutate = MALFORMED_VALUES[kind]
+    load(artifacts / name)  # the file as written loads
+    doc = json.loads((artifacts / name).read_text())
     mutate(doc)
-    path = tmp_path / f"{kind}.json"
+    (tmp_path / "catalog.json").write_bytes((artifacts / "catalog.json").read_bytes())
+    path = tmp_path / name
     path.write_text(json.dumps(doc))
-    with pytest.raises(dataio.DataFormatError, match=re.escape(f"{path}: malformed")):
+    where = f"{path}:1" if path.suffix == ".ndjson" else f"{path}"
+    with pytest.raises(dataio.DataFormatError, match=re.escape(f"{where}: malformed")) as exc:
         load(path)
+    assert str(exc.value).count(str(path)) == 1, exc.value
 
 
 class TestSplit:

@@ -8,7 +8,7 @@ import pytest
 
 from conftest import make_catalog, make_sample
 from riskcbm.concept_sets import confidence_admits
-from riskcbm.core import BoundingBox, DataError, Detection
+from riskcbm.core import AnnotatedSample, BoundingBox, DataError, Detection
 from riskcbm.dataset_builder import (
     AugmentationConfig,
     ConceptVocabulary,
@@ -84,10 +84,16 @@ class TestLabeling:
     def test_indicator_vector(self, catalog):
         a, b, c = catalog.concepts_for(0)
         vocab = ConceptVocabulary(concepts=(a, b, c))
-        sample = make_sample("s0", 0, [1, 0], [(c, 0.9), (a, 0.95)])
+        sample = make_sample("s0", 0, [1, 0], [(c, 0.9), (a, 0.95)], pixels=gray())
         labeled = label_sample(sample, vocab, 0.3)
         assert labeled.concept_vector.tolist() == [1, 0, 1]
         assert labeled.is_original
+        # A labeled row is an annotated sample and passes the same checks.
+        assert isinstance(labeled, AnnotatedSample)
+        assert not labeled.image_embedding.flags.writeable
+        assert not labeled.image_pixels.flags.writeable
+        with pytest.raises(DataError, match="non-finite"):
+            replace(labeled, image_embedding=[np.nan, 0.0])
 
     def test_empty_set_gives_zero_vector(self, catalog):
         a, b, c = catalog.concepts_for(0)
@@ -380,6 +386,7 @@ class TestAugmentation:
             outside = np.ones(s.image_pixels.shape[:2], dtype=bool)
             outside[y1:y2, x1:x2] = False
             assert np.array_equal(s.image_pixels[outside], target.image_pixels[outside])
+            assert not s.image_pixels.flags.writeable
             expected = target.concept_vector.copy()
             expected[vocab.index_of[s.provenance.inserted_concept]] = 1
             assert np.array_equal(s.concept_vector, expected)
