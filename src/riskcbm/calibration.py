@@ -395,7 +395,12 @@ def validate_guarantee(
     "not covered by theorem" since the guarantee does not apply.
 
     All trials are drawn first, then searched together on precomputed loss
-    profiles. Per criterion the search has two levels over blocks of about
+    profiles. The draws take one generator call: the swap targets of a
+    partial Fisher-Yates shuffle of the pool for every trial (see
+    `_draw_without_replacement`), followed, when targets come from a
+    separate pool, by one call for every trial's target. A seed therefore
+    selects the same rows on every run, whatever the search does with them.
+    Per criterion the search has two levels over blocks of about
     sqrt(grid length) columns: a coarse pass finds each trial's first block
     whose last column meets the corrected budget, and a fine pass finds the
     first qualifying column inside it. Every mean sums the drawn rows in draw
@@ -426,17 +431,13 @@ def validate_guarantee(
     if targets_separate:
         target_profiles = build_loss_profiles(list(generator.target_samples), generator.catalog)
 
-    # The draws keep the per-trial generator calls of a sequential loop, so
-    # a seed selects the same rows whatever the search does with them.
     rng = np.random.default_rng(seed)
-    drawn = np.empty((n_trials, n_cal + 1), dtype=np.intp)
-    for t in range(n_trials):
-        if targets_separate:
-            drawn[t, :n_cal] = rng.choice(len(pool), size=n_cal, replace=False)
-            drawn[t, n_cal] = rng.integers(target_profiles.n_samples)
-        else:
-            drawn[t] = rng.choice(len(pool), size=n_cal + 1, replace=False)
-    cal_rows, target_rows = drawn[:, :n_cal], drawn[:, n_cal]
+    if targets_separate:
+        cal_rows = _draw_without_replacement(rng, len(pool), n_cal, n_trials)
+        target_rows = rng.integers(target_profiles.n_samples, size=n_trials)
+    else:
+        drawn = _draw_without_replacement(rng, len(pool), n_cal + 1, n_trials)
+        cal_rows, target_rows = drawn[:, :n_cal], drawn[:, n_cal]
 
     found = _leftmost_indices(profiles, budgets, grid, cal_rows)
     fallbacks = np.array([np.count_nonzero(found[k] < 0) for k in CRITERIA])
@@ -453,6 +454,43 @@ def validate_guarantee(
         target_losses=target_losses,
         fallbacks=fallbacks,
     )
+
+
+# Cells of the index block `_draw_without_replacement` shuffles at once, 4 MB
+# of int32: fewer rows per block mean more passes of its loop over swap
+# positions, more mean cache misses on the gathers.
+_DRAW_CELLS = 1 << 20
+
+
+def _draw_without_replacement(
+    rng: np.random.Generator, population: int, size: int, n_draws: int
+) -> np.ndarray:
+    """(n_draws, size) indices; each row holds ``size`` distinct indices of
+    ``range(population)``, drawn uniformly and in uniform order.
+
+    Row t is the first ``size`` entries of a partial Fisher-Yates shuffle of
+    ``arange(population)`` whose step j swaps positions j and ``swaps[t, j]``,
+    uniform on [j, population). All swap targets come from one generator
+    call, so the rows depend only on the generator state and the three sizes,
+    never on how many rows a block shuffles at once.
+    """
+    swaps = rng.integers(np.arange(size), population, size=(n_draws, size))
+    per_block = max(1, _DRAW_CELLS // population)
+    drawn = np.empty((n_draws, size), dtype=np.intp)
+    for lo in range(0, n_draws, per_block):
+        part = swaps[lo : lo + per_block]
+        rows = len(part)
+        # Column r is the shuffle of draw lo + r, so position j of every
+        # draw in the block is one contiguous row.
+        block = np.tile(np.arange(population, dtype=np.int32)[:, None], rows)
+        cells = block.reshape(-1)
+        targets = np.ascontiguousarray((part * rows + np.arange(rows)[:, None]).T)
+        for j in range(size):
+            held = block[j].copy()
+            block[j] = cells[targets[j]]
+            cells[targets[j]] = held
+        drawn[lo : lo + rows] = block[:size].T
+    return drawn
 
 
 def _leftmost_indices(

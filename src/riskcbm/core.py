@@ -43,27 +43,41 @@ class NumericError(Exception):
     """A computation hit a degenerate or diverging numeric regime."""
 
 
+def _frozen(values, dtype) -> np.ndarray:
+    """``values`` itself when it is a read-only ndarray of ``dtype`` that owns
+    its data, such as the array of an existing sample; a read-only copy of
+    anything else, so no caller's buffer is shared."""
+    if (
+        type(values) is np.ndarray
+        and values.dtype == dtype
+        and not values.flags.writeable
+        and values.flags.owndata
+    ):
+        return values
+    arr = np.array(values, dtype=dtype, copy=True)
+    arr.setflags(write=False)
+    return arr
+
+
 def make_embedding(values: "Iterable[float] | np.ndarray") -> np.ndarray:
     """Coerce to a read-only 1-D float64 vector.
 
     Ingested embeddings are stored exactly as provided (no renormalization);
     cosine-based operations normalize at call time.
     """
-    arr = np.array(values, dtype=np.float64, copy=True)
+    arr = _frozen(values, np.float64)
     if arr.ndim != 1 or arr.size == 0:
         raise DataError(f"embedding must be a nonempty 1-D vector, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise DataError("embedding contains non-finite entries")
-    arr.setflags(write=False)
     return arr
 
 
 def make_pixels(values) -> np.ndarray:
     """Coerce to a read-only HxWx3 float32 image tensor (values expected in [0,1])."""
-    arr = np.array(values, dtype=np.float32, copy=True)
+    arr = _frozen(values, np.float32)
     if arr.ndim != 3 or arr.shape[2] != 3 or arr.shape[0] < 1 or arr.shape[1] < 1:
         raise DataError(f"pixels must have shape HxWx3, got {arr.shape}")
-    arr.setflags(write=False)
     return arr
 
 

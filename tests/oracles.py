@@ -113,7 +113,7 @@ def scan_threshold(risks, budget, candidates):
 
 
 def crc_trials(budget, generator, n_cal, n_trials, seed, resolution):
-    """One trial at a time: draw, search the full-grid mean risk, combine.
+    """One trial at a time: shuffle, search the full-grid mean risk, combine.
 
     Returns the per-trial combined thresholds, the (trials, criteria) target
     losses and the per-criterion fallback counts, as `validate_guarantee`
@@ -133,18 +133,29 @@ def crc_trials(budget, generator, n_cal, n_trials, seed, resolution):
         targets = build_loss_profiles(list(generator.target_samples), generator.catalog)
         target_grids = {k: targets.matrix_on_grid(k, grid) for k in CRITERIA}
 
+    # The random numbers are the input, drawn by the same generator calls as
+    # `validate_guarantee`: every trial's swap targets, then, for a separate
+    # target pool, every trial's target.
     rng = np.random.default_rng(seed)
+    size = n_cal + 1 if generator.exchangeable else n_cal
+    swaps = rng.integers(np.arange(size), len(pool), size=(n_trials, size))
+    if not generator.exchangeable:
+        targets_drawn = rng.integers(len(target_grids["dis"]), size=n_trials)
     last = len(grid) - 1
     target_losses = np.empty((n_trials, len(CRITERIA)), dtype=np.float64)
     lambda_hats = np.empty(n_trials, dtype=np.float64)
     fallbacks = [0] * len(CRITERIA)
     for t in range(n_trials):
+        # Partial Fisher-Yates shuffle: step j swaps positions j and swaps[t, j].
+        order = list(range(len(pool)))
+        for j in range(size):
+            k = int(swaps[t, j])
+            order[j], order[k] = order[k], order[j]
+        cal_rows = order[:n_cal]
         if generator.exchangeable:
-            drawn = rng.choice(len(pool), size=n_cal + 1, replace=False)
-            cal_rows, target_row = drawn[:n_cal], int(drawn[n_cal])
+            target_row = order[n_cal]
         else:
-            cal_rows = rng.choice(len(pool), size=n_cal, replace=False)
-            target_row = int(rng.integers(len(target_grids["dis"])))
+            target_row = int(targets_drawn[t])
         combined_idx = 0
         for j, k in enumerate(CRITERIA):
             idx = None

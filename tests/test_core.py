@@ -36,6 +36,23 @@ class TestConstruction:
         arr = make_pixels(np.zeros((4, 4, 3)))
         assert arr.dtype == np.float32
 
+    @pytest.mark.parametrize("make, dtype, shape", [
+        (make_embedding, np.float64, (3,)),
+        (make_pixels, np.float32, (2, 2, 3)),
+    ])
+    def test_only_a_frozen_array_owning_its_data_is_not_copied(self, make, dtype, shape):
+        frozen = make(np.ones(shape, dtype=dtype))
+        assert make(frozen) is frozen
+        writable = np.ones(shape, dtype=dtype)
+        view = np.ones((2, *shape), dtype=dtype)[0]
+        view.setflags(write=False)
+        other_dtype = np.ones(shape, dtype=np.float16)
+        other_dtype.setflags(write=False)
+        for values in (writable, view, other_dtype):
+            arr = make(values)
+            assert arr is not values and not np.shares_memory(arr, values)
+            assert arr.dtype == dtype and not arr.flags.writeable
+
     def test_concept_text_nonempty(self):
         with pytest.raises(DataError):
             ConceptId(id=1, text="", class_of_origin=0)

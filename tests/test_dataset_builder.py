@@ -92,6 +92,9 @@ class TestLabeling:
         assert isinstance(labeled, AnnotatedSample)
         assert not labeled.image_embedding.flags.writeable
         assert not labeled.image_pixels.flags.writeable
+        # The sample's frozen arrays are shared, not copied again.
+        assert labeled.image_embedding is sample.image_embedding
+        assert labeled.image_pixels is sample.image_pixels
         with pytest.raises(DataError, match="non-finite"):
             replace(labeled, image_embedding=[np.nan, 0.0])
 
@@ -387,6 +390,7 @@ class TestAugmentation:
             outside[y1:y2, x1:x2] = False
             assert np.array_equal(s.image_pixels[outside], target.image_pixels[outside])
             assert not s.image_pixels.flags.writeable
+            assert s.image_embedding is target.image_embedding
             expected = target.concept_vector.copy()
             expected[vocab.index_of[s.provenance.inserted_concept]] = 1
             assert np.array_equal(s.concept_vector, expected)

@@ -2,12 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from conftest import make_catalog, make_sample
+from riskcbm import calibration
 from riskcbm.calibration import (
     ExchangeablePool,
     RiskBudget,
+    _draw_without_replacement,
     _guarantee_report,
     calibrate,
     corrected_budget,
@@ -92,6 +96,35 @@ class TestSyntheticSource:
             a.per_criterion[k].mean_target_loss != b.per_criterion[k].mean_target_loss
             for k in CRITERIA
         )
+
+
+class TestDraws:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(1, 60).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n))),
+        st.integers(0, 40),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_rows_are_distinct_and_independent_of_the_block_size(self, shape, n_draws, seed):
+        population, size = shape
+        drawn = _draw_without_replacement(np.random.default_rng(seed), population, size, n_draws)
+        assert drawn.shape == (n_draws, size)
+        assert np.all((0 <= drawn) & (drawn < population))
+        assert all(len(set(row)) == size for row in drawn.tolist())
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(calibration, "_DRAW_CELLS", 1)
+            one_row_blocks = _draw_without_replacement(
+                np.random.default_rng(seed), population, size, n_draws
+            )
+        assert np.array_equal(drawn, one_row_blocks)
+
+    def test_every_index_is_equally_likely_in_every_column(self):
+        """Column 2 is the target of an n_cal=2 trial; 30000 draws over 5
+        indices give each 6000 per column, standard deviation about 69."""
+        drawn = _draw_without_replacement(np.random.default_rng(0), 5, 3, 30000)
+        for column in drawn.T:
+            counts = np.bincount(column, minlength=5)
+            assert np.all(np.abs(counts - 6000) <= 350), counts
 
 
 class TestUnattainableBudget:
