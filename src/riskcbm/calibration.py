@@ -17,12 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .concept_sets import (
-    CRITERIA,
-    admission_threshold,
-    batch_prefix_losses,
-    build_concept_set,
-)
+from .concept_sets import CRITERIA, admission_threshold, batch_prefix_losses
 from .core import AnnotatedSample, ConceptCatalog, DataError
 
 __all__ = [
@@ -138,15 +133,21 @@ def empirical_risk(
     cal_set: Sequence[AnnotatedSample],
     catalog: ConceptCatalog,
 ) -> float:
-    """Mean loss of the criterion over the calibration set at threshold ``lam``."""
+    """Mean loss of the criterion over the calibration set at threshold ``lam``, read
+    from the loss profiles as the search and the `calibrate` curves read it."""
     if len(cal_set) == 0:
         raise DataError("empirical risk undefined on an empty calibration set")
     if criterion not in CRITERIA:
         raise ValueError(f"unknown criterion {criterion!r}, expected one of {CRITERIA}")
-    members = [build_concept_set(s, lam).sorted_members() for s in cal_set]
-    losses = batch_prefix_losses(cal_set, catalog, members, (criterion,))[0]
-    # Column len(m) scores the whole set, the single-set loss of that sample.
-    return float(np.mean(losses[np.arange(len(members)), [len(m) for m in members]]))
+    if not 0.0 <= lam <= 1.0:
+        raise ValueError(f"lam must be in [0,1], got {lam}")
+    return _risk_at(_profiles(cal_set, catalog, (criterion,)), criterion, lam)
+
+
+def _risk_at(profiles: "LossProfiles", criterion: str, lam: float) -> float:
+    """Mean loss over all profiled samples at ``lam``, summed as the search sums a draw."""
+    column = profiles.matrix_on_grid(criterion, [lam])
+    return float(_mean_over_draws(column, np.arange(profiles.n_samples)[None])[0, 0])
 
 
 def _breakpoints(cal_set: Sequence[AnnotatedSample]) -> np.ndarray:
@@ -169,8 +170,7 @@ def _thresholds(
     if profiles.n_samples == 0:
         raise DataError("cannot calibrate on an empty calibration set")
     budgets = {k: corrected_budget(alpha, profiles.n_samples) for k, alpha in alphas.items()}
-    rows = np.arange(profiles.n_samples)[None]
-    found = _leftmost_indices(profiles, budgets, candidates, rows)
+    found = _leftmost_indices(profiles, budgets, candidates, np.arange(profiles.n_samples)[None])
     lambdas = {}
     for k, alpha in alphas.items():
         budget, idx = budgets[k], int(found[k][0])
@@ -182,7 +182,7 @@ def _thresholds(
             )
         elif idx < 0:
             # Candidates end at lambda=1, where risk is at its floor.
-            floor = _mean_over_draws(profiles.matrix_on_grid(k, candidates[-1:]), rows)[0, 0]
+            floor = _risk_at(profiles, k, candidates[-1])
             warnings.warn(
                 f"no threshold meets the {k} budget: corrected budget "
                 f"{budget:.4g} is below the risk at lambda=1 ({floor:.4g}); "
@@ -404,9 +404,9 @@ def validate_guarantee(
     sqrt(grid length) columns: a coarse pass finds each trial's first block
     whose last column meets the corrected budget, and a fine pass finds the
     first qualifying column inside it. Every mean sums the drawn rows in draw
-    order, as ``matrix[rows].mean(axis=0)`` does, and such means never
-    increase along the grid. `calibrate` runs this search on a single draw,
-    so on the same draw the two pick the same threshold by construction.
+    order, as ``matrix[rows].mean(axis=0)`` does on two or more columns, and
+    never increases along the grid. `calibrate` and `empirical_risk` sum one
+    draw of every row the same way, so all three agree by construction.
     """
     if n_trials < 100:
         raise ValueError(f"n_trials must be >= 100, got {n_trials}")
@@ -523,7 +523,7 @@ def _blocked_losses(profiles: LossProfiles, criterion: str, grid: np.ndarray) ->
 
 
 def _mean_over_draws(table: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Row t is ``table[rows[t]].mean(axis=0)``, summed in the same order."""
+    """Row t is ``table[rows[t]].mean(axis=0)`` summed in draw order, even on one column."""
     acc = table[rows[:, 0]]
     for j in range(1, rows.shape[1]):
         acc += table[rows[:, j]]

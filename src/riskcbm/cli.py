@@ -15,6 +15,7 @@ from pathlib import Path
 from . import dataio
 from .calibration import (
     DEFAULT_BUDGET,
+    DEFAULT_RESOLUTION,
     ExchangeablePool,
     RiskBudget,
     calibrate,
@@ -29,6 +30,7 @@ from .dataset_builder import (
     build_vocabulary,
     label_sample,
 )
+from .evaluation import EvalConfig
 from .pipeline import PipelineConfig, StageError, check_config, evaluate_sweep, run_pipeline
 from .synth import SynthSpec, generate_synthetic, shift_distribution
 
@@ -76,13 +78,13 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("synth", help="generate a seeded synthetic dataset")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--classes", type=int, default=4)
-    p.add_argument("--concepts-per-class", type=int, default=6)
-    p.add_argument("--samples-per-class", type=int, default=50)
+    p.add_argument("--classes", type=int, default=SynthSpec.classes)
+    p.add_argument("--concepts-per-class", type=int, default=SynthSpec.concepts_per_class)
+    p.add_argument("--samples-per-class", type=int, default=SynthSpec.samples_per_class)
     p.add_argument("--test-samples-per-class", type=int, default=20)
-    p.add_argument("--dim", type=int, default=16)
-    p.add_argument("--noise", type=float, default=0.1)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--dim", type=int, default=SynthSpec.embedding_dim)
+    p.add_argument("--noise", type=float, default=SynthSpec.noise)
+    p.add_argument("--seed", type=int, default=SynthSpec.seed)
     p.add_argument("--no-pixels", action="store_true")
 
     p = sub.add_parser("validate", help="report dataset violations")
@@ -94,7 +96,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--catalog", required=True)
     p.add_argument("--out", required=True)
     _add_budget_flags(p)
-    p.add_argument("--resolution", type=float, default=1e-3)
+    p.add_argument("--resolution", type=float, default=DEFAULT_RESOLUTION)
     p.add_argument("--exact", action="store_true", help="search loss breakpoints instead of the grid")
 
     p = sub.add_parser("build", help="build vocabulary and concept labels")
@@ -110,9 +112,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--vocab", required=True)
     p.add_argument("--calibration", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--min-count", type=int, default=10)
-    p.add_argument("--max-attempts", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--min-count", type=int, default=AugmentationConfig.min_count)
+    p.add_argument("--max-attempts", type=int, default=AugmentationConfig.max_placement_attempts)
+    p.add_argument("--seed", type=int, default=AugmentationConfig.rng_seed)
 
     p = sub.add_parser("train", help="train the concept-bottleneck classifier")
     p.add_argument("--labeled", required=True)
@@ -120,21 +122,21 @@ def _build_parser() -> _Parser:
     p.add_argument("--vocab", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--log-csv")
-    p.add_argument("--gamma1", type=float, default=1.0)
-    p.add_argument("--gamma2", type=float, default=1e-4)
-    p.add_argument("--beta", type=float, default=0.5)
-    p.add_argument("--learning-rate", type=float, default=0.1)
-    p.add_argument("--epochs", type=int, default=200)
-    p.add_argument("--batch-size", type=int, default=64)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--momentum", type=float, default=0.0)
+    p.add_argument("--gamma1", type=float, default=TrainConfig.gamma1)
+    p.add_argument("--gamma2", type=float, default=TrainConfig.gamma2)
+    p.add_argument("--beta", type=float, default=TrainConfig.beta)
+    p.add_argument("--learning-rate", type=float, default=TrainConfig.learning_rate)
+    p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
+    p.add_argument("--seed", type=int, default=TrainConfig.rng_seed)
+    p.add_argument("--momentum", type=float, default=TrainConfig.momentum)
 
     p = sub.add_parser("evaluate", help="accuracy and concept-compliance report")
     p.add_argument("--model", required=True)
     p.add_argument("--dataset", required=True, help="test split (NDJSON)")
     p.add_argument("--catalog", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--nec", type=int, default=10)
+    p.add_argument("--nec", type=int, default=EvalConfig.nec)
     _add_budget_flags(p)
     p.add_argument("--per-sample-csv")
     p.add_argument("--cca-dat", help="write a compliance-vs-NEC table here")
@@ -161,12 +163,12 @@ def _build_parser() -> _Parser:
     p.add_argument("--trials", type=int, default=2000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--pool", type=int, default=2000)
-    p.add_argument("--classes", type=int, default=4)
-    p.add_argument("--concepts-per-class", type=int, default=6)
-    p.add_argument("--dim", type=int, default=16)
-    p.add_argument("--noise", type=float, default=0.1)
+    p.add_argument("--classes", type=int, default=SynthSpec.classes)
+    p.add_argument("--concepts-per-class", type=int, default=SynthSpec.concepts_per_class)
+    p.add_argument("--dim", type=int, default=SynthSpec.embedding_dim)
+    p.add_argument("--noise", type=float, default=SynthSpec.noise)
     p.add_argument("--slack", type=float, default=0.01)
-    p.add_argument("--resolution", type=float, default=1e-3)
+    p.add_argument("--resolution", type=float, default=DEFAULT_RESOLUTION)
     p.add_argument("--shifted", action="store_true", help="draw targets from a shifted pool")
     p.add_argument("--out", help="write the JSON report here")
     p.add_argument("--dat", help="write per-criterion summary table here")
@@ -174,6 +176,11 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_synth(args) -> int:
+    if args.samples_per_class < 1 or args.test_samples_per_class < 0:
+        raise _UsageError(
+            "--samples-per-class must be >= 1 and --test-samples-per-class >= 0, "
+            f"got {args.samples_per_class} and {args.test_samples_per_class}"
+        )
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     # Train and test come from one generation run so they share the same
@@ -373,6 +380,11 @@ def _cmd_crc_check(args) -> int:
         seed=args.seed,
         with_pixels=False,
     )
+    if per_class * spec.classes < args.n_cal + 1:
+        raise _UsageError(
+            f"--pool {args.pool} gives {per_class * spec.classes} samples, too few for "
+            f"--n-cal {args.n_cal} plus a target"
+        )
     samples, catalog = generate_synthetic(spec)
     targets = shift_distribution(samples, seed=args.seed) if args.shifted else None
     pool = ExchangeablePool(samples=samples, catalog=catalog, target_samples=targets)

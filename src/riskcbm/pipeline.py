@@ -27,7 +27,7 @@ from .dataset_builder import (
     build_vocabulary,
     label_sample,
 )
-from .evaluation import SWEEP_NEC_VALUES, EvalReport, cca_versus_nec
+from .evaluation import SWEEP_NEC_VALUES, EvalConfig, EvalReport, cca_versus_nec
 
 # Not called here since the NEC sweep yields the headline report, but kept as
 # a module attribute: bench/run.py traces `pipeline.accuracy_report`.
@@ -82,7 +82,7 @@ class PipelineConfig:
     budget: RiskBudget = DEFAULT_BUDGET
     augmentation: AugmentationConfig = field(default_factory=AugmentationConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
-    nec: int = 10
+    nec: int = EvalConfig.nec
     train_fraction: float = 0.8
     split_seed: int = 0
     resolution: float = DEFAULT_RESOLUTION

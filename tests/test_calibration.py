@@ -26,7 +26,7 @@ from riskcbm.calibration import (
     default_grid,
     empirical_risk,
 )
-from riskcbm.concept_sets import CRITERIA, admission_threshold
+from riskcbm.concept_sets import CRITERIA, admission_threshold, build_concept_set
 from riskcbm.core import AnnotatedSample, DataError, Detection
 from riskcbm.synth import SynthSpec, generate_synthetic
 
@@ -331,20 +331,23 @@ class TestLossProfiles:
         assert_profiles_match(build_loss_profiles(samples, catalog), samples, catalog, grids)
 
     def test_profiles_match_direct_evaluation(self):
-        """Profile lookups equal direct loss evaluation along the whole grid."""
-        rng = np.random.default_rng(33)
+        """Along the grid and one ulp either side of every breakpoint, each
+        profile lookup is the profile column of the set `build_concept_set`
+        builds: its members are the first entries."""
         spec = SynthSpec(classes=3, concepts_per_class=4, samples_per_class=6,
                          seed=9, with_pixels=False)
         samples, catalog = generate_synthetic(spec)
         profiles = build_loss_profiles(samples, catalog)
-        grid = default_grid(1e-2)
-        for k in CRITERIA:
+        edges = _breakpoints(samples)
+        grid = np.unique(np.clip(np.concatenate([
+            default_grid(1e-2), edges, np.nextafter(edges, -1.0), np.nextafter(edges, 2.0)
+        ]), 0.0, 1.0))
+        for c, k in enumerate(profiles.criteria):
             matrix = profiles.matrix_on_grid(k, grid)
-            for _ in range(40):
-                i = int(rng.integers(len(samples)))
-                j = int(rng.integers(len(grid)))
-                direct = empirical_risk(k, float(grid[j]), [samples[i]], catalog)
-                assert matrix[i, j] == pytest.approx(direct, abs=1e-12)
+            for i, sample in enumerate(samples):
+                for j, lam in enumerate(grid):
+                    size = len(build_concept_set(sample, float(lam)).members)
+                    assert matrix[i, j] == profiles.values[c, i, size], (k, i, j)
 
     def test_profile_risk_matches_empirical_risk(self):
         spec = SynthSpec(classes=2, concepts_per_class=4, samples_per_class=10,
@@ -355,9 +358,7 @@ class TestLossProfiles:
         for k in CRITERIA:
             risks = profiles.risk_on_grid(k, grid)
             for j in (0, 17, 50, 100):
-                assert risks[j] == pytest.approx(
-                    empirical_risk(k, float(grid[j]), samples, catalog), abs=1e-12
-                )
+                assert risks[j] == empirical_risk(k, float(grid[j]), samples, catalog)
 
     def test_profile_risk_matches_empirical_risk_on_decimal_confidences(self):
         """Decimal confidences sit exactly on grid thresholds (1 - 0.7 != 0.3 in
@@ -388,4 +389,4 @@ class TestLossProfiles:
                 for k in CRITERIA:
                     risks = profiles.risk_on_grid(k, lams)
                     direct = [empirical_risk(k, float(lam), samples, cat) for lam in lams]
-                    np.testing.assert_allclose(risks, direct, rtol=0, atol=1e-12)
+                    np.testing.assert_array_equal(risks, direct)

@@ -10,7 +10,13 @@ import pytest
 
 import riskcbm
 from conftest import BAD_KEYS, BAD_VALUES
-from riskcbm.cli import main
+from riskcbm.calibration import DEFAULT_BUDGET, DEFAULT_RESOLUTION
+from riskcbm.cbm_trainer import TrainConfig
+from riskcbm.cli import _build_parser, main
+from riskcbm.dataset_builder import AugmentationConfig
+from riskcbm.evaluation import EvalConfig
+from riskcbm.pipeline import PipelineConfig
+from riskcbm.synth import SynthSpec
 
 
 @pytest.fixture(scope="module")
@@ -350,7 +356,7 @@ class TestUsageErrors:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["crc-check", "--pool", "40", "--trials", "50"],
+            ["crc-check", "--pool", "40", "--n-cal", "30", "--trials", "50"],
             ["crc-check", "--pool", "40", "--n-cal", "0"],
             ["crc-check", "--pool", "40", "--alpha-dis", "1.5"],
             ["crc-check", "--pool", "40", "--classes", "0"],
@@ -363,6 +369,81 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("error: ") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["synth", "--out-dir", "{tmp}/out", "--test-samples-per-class", "-5"],
+            ["synth", "--out-dir", "{tmp}/out", "--samples-per-class", "-3",
+             "--test-samples-per-class", "5"],
+            ["synth", "--out-dir", "{tmp}/out", "--samples-per-class", "0"],
+            ["crc-check", "--pool", "50", "--n-cal", "100"],
+            ["crc-check", "--pool", "50", "--n-cal", "48"],
+        ],
+        ids=["test-samples", "samples", "zero-samples", "pool", "derived-pool"],
+    )
+    def test_bad_count_is_a_one_line_usage_error(self, argv, tmp_path, capsys):
+        """Counts no run can use stop before anything is generated or written;
+        ``--pool 50`` over 4 classes derives a pool of 48."""
+        code = main([arg.format(tmp=tmp_path) for arg in argv])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "argv, defaults",
+        [
+            (["synth", "--out-dir", "o"], {
+                "classes": SynthSpec.classes,
+                "concepts_per_class": SynthSpec.concepts_per_class,
+                "samples_per_class": SynthSpec.samples_per_class,
+                "dim": SynthSpec.embedding_dim,
+                "noise": SynthSpec.noise,
+                "seed": SynthSpec.seed,
+            }),
+            (["calibrate", "--dataset", "d", "--catalog", "c", "--out", "o"], {
+                "resolution": DEFAULT_RESOLUTION,
+                **{f"alpha_{k}": a for k, a in DEFAULT_BUDGET.as_dict().items()},
+            }),
+            (["augment", "--labeled", "l", "--catalog", "c", "--vocab", "v",
+              "--calibration", "k", "--out", "o"], {
+                "min_count": AugmentationConfig.min_count,
+                "max_attempts": AugmentationConfig.max_placement_attempts,
+                "seed": AugmentationConfig.rng_seed,
+            }),
+            (["train", "--labeled", "l", "--catalog", "c", "--vocab", "v", "--out", "o"], {
+                "gamma1": TrainConfig.gamma1,
+                "gamma2": TrainConfig.gamma2,
+                "beta": TrainConfig.beta,
+                "learning_rate": TrainConfig.learning_rate,
+                "epochs": TrainConfig.epochs,
+                "batch_size": TrainConfig.batch_size,
+                "seed": TrainConfig.rng_seed,
+                "momentum": TrainConfig.momentum,
+            }),
+            (["evaluate", "--model", "m", "--dataset", "d", "--catalog", "c", "--out", "o"], {
+                "nec": EvalConfig.nec,
+                **{f"alpha_{k}": a for k, a in DEFAULT_BUDGET.as_dict().items()},
+            }),
+            (["crc-check"], {
+                "classes": SynthSpec.classes,
+                "concepts_per_class": SynthSpec.concepts_per_class,
+                "dim": SynthSpec.embedding_dim,
+                "noise": SynthSpec.noise,
+                "resolution": DEFAULT_RESOLUTION,
+                **{f"alpha_{k}": a for k, a in DEFAULT_BUDGET.as_dict().items()},
+            }),
+        ],
+        ids=["synth", "calibrate", "augment", "train", "evaluate", "crc-check"],
+    )
+    def test_flag_defaults_are_the_config_defaults(self, argv, defaults):
+        args = vars(_build_parser().parse_args(argv))
+        assert {key: args[key] for key in defaults} == defaults
+
+    def test_pipeline_nec_default_is_the_evaluation_default(self):
+        assert PipelineConfig("t", "e", "c", "o").nec == EvalConfig().nec
 
     @pytest.mark.parametrize(
         "flags",

@@ -92,8 +92,24 @@ def test_prefix_columns_match_brute_force_and_never_increase(instance, random):
         assert np.all(np.diff(losses, axis=1) <= 0.0)
 
 
+def _seed_337_instance():
+    """A class-1 sample whose set at lambda=1 holds class 0's first two
+    concepts, nearly parallel here, so its diversity loss is near -20638;
+    scored in id order rather than entry order, that loss moves by 3.6e-12."""
+    rng = np.random.default_rng(337)
+    catalog = make_catalog(
+        {label: [rng.normal(size=3) for _ in range(size)] for label, size in enumerate([3, 2])}
+    )
+    t0, t1, _, t3, t4 = catalog.all_concepts()
+    sample = make_sample(
+        "s0", 1, rng.normal(size=3), [(t0, 0.0), (t1, 0.0), (t3, 0.0), (t4, 0.01)]
+    )
+    return [sample], catalog
+
+
 @settings(max_examples=60, deadline=None)
 @given(instances())
+@example(_seed_337_instance())
 def test_profile_risk_equals_empirical_risk_at_guard_edges(instance):
     samples, catalog = instance
     profiles = build_loss_profiles(samples, catalog)
@@ -101,7 +117,22 @@ def test_profile_risk_equals_empirical_risk_at_guard_edges(instance):
     for k in CRITERIA:
         risks = profiles.risk_on_grid(k, np.asarray(edges))
         for lam, risk in zip(edges, risks):
-            assert abs(risk - empirical_risk(k, lam, samples, catalog)) <= 1e-12, (k, lam)
+            assert risk == empirical_risk(k, lam, samples, catalog), (k, lam)
+
+
+@settings(max_examples=40, deadline=None)
+@given(instances(max_samples=12), st.sampled_from([0.01, 0.3, 0.5]))
+def test_empirical_risk_equals_the_calibrated_curves(instance, resolution):
+    """Past eight samples numpy sums a single column pairwise, so the curves
+    and `empirical_risk` agree only if both sum in sample order."""
+    samples, catalog = instance
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # unattainable or non-positive budgets
+        result = calibrate(RiskBudget(0.5, 0.2, 0.2), samples, catalog, resolution=resolution)
+    for k in CRITERIA:
+        curve = result.curves[k]
+        direct = [empirical_risk(k, float(lam), samples, catalog) for lam in curve.grid]
+        assert np.array_equal(curve.risks, direct), k
 
 
 @settings(max_examples=60, deadline=None)
