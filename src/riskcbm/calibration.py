@@ -150,15 +150,14 @@ def _risk_at(profiles: "LossProfiles", criterion: str, lam: float) -> float:
     return float(_mean_over_draws(column, np.arange(profiles.n_samples)[None])[0, 0])
 
 
-def _breakpoints(cal_set: Sequence[AnnotatedSample]) -> np.ndarray:
-    """Candidate thresholds where some calibration loss can change: {1 - t_j} plus 0 and 1."""
-    points = {0.0, 1.0}
-    for sample in cal_set:
-        for det in sample.detections:
-            lam = 1.0 - float(det.confidence)
-            if 0.0 <= lam <= 1.0:
-                points.add(lam)
-    return np.array(sorted(points), dtype=np.float64)
+def _candidates(profiles: "LossProfiles", resolution: float, exact: bool) -> np.ndarray:
+    """The thresholds the search scans: the uniform grid, or with ``exact`` the
+    profiles' breakpoints, ``1 - t`` for each entry's (best) confidence t, plus 0 and 1."""
+    if not exact:
+        return default_grid(resolution)
+    # The +inf padding, like any point outside [0, 1], clips onto 0 or 1.
+    points = np.clip(1.0 + profiles.neg_confidences, 0.0, 1.0)
+    return np.array(sorted({0.0, 1.0, *points.ravel().tolist()}))
 
 
 def _thresholds(
@@ -205,16 +204,16 @@ def calibrate_criterion(
     """Smallest threshold meeting the corrected budget for one criterion.
 
     Searches a uniform grid by default; with ``exact=True`` it searches the
-    loss breakpoints ``{1 - t_j}`` of the calibration set instead, which
-    recovers the exact infimum. Returns 1.0 when no threshold qualifies or
-    when the calibration set is too small for a positive corrected budget.
+    loss profiles' breakpoints ``1 - t`` instead, which recovers the exact
+    infimum. Returns 1.0 when no threshold qualifies or when the calibration
+    set is too small for a positive corrected budget.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be strictly inside (0,1), got {alpha}")
     if criterion not in CRITERIA:
         raise ValueError(f"unknown criterion {criterion!r}, expected one of {CRITERIA}")
-    candidates = _breakpoints(cal_set) if exact else default_grid(resolution)
     profiles = _profiles(cal_set, catalog, (criterion,))
+    candidates = _candidates(profiles, resolution, exact)
     return _thresholds(profiles, {criterion: alpha}, candidates)[criterion]
 
 
@@ -228,14 +227,14 @@ def calibrate(
 ) -> CalibrationResult:
     """Calibrate all three criteria and combine conservatively (max threshold).
 
-    The loss profiles are built once; they serve the threshold search and
-    the full risk curves on the uniform grid returned for reporting. Each
-    `validate_guarantee` trial runs the same search, so the two agree by construction.
+    The loss profiles are built once; they serve the threshold search (on
+    their breakpoints with ``exact=True``) and the full risk curves on the
+    uniform grid returned for reporting. Each `validate_guarantee` trial runs
+    the same search, so the two agree by construction.
     """
     profiles = build_loss_profiles(cal_set, catalog)
     grid = default_grid(resolution)
-    candidates = _breakpoints(cal_set) if exact else grid
-    lambdas = _thresholds(profiles, budget.as_dict(), candidates)
+    lambdas = _thresholds(profiles, budget.as_dict(), _candidates(profiles, resolution, exact))
     curves = {
         k: RiskCurve(criterion=k, grid=grid, risks=profiles.risk_on_grid(k, grid))
         for k in CRITERIA

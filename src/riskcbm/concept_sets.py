@@ -113,7 +113,6 @@ class _CatalogCache:
         if np.any(norms < ZERO_NORM_TOL):
             bad = concepts[int(np.argmin(norms))]
             raise NumericError(f"zero-norm embedding for concept {bad.id} ('{bad.text}')")
-        self.concepts = concepts
         self.row_of = {c: i for i, c in enumerate(concepts)}
         self.unit = mat / norms[:, None]
         # A copy as the second operand keeps this a general matrix product;

@@ -51,7 +51,7 @@ class ConceptVocabulary:
     """Ordered global concept vocabulary; order is ascending concept id."""
 
     concepts: tuple[ConceptId, ...]
-    index_of: dict[ConceptId, int] = field(default_factory=dict)
+    index_of: dict[ConceptId, int] = field(init=False)
 
     def __post_init__(self) -> None:
         ordered = tuple(sorted(set(self.concepts), key=lambda c: c.id))
@@ -220,7 +220,7 @@ def sample_placement(
     source_box: BoundingBox,
     rng: np.random.Generator,
     *,
-    max_attempts: int = 100,
+    max_attempts: int = AugmentationConfig.max_placement_attempts,
 ) -> "BoundingBox | None":
     """Rejection-sample an in-bounds window clear of the target's reliable boxes.
 

@@ -23,6 +23,7 @@ __all__ = [
     "EvalConfig",
     "SampleCompliance",
     "EvalReport",
+    "check_test_set",
     "predict",
     "effective_concept_set",
     "accuracy_report",
@@ -112,6 +113,32 @@ def effective_concept_set(
     )
 
 
+def check_test_set(
+    test_set: Sequence[AnnotatedSample], num_classes: int
+) -> list[AnnotatedSample]:
+    """The samples an evaluation scores: every sample but augmented ones. Raises
+    a DataError when none is left, a label is out of range or a class has none."""
+    samples = [
+        s
+        for s in test_set
+        if not isinstance(s, ConceptLabeledSample) or s.is_original
+    ]
+    if not samples:
+        raise DataError("test set is empty")
+    totals = np.zeros(num_classes, dtype=np.int64)
+    for sample in samples:
+        if not 0 <= sample.label < num_classes:
+            raise DataError(f"sample {sample.sample_id}: unknown class label {sample.label}")
+        totals[sample.label] += 1
+    missing = np.flatnonzero(totals == 0)
+    if missing.size:
+        raise DataError(
+            f"class {int(missing[0])} absent from test set; "
+            "worst-class accuracy undefined"
+        )
+    return samples
+
+
 def _reports(
     model: CbmModel,
     test_set: Sequence[AnnotatedSample],
@@ -122,36 +149,19 @@ def _reports(
     """One report per config from one pass: one forward pass and one ranking
     for all samples, then one prefix-kernel call; NEC n reads column
     ``min(n, len)``."""
-    samples = [
-        s
-        for s in test_set
-        if not isinstance(s, ConceptLabeledSample) or s.is_original
-    ]
-    if not samples:
-        raise DataError("test set is empty")
     num_classes = catalog.num_classes
+    samples = check_test_set(test_set, num_classes)
     if model.num_classes != num_classes:
         raise DataError(
             f"model has {model.num_classes} classes, catalog has {num_classes}"
         )
-    correct = np.zeros(num_classes, dtype=np.int64)
-    totals = np.zeros(num_classes, dtype=np.int64)
     predicted, ranked = _ranked_candidates(model, samples, vocab)
-    hits, ranked_lists = [], []
-    for sample, pred, order in zip(samples, predicted, ranked):
-        if not 0 <= sample.label < num_classes:
-            raise DataError(f"sample {sample.sample_id}: unknown class label {sample.label}")
-        hits.append(pred == sample.label)
-        ranked_lists.append([vocab.concepts[i] for i in order])
-        totals[sample.label] += 1
-        correct[sample.label] += int(hits[-1])
+    labels = [s.label for s in samples]
+    hits = [pred == label for pred, label in zip(predicted, labels)]
+    ranked_lists = [[vocab.concepts[i] for i in order] for order in ranked]
     losses = batch_prefix_losses(samples, catalog, ranked_lists)
-    missing = np.flatnonzero(totals == 0)
-    if missing.size:
-        raise DataError(
-            f"class {int(missing[0])} absent from test set; "
-            "worst-class accuracy undefined"
-        )
+    totals = np.bincount(labels, minlength=num_classes)
+    correct = np.bincount(labels, weights=hits, minlength=num_classes)
     per_class = correct / totals
     reports = []
     for config in configs:

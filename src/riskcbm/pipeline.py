@@ -27,7 +27,7 @@ from .dataset_builder import (
     build_vocabulary,
     label_sample,
 )
-from .evaluation import SWEEP_NEC_VALUES, EvalConfig, EvalReport, cca_versus_nec
+from .evaluation import SWEEP_NEC_VALUES, EvalConfig, EvalReport, cca_versus_nec, check_test_set
 
 # Not called here since the NEC sweep yields the headline report, but kept as
 # a module attribute: bench/run.py traces `pipeline.accuracy_report`.
@@ -202,9 +202,8 @@ def evaluate_sweep(
 
 
 def run_pipeline(config: PipelineConfig) -> PipelineResult:
-    """Execute every stage and write all artifacts: see module docstring."""
-    out_dir = Path(config.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    """Execute every stage and write all artifacts: see module docstring.
+    Inputs that cannot be evaluated fail at the load stage, before any write."""
 
     def stage(name: str, fn):
         try:
@@ -219,6 +218,9 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
         "load", lambda: dataio.load_dataset(config.train_path, catalog)
     )
     test_samples = stage("load", lambda: dataio.load_dataset(config.test_path, catalog))
+    stage("load", lambda: check_test_set(test_samples, catalog.num_classes))
+    out_dir = Path(config.output_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     train_part, cal_part = stage(
         "split",

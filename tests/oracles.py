@@ -112,6 +112,19 @@ def scan_threshold(risks, budget, candidates):
     return 1.0 if found is None else float(candidates[found])
 
 
+def breakpoints(samples):
+    """Every detection's ``1 - t`` in [0, 1], plus 0 and 1, sorted: a superset
+    of the points where a calibration loss can change, since a concept's
+    lower-confidence duplicate detections change no set."""
+    points = {0.0, 1.0}
+    for sample in samples:
+        for det in sample.detections:
+            lam = 1.0 - float(det.confidence)
+            if 0.0 <= lam <= 1.0:
+                points.add(lam)
+    return np.array(sorted(points), dtype=np.float64)
+
+
 def crc_trials(budget, generator, n_cal, n_trials, seed, resolution):
     """One trial at a time: shuffle, search the full-grid mean risk, combine.
 

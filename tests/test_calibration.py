@@ -14,11 +14,12 @@ from conftest import (
     random_instance,
 )
 from riskcbm.calibration import (
+    DEFAULT_RESOLUTION,
     CalibrationResult,
     LossProfiles,
     RiskBudget,
     RiskCurve,
-    _breakpoints,
+    _candidates,
     build_loss_profiles,
     calibrate,
     calibrate_criterion,
@@ -185,6 +186,33 @@ class TestCalibrateCriterion:
         budget = corrected_budget(0.5, 4)
         assert empirical_risk("cov", exact_lam, samples, catalog) <= budget
 
+    def test_exact_mode_skips_lower_confidence_duplicates(self):
+        """``c0`` detected at 0.8 and 0.3 enters the set at 1 - 0.8; the
+        duplicate's 1 - 0.3 changes no set and is no candidate, and every
+        exact threshold equals a scan over every detection's 1 - t."""
+        catalog = make_catalog({0: [[1.0, 0.0], [0.0, 1.0]], 1: [[-1.0, 0.0]]})
+        c0, c1 = catalog.concepts_for(0)
+        samples = [
+            make_sample("s0", 0, [1.0, 0.2], [(c0, 0.8), (c0, 0.3), (c1, 0.5)]),
+            make_sample("s1", 0, [0.2, 1.0], [(c1, 0.6)]),
+        ]
+        profiles = build_loss_profiles(samples, catalog)
+        scanned = oracles.breakpoints(samples)
+        candidates = _candidates(profiles, DEFAULT_RESOLUTION, exact=True)
+        assert 1.0 - 0.3 in scanned
+        assert 1.0 - 0.3 not in candidates
+        np.testing.assert_array_equal(candidates, [0.0, 1.0 - 0.8, 1.0 - 0.6, 1.0 - 0.5, 1.0])
+        for alpha in (0.4, 0.5, 0.7, 0.9):
+            for k in CRITERIA:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")  # unattainable budgets
+                    lam = calibrate_criterion(k, alpha, samples, catalog, exact=True)
+                risks = profiles.risk_on_grid(k, scanned)
+                budget = corrected_budget(alpha, len(samples))
+                assert lam == oracles.scan_threshold(risks, budget, scanned), (k, alpha)
+        # Coverage risk 0.25 from 1 - 0.6 on meets the budget 0.5 - 0.5 / 2.
+        assert calibrate_criterion("cov", 0.5, samples, catalog, exact=True) == 1.0 - 0.6
+
     def test_conservativeness_on_random_fixtures(self):
         """Whenever lam_hat < 1, the calibration-set risk meets the corrected budget."""
         rng = np.random.default_rng(32)
@@ -326,7 +354,7 @@ class TestLossProfiles:
         grid = default_grid(1e-3)
         grids = [default_grid(r) for r in (1e-3, 0.01, 0.3, 0.5)] + [
             np.pad(grid, (0, 23), mode="edge"),  # the search's 1024-point grid
-            _breakpoints(samples),
+            oracles.breakpoints(samples),
         ]
         assert_profiles_match(build_loss_profiles(samples, catalog), samples, catalog, grids)
 
@@ -338,7 +366,7 @@ class TestLossProfiles:
                          seed=9, with_pixels=False)
         samples, catalog = generate_synthetic(spec)
         profiles = build_loss_profiles(samples, catalog)
-        edges = _breakpoints(samples)
+        edges = oracles.breakpoints(samples)
         grid = np.unique(np.clip(np.concatenate([
             default_grid(1e-2), edges, np.nextafter(edges, -1.0), np.nextafter(edges, 2.0)
         ]), 0.0, 1.0))
@@ -385,7 +413,7 @@ class TestLossProfiles:
         ]
         for samples, cat in ((hand, catalog), (two_decimal, synth_catalog)):
             profiles = build_loss_profiles(samples, cat)
-            for lams in (default_grid(1e-3), _breakpoints(samples)):
+            for lams in (default_grid(1e-3), oracles.breakpoints(samples)):
                 for k in CRITERIA:
                     risks = profiles.risk_on_grid(k, lams)
                     direct = [empirical_risk(k, float(lam), samples, cat) for lam in lams]

@@ -79,6 +79,11 @@ class TestVocabulary:
         with pytest.raises(DataError):
             ConceptVocabulary(concepts=(b, a))
 
+    def test_index_is_derived_not_accepted(self, catalog):
+        a, b, _ = catalog.concepts_for(0)
+        with pytest.raises(TypeError, match="index_of"):
+            ConceptVocabulary(concepts=(a, b), index_of={a: 1, b: 0})
+
 
 class TestLabeling:
     def test_indicator_vector(self, catalog):

@@ -9,7 +9,7 @@ from riskcbm.calibration import DEFAULT_BUDGET, RiskBudget
 from riskcbm.cbm_trainer import TrainConfig
 from riskcbm.cli import main
 from riskcbm.evaluation import EvalConfig
-from riskcbm.pipeline import PipelineConfig, run_pipeline
+from riskcbm.pipeline import PipelineConfig, StageError, run_pipeline
 
 
 @pytest.fixture(scope="module")
@@ -22,6 +22,41 @@ def data_dir(tmp_path_factory):
         "--seed", "1",
     ]) == 0
     return out
+
+
+@pytest.mark.parametrize(
+    "test_flags, message",
+    [
+        (["--test-samples-per-class", "0"], "test set is empty"),
+        (["--classes", "2", "--test-samples-per-class", "4"], "class 1 absent from test set"),
+    ],
+    ids=["empty", "class_missing"],
+)
+def test_a_test_set_that_cannot_be_evaluated_fails_before_any_write(
+    tmp_path, test_flags, message
+):
+    """The test set is checked at the load stage: no stage runs and the output
+    directory holds no file."""
+    other = tmp_path / "other"
+    assert main(
+        ["synth", "--out-dir", str(other), "--samples-per-class", "6", "--seed", "2", *test_flags]
+    ) == 0
+    test_path = other / "test.ndjson"
+    if test_flags[0] == "--classes":  # keep only class 0 of a two-class catalog
+        rows = [r for r in test_path.read_text().splitlines() if json.loads(r)["label"] == 0]
+        test_path.write_text("\n".join(rows) + "\n")
+    out = tmp_path / "run"
+    config = PipelineConfig(
+        train_path=str(other / "train.ndjson"),
+        test_path=str(test_path),
+        catalog_path=str(other / "catalog.json"),
+        output_dir=str(out),
+        train=TrainConfig(epochs=5),
+    )
+    with pytest.raises(StageError, match=message) as caught:
+        run_pipeline(config)
+    assert caught.value.stage == "load"
+    assert not out.exists() or not [p for p in out.rglob("*") if p.is_file()]
 
 
 def test_from_dict_parses_the_budget_and_nec():

@@ -18,7 +18,6 @@ from riskcbm.calibration import (
     LossProfiles,
     RiskBudget,
     _blocked_losses,
-    _breakpoints,
     _leftmost_within_budget,
     build_loss_profiles,
     calibrate,
@@ -158,9 +157,11 @@ def test_batched_profiles_equal_the_per_sample_loop(instance, resolution):
     st.tuples(*[st.floats(0.05, 0.95)] * 3),
 )
 def test_calibrate_picks_the_scanned_threshold(instance, data, resolution, alphas):
-    """On the grid and on the loss breakpoints (``exact=True``), `calibrate`
-    picks, per criterion, the threshold a linear scan of the draw's mean
-    risks picks. The breakpoints are not uniform, so exact mode also runs
+    """On the grid, and with ``exact=True`` on every detection's ``1 - t``,
+    `calibrate` picks, per criterion, the threshold a linear scan of the
+    draw's mean risks picks. Exact mode searches only the profiles' entries,
+    so the scan also covers lower-confidence duplicate detections, which
+    change no set. The breakpoints are not uniform, so exact mode also runs
     the two-level search through block padding on uneven candidates."""
     pool, catalog = instance
     n_cal = data.draw(st.integers(1, len(pool)))
@@ -175,7 +176,7 @@ def test_calibrate_picks_the_scanned_threshold(instance, data, resolution, alpha
                 result = calibrate(
                     budget, cal_set, catalog, resolution=resolution, exact=exact
                 )
-            candidates = _breakpoints(cal_set) if exact else default_grid(resolution)
+            candidates = oracles.breakpoints(cal_set) if exact else default_grid(resolution)
             for k in CRITERIA:
                 risks = profiles.risk_on_grid(k, candidates)
                 corrected = corrected_budget(budget.alpha_for(k), n_cal)
