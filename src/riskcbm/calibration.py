@@ -141,13 +141,7 @@ def empirical_risk(
         raise ValueError(f"unknown criterion {criterion!r}, expected one of {CRITERIA}")
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"lam must be in [0,1], got {lam}")
-    return _risk_at(_profiles(cal_set, catalog, (criterion,)), criterion, lam)
-
-
-def _risk_at(profiles: "LossProfiles", criterion: str, lam: float) -> float:
-    """Mean loss over all profiled samples at ``lam``, summed as the search sums a draw."""
-    column = profiles.matrix_on_grid(criterion, [lam])
-    return float(_mean_over_draws(column, np.arange(profiles.n_samples)[None])[0, 0])
+    return float(_profiles(cal_set, catalog, (criterion,)).risk_on_grid(criterion, [lam])[0])
 
 
 def _candidates(profiles: "LossProfiles", resolution: float, exact: bool) -> np.ndarray:
@@ -181,7 +175,7 @@ def _thresholds(
             )
         elif idx < 0:
             # Candidates end at lambda=1, where risk is at its floor.
-            floor = _risk_at(profiles, k, candidates[-1])
+            floor = profiles.risk_on_grid(k, candidates[-1:])[0]
             warnings.warn(
                 f"no threshold meets the {k} budget: corrected budget "
                 f"{budget:.4g} is below the risk at lambda=1 ({floor:.4g}); "
@@ -288,7 +282,10 @@ class LossProfiles:
         )
 
     def risk_on_grid(self, criterion: str, grid: np.ndarray) -> np.ndarray:
-        return self.matrix_on_grid(criterion, grid).mean(axis=0)
+        """Mean loss over all profiled samples along the grid, summed as the
+        search sums a draw: one draw of every row, in order."""
+        matrix = self.matrix_on_grid(criterion, grid)
+        return _mean_over_draws(matrix, np.arange(self.n_samples)[None])[0]
 
 
 def build_loss_profiles(
@@ -402,10 +399,10 @@ def validate_guarantee(
     Per criterion the search has two levels over blocks of about
     sqrt(grid length) columns: a coarse pass finds each trial's first block
     whose last column meets the corrected budget, and a fine pass finds the
-    first qualifying column inside it. Every mean sums the drawn rows in draw
-    order, as ``matrix[rows].mean(axis=0)`` does on two or more columns, and
-    never increases along the grid. `calibrate` and `empirical_risk` sum one
-    draw of every row the same way, so all three agree by construction.
+    first qualifying column inside it. Every mean is a `_mean_over_draws`
+    read, which sums the drawn rows in draw order and so never increases
+    along the grid. The `calibrate` curves and `empirical_risk` read one draw
+    of every row through it too, so all three agree by construction.
     """
     if n_trials < 100:
         raise ValueError(f"n_trials must be >= 100, got {n_trials}")
@@ -522,7 +519,8 @@ def _blocked_losses(profiles: LossProfiles, criterion: str, grid: np.ndarray) ->
 
 
 def _mean_over_draws(table: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Row t is ``table[rows[t]].mean(axis=0)`` summed in draw order, even on one column."""
+    """Row t is the mean of the rows ``table[rows[t]]``, summed in draw order
+    whatever the column count: the one average of losses along lambda."""
     acc = table[rows[:, 0]]
     for j in range(1, rows.shape[1]):
         acc += table[rows[:, j]]

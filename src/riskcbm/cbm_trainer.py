@@ -309,12 +309,8 @@ def train(
     k = len(vocab)
     if k < 1:
         raise DataError("vocabulary is empty")
+    vocab.check_aligned(dataset)
     full = make_batch(dataset)
-    if full.concept_targets.shape[1] != k:
-        raise DataError(
-            f"concept vectors have length {full.concept_targets.shape[1]}, "
-            f"vocabulary has {k}"
-        )
     L = int(n_classes) if n_classes is not None else int(full.labels.max()) + 1
     if L < 2:
         raise DataError(f"need at least 2 classes, got {L}")

@@ -68,6 +68,16 @@ class ConceptVocabulary:
     def __contains__(self, concept: ConceptId) -> bool:
         return concept in self.index_of
 
+    def check_aligned(self, dataset: Sequence["ConceptLabeledSample"]) -> None:
+        """Raise a DataError naming the first sample whose concept vector does
+        not have one entry per vocabulary concept."""
+        for sample in dataset:
+            if len(sample.concept_vector) != len(self):
+                raise DataError(
+                    f"sample {sample.sample_id}: concept vector has length "
+                    f"{len(sample.concept_vector)}, vocabulary has {len(self)}"
+                )
+
 
 @dataclass(frozen=True)
 class Provenance:
@@ -364,6 +374,7 @@ def augment_dataset(
     no sample can seed is reported "unseedable", one whose targets run out
     first "exhausted"; either gets a warning and the run goes on.
     """
+    vocab.check_aligned(dataset)
     rng = np.random.default_rng(config.rng_seed)
     out = list(dataset)
     originals = [s for s in out if s.is_original and s.image_pixels is not None]

@@ -1,9 +1,11 @@
 """End-to-end orchestration: split, calibrate, build, augment, train, evaluate.
 
 `run_pipeline` executes all stages over files on disk and writes the artifact
-set (calibration result, vocabulary, augmented training manifest, model
-checkpoint, evaluation report, and plot data) into the output directory. All
-randomness flows from seeds in the config, so reruns are byte-identical.
+set into the output directory, each quantity once: the calibration result
+with its risk curves, the vocabulary, the augmented training manifest, the
+model checkpoint and training log, the evaluation report with its per-sample
+compliance flags, and the compliance-vs-NEC table. All randomness flows from
+seeds in the config, so reruns are byte-identical.
 """
 
 from __future__ import annotations
@@ -16,9 +18,8 @@ from typing import Sequence, get_type_hints
 import numpy as np
 
 from . import dataio
-from .calibration import DEFAULT_BUDGET, DEFAULT_RESOLUTION, RiskBudget, calibrate
+from .calibration import DEFAULT_BUDGET, DEFAULT_RESOLUTION, RiskBudget, calibrate, default_grid
 from .cbm_trainer import CbmModel, TrainConfig, train
-from .concept_sets import CRITERIA
 from .core import AnnotatedSample, ConceptCatalog, DataError
 from .dataset_builder import (
     AugmentationConfig,
@@ -95,6 +96,7 @@ class PipelineConfig:
             )
         if self.nec < 1:
             raise ValueError(f"nec must be >= 1, got {self.nec}")
+        default_grid(self.resolution)  # raises on a resolution out of range
 
     @classmethod
     def from_dict(cls, doc: dict) -> "PipelineConfig":
@@ -238,15 +240,6 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
         ),
     )
     dataio.save_calibration(out_dir / "calibration.json", result)
-    grid = result.curves["dis"].grid
-    dataio.write_dat(
-        out_dir / "risk_curves.dat",
-        ["lambda"] + [f"risk_{k}" for k in CRITERIA],
-        (
-            [float(grid[i])] + [float(result.curves[k].risks[i]) for k in CRITERIA]
-            for i in range(len(grid))
-        ),
-    )
 
     vocab = stage(
         "build", lambda: build_vocabulary(train_part, catalog, result.lambda_hat)
@@ -278,7 +271,6 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
         ),
     )
     dataio.save_eval_report(out_dir / "eval_report.json", report)
-    dataio.save_per_sample_csv(out_dir / "eval_per_sample.csv", report)
 
     return PipelineResult(
         lambda_hat=result.lambda_hat,

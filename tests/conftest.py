@@ -130,11 +130,12 @@ BAD_KEYS = {
     "augmentation": ({"augmentation": {"min_counts": 3}}, "min_counts"),
 }
 
-# A config value of the wrong type, and a config that lacks a required path:
-# each with the start of the error it must raise.
+# A config value of the wrong type or out of range, and a config that lacks a
+# required path: each with the start of the error it must raise.
 BAD_VALUES = {
     "nec-null": ({"eval": {"nec": None}}, "nec in config section 'eval' must be int"),
     "epochs-string": ({"train": {"epochs": "5"}}, "epochs in config section 'train' must be int"),
+    "resolution-zero": ({"calibration": {"resolution": 0}}, "resolution must be in (0, 0.5], got 0"),
     "missing-path": (
         {"paths": {k: v for k, v in PATHS.items() if k != "test"}},
         "missing required path: test",

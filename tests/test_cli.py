@@ -189,6 +189,53 @@ class TestStagedCommands:
         assert err.startswith(f"error: {bad}")
         assert err.count("\n") == 1 and "Traceback" not in err, err
 
+    @pytest.mark.parametrize("fault", ["vocabulary-short", "row-short"])
+    @pytest.mark.parametrize("command", ["train", "augment"])
+    def test_concept_vector_off_the_vocabulary_is_a_one_line_data_error(
+        self, command, fault, built, data_dir, tmp_path, capsys
+    ):
+        """A vocabulary one concept short of every vector, or one vector one
+        entry short of the vocabulary, names the first sample that differs."""
+        cal_json, labeled, vocab = built
+        lines = labeled.read_text().splitlines()
+        docs = [json.loads(line) for line in lines]
+        width = len(docs[0]["concept_vector"])
+        if fault == "vocabulary-short":
+            doc = json.loads(vocab.read_text())
+            doc["concepts"] = doc["concepts"][:-1]
+            vocab = tmp_path / "vocab.json"
+            vocab.write_text(json.dumps(doc))
+            first, length = docs[0]["id"], width
+        else:
+            docs[3]["concept_vector"] = docs[3]["concept_vector"][:-1]
+            first, length = docs[3]["id"], width - 1
+        # Beside the original, so its relative pixel paths still resolve.
+        bad = labeled.parent / f"{command}-{fault}.ndjson"
+        bad.write_text("".join(json.dumps(doc) + "\n" for doc in docs))
+        flags = {
+            "train": ["--epochs", "5"],
+            "augment": ["--calibration", str(cal_json)],
+        }[command]
+        capsys.readouterr()
+        code = main([
+            command, "--labeled", str(bad),
+            "--catalog", str(data_dir / "catalog.json"), "--vocab", str(vocab),
+            "--out", str(tmp_path / "out"), *flags,
+        ])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        expected = f"error: sample {first}: concept vector has length {length}, vocabulary has"
+        assert err.startswith(expected), err
+        assert err.count("\n") == 1 and "Traceback" not in err, err
+        assert not (tmp_path / "out").exists()
+
+
+# Every top-level name `pipeline` writes into its output directory.
+PIPELINE_ARTIFACTS = {
+    "calibration.json", "vocabulary.json", "dataset_aug.ndjson", "dataset_aug.pixels",
+    "model.json", "training_log.csv", "eval_report.json", "cca_vs_nec.dat",
+}
+
 
 class TestPipelineCommand:
     def _run(self, data_dir, out_dir):
@@ -202,14 +249,11 @@ class TestPipelineCommand:
         ])
 
     def test_artifacts_present(self, data_dir, tmp_path):
+        """Each quantity is written once: the risk curves live only in
+        calibration.json, the per-sample flags only in eval_report.json."""
         out = tmp_path / "run"
         assert self._run(data_dir, out) == 0
-        for name in (
-            "calibration.json", "dataset_aug.ndjson", "model.json",
-            "eval_report.json", "cca_vs_nec.dat", "risk_curves.dat",
-            "vocabulary.json", "training_log.csv",
-        ):
-            assert (out / name).is_file(), name
+        assert {p.name for p in out.iterdir()} == PIPELINE_ARTIFACTS
 
     def test_rerun_is_byte_identical(self, data_dir, tmp_path):
         out1, out2 = tmp_path / "r1", tmp_path / "r2"

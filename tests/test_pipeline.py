@@ -1,6 +1,7 @@
 """Pipeline configuration and the artifacts of one end-to-end run."""
 
 import json
+import re
 
 import pytest
 
@@ -65,12 +66,12 @@ def test_from_dict_parses_the_budget_and_nec():
         "budget": {"alpha_dis": 0.9, "alpha_cov": 0.3, "alpha_div": 0.4},
         "eval": {"nec": 4},
         "split": {"train_fraction": 0.5, "seed": 3},
-        "calibration": {"resolution": 1, "exact": True},
+        "calibration": {"resolution": 0.5, "exact": True},
     })
     assert config.budget == RiskBudget(0.9, 0.3, 0.4)
     assert config.nec == 4
     assert (config.train_fraction, config.split_seed) == (0.5, 3)
-    assert type(config.resolution) is float and config.resolution == 1.0
+    assert type(config.resolution) is float and config.resolution == 0.5
     assert config.exact_calibration is True
 
 
@@ -118,7 +119,7 @@ def test_from_dict_rejects_an_unknown_key_by_name(section):
 @pytest.mark.parametrize("case", list(BAD_VALUES))
 def test_from_dict_rejects_a_bad_value_or_missing_path_by_name(case):
     doc, message = BAD_VALUES[case]
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=re.escape(message)):
         PipelineConfig.from_dict({"paths": PATHS, **doc})
 
 

@@ -122,16 +122,20 @@ def test_profile_risk_equals_empirical_risk_at_guard_edges(instance):
 @settings(max_examples=40, deadline=None)
 @given(instances(max_samples=12), st.sampled_from([0.01, 0.3, 0.5]))
 def test_empirical_risk_equals_the_calibrated_curves(instance, resolution):
-    """Past eight samples numpy sums a single column pairwise, so the curves
-    and `empirical_risk` agree only if both sum in sample order."""
+    """Past eight samples numpy sums a single column pairwise, so the curves,
+    one-point reads of the profiles and `empirical_risk` agree only if all
+    sum in sample order."""
     samples, catalog = instance
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # unattainable or non-positive budgets
         result = calibrate(RiskBudget(0.5, 0.2, 0.2), samples, catalog, resolution=resolution)
+    profiles = build_loss_profiles(samples, catalog)
     for k in CRITERIA:
         curve = result.curves[k]
         direct = [empirical_risk(k, float(lam), samples, catalog) for lam in curve.grid]
         assert np.array_equal(curve.risks, direct), k
+        alone = [profiles.risk_on_grid(k, [lam])[0] for lam in curve.grid]
+        assert np.array_equal(alone, direct), k
 
 
 @settings(max_examples=60, deadline=None)
