@@ -10,14 +10,13 @@ target, the expected loss of the resulting concept sets is bounded by each
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .concept_sets import CRITERIA, admission_threshold, batch_prefix_losses
+from .concept_sets import CRITERIA, admission_threshold, entry_prefix_losses
 from .core import AnnotatedSample, ConceptCatalog, DataError
 
 __all__ = [
@@ -298,24 +297,7 @@ def build_loss_profiles(
 def _profiles(
     samples: Sequence[AnnotatedSample], catalog: ConceptCatalog, criteria: Sequence[str]
 ) -> LossProfiles:
-    concept_lists: list[list] = []
-    neg_entries: list[float] = []
-    for sample in samples:
-        best: dict = {}
-        for det in sample.detections:
-            conf = float(det.confidence)
-            if conf > best.get(det.concept, -1.0):
-                best[det.concept] = conf
-        # Concepts enter the set in decreasing confidence order.
-        ordered = sorted(best.items(), key=lambda kv: (-kv[1], kv[0].id))
-        concept_lists.append([concept for concept, _ in ordered])
-        neg_entries.extend(-conf for _, conf in ordered)
-    losses = batch_prefix_losses(samples, catalog, concept_lists, criteria)
-    n, width = losses.shape[1:]
-    lengths = np.array([len(c) for c in concept_lists], dtype=np.intp)
-    neg_confidences = np.full((n, width - 1), np.inf)
-    neg_confidences[np.arange(width - 1) < lengths[:, None]] = neg_entries
-    return LossProfiles(criteria, neg_confidences, losses)
+    return LossProfiles(criteria, *entry_prefix_losses(samples, catalog, criteria))
 
 
 @dataclass(eq=False)
@@ -396,18 +378,20 @@ def validate_guarantee(
     `_draw_without_replacement`), followed, when targets come from a
     separate pool, by one call for every trial's target. A seed therefore
     selects the same rows on every run, whatever the search does with them.
-    Per criterion the search has two levels over blocks of about
-    sqrt(grid length) columns: a coarse pass finds each trial's first block
-    whose last column meets the corrected budget, and a fine pass finds the
-    first qualifying column inside it. Every mean is a `_mean_over_draws`
-    read, which sums the drawn rows in draw order and so never increases
-    along the grid. The `calibrate` curves and `empirical_risk` read one draw
-    of every row through it too, so all three agree by construction.
+    Per criterion each trial bisects its own range of grid columns, reading
+    one column per step, for ``len(grid).bit_length()`` steps. Every mean is
+    a `_mean_over_draws` read, which sums the drawn rows in draw order and so
+    never increases along the grid; that makes each bisection exact. The
+    `calibrate` curves and `empirical_risk` read one draw of every row
+    through it too, so all three agree by construction. ``slack`` must be
+    finite and non-negative.
     """
     if n_trials < 100:
         raise ValueError(f"n_trials must be >= 100, got {n_trials}")
     if n_cal < 1:
         raise ValueError(f"n_cal must be >= 1, got {n_cal}")
+    if not (np.isfinite(slack) and slack >= 0.0):
+        raise ValueError(f"slack must be finite and >= 0, got {slack}")
     pool = list(generator.samples)
     if len(pool) < n_cal + 1:
         raise DataError(
@@ -498,24 +482,11 @@ def _leftmost_indices(
     budget; -1 where none is, and for every draw, with no search, where the
     budget is not positive."""
     return {
-        k: _leftmost_within_budget(_blocked_losses(profiles, k, candidates), rows, budget)
+        k: _leftmost_within_budget(profiles.matrix_on_grid(k, candidates), rows, budget)
         if budget > 0.0
         else np.full(len(rows), -1, dtype=np.intp)
         for k, budget in budgets.items()
     }
-
-
-def _blocked_losses(profiles: LossProfiles, criterion: str, grid: np.ndarray) -> np.ndarray:
-    """(n_samples, n_blocks, block) per-sample losses along the candidates ``grid``.
-
-    Blocks hold about sqrt(len(grid)) columns, which balances the coarse and
-    the fine pass of the search. The grid is padded on the right with copies
-    of its last point up to a whole number of blocks; a padding column equals
-    the last grid column, so it never holds the leftmost qualifying point.
-    """
-    block = math.isqrt(len(grid)) + 1
-    padded = np.pad(grid, (0, -len(grid) % block), mode="edge")
-    return profiles.matrix_on_grid(criterion, padded).reshape(profiles.n_samples, -1, block)
 
 
 def _mean_over_draws(table: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -528,30 +499,41 @@ def _mean_over_draws(table: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return acc
 
 
-# Draws searched together; bounds the search's temporaries to a few hundred
-# kilobytes whatever the trial count.
-_DRAW_CHUNK = 256
+# Cells of the (draw position, draw) index block one bisection step reads at
+# once; bounds the search's temporaries to a few hundred kilobytes whatever
+# the trial count.
+_SEARCH_CELLS = 1 << 15
 
 
-def _leftmost_within_budget(blocked: np.ndarray, rows: np.ndarray, budget: float) -> np.ndarray:
-    """Per draw (a row of ``rows``), the index of the first grid column whose
-    mean loss over the drawn samples is <= budget; -1 where none is.
+def _leftmost_within_budget(matrix: np.ndarray, rows: np.ndarray, budget: float) -> np.ndarray:
+    """Per draw (a row of ``rows``), the index of the first column of the
+    (n_samples, candidates) loss ``matrix`` whose mean over the drawn samples
+    is <= budget; -1 where none is.
 
-    The means never increase along the grid, so the first block whose last
-    column qualifies (coarse pass) holds the first qualifying column (fine
-    pass), and a draw whose last block end misses has no qualifying column.
+    The means never increase along the candidates, so each draw bisects its
+    own half-open range [lo, hi) of columns that may hold the first
+    qualifying one, reading one column per step; a range that closes at the
+    end of the candidates finds none.
     """
-    n_samples, n_blocks, block = blocked.shape
-    ends = np.ascontiguousarray(blocked[:, :, -1])
-    cells = blocked.reshape(n_samples * n_blocks, block)
+    n_cols = matrix.shape[1]
+    cells = matrix.ravel()
     out = np.empty(len(rows), dtype=np.intp)
-    for lo in range(0, len(rows), _DRAW_CHUNK):
-        part = rows[lo : lo + _DRAW_CHUNK]
-        coarse = _mean_over_draws(ends, part) <= budget
-        first_block = np.argmax(coarse, axis=1)
-        fine = _mean_over_draws(cells, part * n_blocks + first_block[:, None]) <= budget
-        found = first_block * block + np.argmax(fine, axis=1)
-        out[lo : lo + len(part)] = np.where(coarse[:, -1], found, -1)
+    per_chunk = max(1, _SEARCH_CELLS // rows.shape[1])
+    for start in range(0, len(rows), per_chunk):
+        # Row j of ``offsets`` holds draw position j of every draw in the
+        # chunk, so each gather of the mean reads one contiguous index row.
+        offsets = np.ascontiguousarray(rows[start : start + per_chunk].T) * n_cols
+        lo = np.zeros(offsets.shape[1], dtype=np.intp)
+        hi = np.full(offsets.shape[1], n_cols, dtype=np.intp)
+        for _ in range(n_cols.bit_length()):
+            mid = (lo + hi) // 2
+            # A closed range (lo == hi) keeps its bounds; its read, clipped
+            # onto the last column when lo == n_cols, is not used.
+            read = _mean_over_draws(cells, (offsets + np.minimum(mid, n_cols - 1)).T)
+            within = (read <= budget) | (lo == hi)
+            hi = np.where(within, mid, hi)
+            lo = np.where(within, lo, mid + 1)
+        out[start : start + len(lo)] = np.where(lo < n_cols, lo, -1)
     return out
 
 

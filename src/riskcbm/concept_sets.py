@@ -40,6 +40,7 @@ __all__ = [
     "build_concept_set",
     "confidence_admits",
     "batch_prefix_losses",
+    "entry_prefix_losses",
     "discriminability_loss",
     "coverage_loss",
     "diversity_loss",
@@ -146,18 +147,6 @@ class _CatalogCache:
                 f"concept {missing.id} ('{missing.text}') not in catalog"
             ) from None
 
-    def unit_image(self, sample) -> np.ndarray:
-        x = np.asarray(sample.image_embedding, dtype=np.float64)
-        if x.shape[0] != self.unit.shape[1]:
-            raise DataError(
-                f"embedding dimension mismatch: sample has {x.shape[0]}, "
-                f"catalog has {self.unit.shape[1]}"
-            )
-        norm = float(np.linalg.norm(x))
-        if norm < ZERO_NORM_TOL:
-            raise NumericError("cosine undefined for (near-)zero image embedding")
-        return x / norm
-
 
 _CACHES: "weakref.WeakKeyDictionary[ConceptCatalog, _CatalogCache]" = (
     weakref.WeakKeyDictionary()
@@ -199,19 +188,38 @@ def _dis_batch(cache: _CatalogCache, catalog: ConceptCatalog, batch: _Batch) -> 
     n, width = batch.rows.shape
     selected = np.zeros((n, width))
     competing = np.ones(n)
-    # Each similarity row and its two sums stay per sample: summed over a
-    # batch axis, the competing mass rounds differently from these 1-D sums.
-    for i, (sample, label, length) in enumerate(
-        zip(batch.samples, batch.labels.tolist(), batch.lengths.tolist())
-    ):
-        if length == 0:
-            continue
-        sims = 1.0 + np.clip(cache.unit @ cache.unit_image(sample), -1.0, 1.0)
-        mass = float(np.sum(sims)) - float(np.sum(sims[cache.class_rows[label]]))
-        if mass < ZERO_NORM_TOL:
-            raise NumericError("degenerate competing-class similarity (denominator ~ 0)")
-        competing[i] = mass
-        selected[i] = sims[batch.rows[i]]
+    # A sample with an empty list is never embedded. The others are scored
+    # in stacked products, which round each sample as its own norm and gemv
+    # do; a batched matrix product would not. The first faulty sample's
+    # error is raised, as if each sample were checked in turn.
+    scored = batch.lengths.nonzero()[0]
+    images = [batch.samples[i].image_embedding for i in scored.tolist()]
+    dim = cache.unit.shape[1]
+    bad_dim = next((j for j, x in enumerate(images) if x.shape[0] != dim), len(images))
+    x = np.array(images[:bad_dim], dtype=np.float64).reshape(bad_dim, dim)
+    norms = np.sqrt((x[:, None, :] @ x[:, :, None])[:, 0, 0])
+    small = norms < ZERO_NORM_TOL
+    zero = int(small.argmax()) if small.any() else bad_dim
+    unit_images = x[:zero] / norms[:zero, None]
+    sims = 1.0 + np.clip((cache.unit[None] @ unit_images[:, :, None])[..., 0], -1.0, 1.0)
+    # The own-class sums stay per sample: summed over a gathered block, the
+    # rows would round differently from these 1-D sums.
+    own = [
+        row[cache.class_rows[label]].sum()
+        for row, label in zip(sims, batch.labels[scored[:zero]].tolist())
+    ]
+    mass = sims.sum(axis=1) - np.array(own, dtype=np.float64)
+    if (mass < ZERO_NORM_TOL).any():
+        raise NumericError("degenerate competing-class similarity (denominator ~ 0)")
+    if zero < bad_dim:
+        raise NumericError("cosine undefined for (near-)zero image embedding")
+    if bad_dim < len(images):
+        raise DataError(
+            f"embedding dimension mismatch: sample has {images[bad_dim].shape[0]}, "
+            f"catalog has {dim}"
+        )
+    competing[scored] = mass
+    selected[scored] = sims[np.arange(len(scored))[:, None], batch.rows[scored]]
     out = np.ones((n, width + 1))
     out[:, 1:] = 1.0 - np.cumsum(selected, axis=1) / competing[:, None]
     return out
@@ -278,19 +286,64 @@ def batch_prefix_losses(
         )
     cache = _cache_for(catalog)
     lengths = np.array([len(c) for c in concept_lists], dtype=np.intp)
+    rows = cache.rows_of([c for concepts in concept_lists for c in concepts])
+    return _prefix_losses(cache, catalog, samples, rows, lengths, criteria)
+
+
+def entry_prefix_losses(
+    samples: Sequence, catalog: ConceptCatalog, criteria: Sequence[str] = CRITERIA
+) -> tuple[np.ndarray, np.ndarray]:
+    """Prefix losses of each sample's detected concepts in the order they
+    enter its set as ``lam`` grows: by decreasing best confidence, ties by
+    concept id.
+
+    Returns ``(neg_confidences, losses)``: (n, P) each entry's best
+    confidence negated, padded with +inf, and the `batch_prefix_losses`
+    output over the entry-ordered lists.
+    """
+    samples = list(samples)
+    cache = _cache_for(catalog)
+    detections = [det for sample in samples for det in sample.detections]
+    owners = np.repeat(np.arange(len(samples)), [len(s.detections) for s in samples])
+    # Best confidence per (sample, catalog row). A concept enters once some
+    # detection's confidence exceeds -1; a NaN confidence never does.
+    best = np.full((len(samples), len(cache.unit)), -1.0)
+    np.fmax.at(
+        best,
+        (owners, cache.rows_of([det.concept for det in detections])),
+        np.array([det.confidence for det in detections], dtype=np.float64),
+    )
+    owners, rows = np.nonzero(best > -1.0)
+    confidences = best[owners, rows]
+    order = np.lexsort((rows, -confidences, owners))
+    lengths = np.bincount(owners, minlength=len(samples))
+    losses = _prefix_losses(cache, catalog, samples, rows[order], lengths, criteria)
+    neg_confidences = np.full((len(samples), losses.shape[2] - 1), np.inf)
+    neg_confidences[_leading(lengths, neg_confidences.shape[1])] = -confidences[order]
+    return neg_confidences, losses
+
+
+def _prefix_losses(
+    cache: _CatalogCache,
+    catalog: ConceptCatalog,
+    samples: list,
+    rows: np.ndarray,
+    lengths: np.ndarray,
+    criteria: Sequence[str],
+) -> np.ndarray:
+    """`batch_prefix_losses` of lists given as their catalog ``rows``,
+    concatenated, and their ``lengths``."""
     width = int(lengths.max(initial=0)) + 1
+    padded = np.zeros((len(samples), width - 1), dtype=np.intp)
+    padded[_leading(lengths, width - 1)] = rows
     out = np.empty((len(criteria), len(samples), width))
     for lo in range(0, len(samples), _BATCH_SIZE):
         part = slice(lo, lo + _BATCH_SIZE)
         part_lengths = lengths[part]
-        rows = np.zeros((len(part_lengths), int(part_lengths.max())), dtype=np.intp)
-        rows[_leading(part_lengths, rows.shape[1])] = cache.rows_of(
-            [c for concepts in concept_lists[part] for c in concepts]
-        )
         batch = _Batch(
             samples=samples[part],
             labels=np.array([_checked_label(s, catalog) for s in samples[part]], dtype=np.intp),
-            rows=rows,
+            rows=padded[part, : int(part_lengths.max())],
             lengths=part_lengths,
         )
         losses = np.stack([_BATCH_KERNELS[k](cache, catalog, batch) for k in criteria])

@@ -361,6 +361,17 @@ class TestCrcCheckCommand:
         assert (tmp_path / "crc.json").is_file()
         assert (tmp_path / "crc.dat").read_text().startswith("# criterion")
 
+    def test_report_matches_the_golden_file(self, tmp_path, capsys):
+        """Pins what a seed draws and how the trials are searched: the
+        report of this run, byte for byte."""
+        code = main([
+            "crc-check", "--pool", "300", "--n-cal", "30", "--trials", "500",
+            "--seed", "3", "--out", str(tmp_path / "crc.json"),
+        ])
+        assert code == 0
+        golden = Path(__file__).parent / "data" / "crc_seed3.json"
+        assert (tmp_path / "crc.json").read_bytes() == golden.read_bytes()
+
     def test_shifted_run_flags_theorem_gap(self, capsys):
         code = main([
             "crc-check", "--trials", "120", "--n-cal", "20",
@@ -404,9 +415,15 @@ class TestUsageErrors:
             ["crc-check", "--pool", "40", "--n-cal", "0"],
             ["crc-check", "--pool", "40", "--alpha-dis", "1.5"],
             ["crc-check", "--pool", "40", "--classes", "0"],
+            ["crc-check", "--pool", "40", "--n-cal", "10", "--trials", "100", "--slack", "nan"],
+            ["crc-check", "--pool", "40", "--n-cal", "10", "--trials", "100", "--slack", "inf"],
+            ["crc-check", "--pool", "40", "--n-cal", "10", "--trials", "100", "--slack=-0.01"],
             ["synth", "--out-dir", "{tmp}", "--classes", "0"],
         ],
-        ids=["trials", "n-cal", "alpha", "crc-classes", "synth-classes"],
+        ids=[
+            "trials", "n-cal", "alpha", "crc-classes", "slack-nan", "slack-inf",
+            "slack-negative", "synth-classes",
+        ],
     )
     def test_bad_value_is_a_one_line_usage_error(self, argv, tmp_path, capsys):
         code = main([arg.format(tmp=tmp_path) for arg in argv])

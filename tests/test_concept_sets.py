@@ -6,7 +6,9 @@ import pytest
 import oracles
 from conftest import make_catalog, make_sample, random_instance
 from riskcbm.concept_sets import (
+    CRITERIA,
     ConceptSet,
+    batch_prefix_losses,
     build_concept_set,
     coverage_loss,
     discriminability_loss,
@@ -95,6 +97,56 @@ class TestDiscriminability:
             discriminability_loss(
                 cset_of(catalog.concepts_for(0)), sample, catalog
             )
+
+
+class TestDiscriminabilityBatch:
+    """Image (1, 0) of class 0 is opposite the one competing concept, so its
+    competing mass is 0; the other images are faulty on their own."""
+
+    CATALOG = make_catalog({0: [[1, 0], [0, 1]], 1: [[-1, 0]]})
+    FAULTS = {
+        "degenerate": ([1.0, 0.0], NumericError, "degenerate competing-class similarity"),
+        "zero": ([0.0, 0.0], NumericError, "cosine undefined for (near-)zero image embedding"),
+        "dimension": (
+            [1.0, 0.0, 0.0], DataError,
+            "embedding dimension mismatch: sample has 3, catalog has 2",
+        ),
+    }
+
+    def sample(self, fault):
+        return make_sample(fault, 0, self.FAULTS[fault][0], [])
+
+    def test_a_sample_with_an_empty_list_is_never_embedded(self):
+        c0 = self.CATALOG.concepts_for(0)[0]
+        good = make_sample("good", 0, [1.0, 1.0], [])
+        samples = [self.sample("zero"), good, self.sample("dimension")]
+        losses = batch_prefix_losses(samples, self.CATALOG, [[], [c0], []], CRITERIA)
+        assert np.all(losses[:, [0, 2]] == 1.0)
+        alone = batch_prefix_losses([good], self.CATALOG, [[c0]], CRITERIA)
+        assert np.array_equal(losses[:, 1], alone[:, 0])
+
+    @pytest.mark.parametrize("fault", sorted(FAULTS))
+    def test_a_faulty_sample_raises_its_error(self, fault):
+        _, error, message = self.FAULTS[fault]
+        with pytest.raises(error, match=message.replace("(", r"\(").replace(")", r"\)")):
+            batch_prefix_losses(
+                [self.sample(fault)], self.CATALOG, [self.CATALOG.concepts_for(0)], ("dis",)
+            )
+
+    @pytest.mark.parametrize(
+        "faults",
+        [("zero", "dimension"), ("dimension", "zero"), ("degenerate", "zero"),
+         ("zero", "degenerate"), ("dimension", "degenerate")],
+    )
+    def test_the_first_faulty_sample_raises(self, faults):
+        good = make_sample("good", 0, [1.0, 1.0], [])
+        samples = [good] + [self.sample(fault) for fault in faults]
+        _, error, message = self.FAULTS[faults[0]]
+        with pytest.raises(error) as raised:
+            batch_prefix_losses(
+                samples, self.CATALOG, [self.CATALOG.concepts_for(0)] * 3, ("dis",)
+            )
+        assert str(raised.value).startswith(message)
 
 
 class TestCoverage:

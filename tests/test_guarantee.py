@@ -187,6 +187,15 @@ class TestPreconditions:
         with pytest.raises(ValueError):
             validate_guarantee(RiskBudget(0.7, 0.2, 0.2), pool, 5, 50, 0)
 
+    @pytest.mark.parametrize("slack", [float("nan"), float("inf"), float("-inf"), -0.01])
+    def test_slack_must_be_finite_and_non_negative(self, slack):
+        """An infinite slack would pass every run and a NaN one fail every
+        run, writing a non-JSON ``NaN`` into the report."""
+        samples, catalog = degenerate_pool(20)
+        pool = ExchangeablePool(samples=samples, catalog=catalog)
+        with pytest.raises(ValueError, match="slack must be finite and >= 0"):
+            validate_guarantee(RiskBudget(0.7, 0.2, 0.2), pool, 5, 100, 0, slack=slack)
+
     def test_pool_must_cover_ncal_plus_target(self):
         samples, catalog = degenerate_pool(10)
         pool = ExchangeablePool(samples=samples, catalog=catalog)
@@ -238,9 +247,9 @@ ENGINE_CASES = {
 
 
 class TestBatchedSearchMatchesTrialLoop:
-    """The batched two-level search reports exactly what the per-trial loop
-    over full-grid means reports. Grid lengths 1001, 101, 4 and 3 are no
-    multiples of the search's block length."""
+    """The batched per-draw bisection reports exactly what the per-trial loop
+    over full-grid means reports. Grid lengths 1001, 101, 4 and 3 take 10, 7,
+    3 and 2 bisection steps."""
 
     @pytest.mark.filterwarnings("ignore:corrected budget non-positive")
     @pytest.mark.parametrize("resolution", [1e-3, 0.01, 0.3, 0.5])

@@ -7,6 +7,7 @@ error decides membership unless the boundary guard absorbs it.
 
 import warnings
 from random import Random
+from unittest import mock
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -14,10 +15,10 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import assert_profiles_match, make_catalog, make_sample
+from riskcbm import calibration, concept_sets
 from riskcbm.calibration import (
     LossProfiles,
     RiskBudget,
-    _blocked_losses,
     _leftmost_within_budget,
     build_loss_profiles,
     calibrate,
@@ -166,7 +167,7 @@ def test_calibrate_picks_the_scanned_threshold(instance, data, resolution, alpha
     draw's mean risks picks. Exact mode searches only the profiles' entries,
     so the scan also covers lower-confidence duplicate detections, which
     change no set. The breakpoints are not uniform, so exact mode also runs
-    the two-level search through block padding on uneven candidates."""
+    the bisection on uneven candidates."""
     pool, catalog = instance
     n_cal = data.draw(st.integers(1, len(pool)))
     budget = RiskBudget(*alphas)
@@ -193,12 +194,14 @@ def test_calibrate_picks_the_scanned_threshold(instance, data, resolution, alpha
 AWKWARD_LOSSES = [1.0, 0.7, 1 / 3, 0.3, 0.2, 0.1, 2.0**-52, 2.0**-53, 0.0, -0.05]
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.sampled_from([1e-3, 0.01, 0.3, 0.5]))
-def test_batched_search_is_exact_at_the_budget(seed, resolution):
-    """With the budget set to a draw's own mean risk at some grid point, or
-    one ulp below it, the two-level search lands where a search of the full
-    mean-risk vector does; a mean summed in any other order would miss."""
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([1, 7, 1 << 15]))
+def test_batched_search_is_exact_at_the_budget(seed, cells):
+    """Up to 40 draws are searched in one call, on grids of 1001, 101, 4 and
+    3 points, in chunks of as few as one draw. With the budget set to one
+    draw's own mean risk at some grid point, or one ulp below it, every
+    draw's bisection lands where a scan of its own full mean-risk vector
+    does; a mean summed in any other order would miss."""
     rng = np.random.default_rng(seed)
     n_samples = int(rng.integers(2, 9))
     neg_confidences = np.full((n_samples, 4), np.inf)
@@ -210,15 +213,47 @@ def test_batched_search_is_exact_at_the_budget(seed, resolution):
         row = np.sort(rng.choice(AWKWARD_LOSSES, size=(1, n_states)))[0, ::-1]
         values[0, i] = np.pad(row, (0, 5 - n_states), mode="edge")
     profiles = LossProfiles(("dis",), neg_confidences, values)
-    grid = default_grid(resolution)
-    matrix = profiles.matrix_on_grid("dis", grid)
-    blocked = _blocked_losses(profiles, "dis", grid)
     n_cal = int(rng.integers(1, n_samples + 1))
-    for _ in range(10):
-        rows = rng.choice(n_samples, size=(1, n_cal), replace=False)
-        risks = matrix[rows[0]].mean(axis=0)
-        at = risks[rng.integers(len(grid))]
-        for budget in (at, np.nextafter(at, -np.inf)):
-            expected = oracles.leftmost_scan(risks, budget)
-            found = _leftmost_within_budget(blocked, rows, budget)[0]
-            assert found == (-1 if expected is None else expected), (list(rows[0]), budget)
+    rows = np.stack(
+        [rng.choice(n_samples, size=n_cal, replace=False) for _ in range(rng.integers(1, 41))]
+    )
+    for resolution in (1e-3, 0.01, 0.3, 0.5):
+        grid = default_grid(resolution)
+        matrix = profiles.matrix_on_grid("dis", grid)
+        risks = np.stack([matrix[draw].mean(axis=0) for draw in rows])
+        for _ in range(5):
+            at = risks[rng.integers(len(rows)), rng.integers(len(grid))]
+            for budget in (at, np.nextafter(at, -np.inf)):
+                expected = [oracles.leftmost_scan(draw_risks, budget) for draw_risks in risks]
+                with mock.patch.object(calibration, "_SEARCH_CELLS", cells):
+                    found = _leftmost_within_budget(matrix, rows, budget)
+                assert found.tolist() == [-1 if e is None else e for e in expected], (
+                    len(grid), budget,
+                )
+
+
+@settings(max_examples=60, deadline=None)
+@given(instances(max_samples=8), st.randoms(use_true_random=False), st.integers(1, 3))
+def test_a_profile_row_does_not_depend_on_its_batch(instance, random, batch_size):
+    """Each sample's prefix losses over its entry order are the same bits
+    whether it is scored alone, in the full batch, in a shuffled batch, or
+    in batches of ``batch_size`` whose boundaries split the samples."""
+    samples, catalog = instance
+    lists = [[concept for concept, _ in oracles.entry_order(s)] for s in samples]
+    alone = [batch_prefix_losses([s], catalog, [c])[:, 0] for s, c in zip(samples, lists)]
+    order = list(range(len(samples)))
+    random.shuffle(order)
+    shuffled = batch_prefix_losses(
+        [samples[i] for i in order], catalog, [lists[i] for i in order]
+    )
+    with mock.patch.object(concept_sets, "_BATCH_SIZE", batch_size):
+        split = batch_prefix_losses(samples, catalog, lists)
+    for batch, positions in (
+        (batch_prefix_losses(samples, catalog, lists), range(len(samples))),
+        (shuffled, [order.index(i) for i in range(len(samples))]),
+        (split, range(len(samples))),
+    ):
+        for i, pos in enumerate(positions):
+            width = len(lists[i]) + 1
+            assert np.array_equal(batch[:, pos, :width], alone[i]), i
+            assert np.all(batch[:, pos, width:] == alone[i][:, -1:]), i
