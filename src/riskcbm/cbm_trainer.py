@@ -12,6 +12,7 @@ float64 numpy and is bit-deterministic for a fixed seed and batch order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -49,10 +50,6 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     e = np.exp(-np.abs(x))
     d = 1.0 + e
     return np.where(x >= 0, 1.0 / d, e / d)
-
-
-def _softplus(x: np.ndarray) -> np.ndarray:
-    return np.logaddexp(0.0, x)
 
 
 @dataclass(eq=False)
@@ -115,15 +112,14 @@ class TrainConfig:
     batch_size: int = 64
     rng_seed: int = 0
     momentum: float = 0.0
-    l1_proximal: bool = False  # soft-threshold step instead of L1 subgradient
 
     def __post_init__(self) -> None:
-        if self.gamma1 < 0 or self.gamma2 < 0:
-            raise ValueError("gamma1 and gamma2 must be >= 0")
+        for name in ("gamma1", "gamma2", "learning_rate"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
         if not 0.0 <= self.beta <= 1.0:
             raise ValueError(f"beta must be in [0,1], got {self.beta}")
-        if self.learning_rate < 0:
-            raise ValueError(f"learning_rate must be >= 0, got {self.learning_rate}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be positive")
         if not 0.0 <= self.momentum < 1.0:
@@ -176,7 +172,9 @@ def forward(
 
 
 def _bce(U: np.ndarray, targets: np.ndarray) -> float:
-    return float(np.mean(_softplus(U) - targets * U))
+    """mean(softplus(U) - O*U), softplus in the stable form `sigmoid` uses."""
+    softplus = np.maximum(U, 0.0) + np.log1p(np.exp(-np.abs(U)))
+    return float(np.mean(softplus - targets * U))
 
 
 def _cross_entropy(V: np.ndarray, labels: np.ndarray) -> float:
@@ -228,14 +226,10 @@ class Gradients(NamedTuple):
     head_bias: np.ndarray
 
 
-def gradients(
-    model: CbmModel, batch: Batch, config: TrainConfig, *, include_l1: bool = True
-) -> Gradients:
+def gradients(model: CbmModel, batch: Batch, config: TrainConfig) -> Gradients:
     """Analytic gradient of the full objective on the batch.
 
-    The L1 part uses the subgradient convention sign(0) = 0; pass
-    ``include_l1=False`` to get only the smooth part (used by the proximal
-    update).
+    The L1 part uses the subgradient convention sign(0) = 0.
     """
     n, k = batch.concept_targets.shape
     Z = batch.embeddings
@@ -261,8 +255,7 @@ def gradients(
 
     W = model.head_weights
     dW_head = dW_head + config.gamma2 * (1.0 - config.beta) * W
-    if include_l1:
-        dW_head = dW_head + config.gamma2 * config.beta * np.sign(W)
+    dW_head = dW_head + config.gamma2 * config.beta * np.sign(W)
     return Gradients(dW_concept, db_concept, dW_head, db_head)
 
 
@@ -286,10 +279,6 @@ def _init_model(d: int, k: int, L: int, rng: np.random.Generator) -> CbmModel:
         head_weights=uniform((L, k), k),
         head_bias=uniform((L,), k),
     )
-
-
-def _soft_threshold(W: np.ndarray, amount: float) -> np.ndarray:
-    return np.sign(W) * np.maximum(np.abs(W) - amount, 0.0)
 
 
 def train(
@@ -332,16 +321,11 @@ def train(
                 concept_targets=full.concept_targets[rows],
                 labels=full.labels[rows],
             )
-            grad = gradients(model, batch, config, include_l1=not config.l1_proximal)
+            grad = gradients(model, batch, config)
             for vel, g, param in zip(velocity, grad, model._arrays()):
                 vel *= config.momentum
                 vel += g
                 param -= config.learning_rate * vel
-            if config.l1_proximal:
-                model.head_weights[:] = _soft_threshold(
-                    model.head_weights,
-                    config.learning_rate * config.gamma2 * config.beta,
-                )
         row = TrainLogRow(epoch, *_terms(model, full, config))
         if not np.isfinite(row.total):
             raise TrainingDivergedError(

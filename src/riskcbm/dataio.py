@@ -445,7 +445,8 @@ def load_model(path: "str | Path") -> tuple[CbmModel, ConceptVocabulary, TrainCo
             head_bias=np.asarray(doc["head_bias"], dtype=np.float64),
         ).freeze()
         vocab = _vocab_from_json(doc["vocabulary"])
-        config = TrainConfig(**doc["config"])
+        # Earlier checkpoints record the removed `l1_proximal` option.
+        config = TrainConfig(**{k: v for k, v in doc["config"].items() if k != "l1_proximal"})
     if model.num_concepts != len(vocab):
         raise DataError(
             f"{path}: checkpoint bottleneck width {model.num_concepts} "

@@ -118,7 +118,7 @@ def assert_grid_lookups_match(profiles, neg_confidences, values, grids):
 
 PATHS = {"train": "a", "test": "b", "catalog": "c", "output_dir": "d"}
 
-# One misspelt key per place a config file can hold one.
+# One misspelt key per place a config file can hold one, and one removed key.
 BAD_KEYS = {
     "top-level": ({"evaluation": {"nec": 4}}, "evaluation"),
     "paths": ({"paths": dict(PATHS, outdir="e")}, "outdir"),
@@ -127,6 +127,7 @@ BAD_KEYS = {
     "calibration": ({"calibration": {"exact_mode": True}}, "exact_mode"),
     "eval": ({"eval": {"nec_max": 4}}, "nec_max"),
     "train": ({"train": {"epoch": 5}}, "epoch"),
+    "train-removed": ({"train": {"l1_proximal": True}}, "l1_proximal"),
     "augmentation": ({"augmentation": {"min_counts": 3}}, "min_counts"),
 }
 
@@ -136,6 +137,14 @@ BAD_VALUES = {
     "nec-null": ({"eval": {"nec": None}}, "nec in config section 'eval' must be int"),
     "epochs-string": ({"train": {"epochs": "5"}}, "epochs in config section 'train' must be int"),
     "resolution-zero": ({"calibration": {"resolution": 0}}, "resolution must be in (0, 0.5], got 0"),
+    "learning-rate-nan": (
+        {"train": {"learning_rate": float("nan")}}, "learning_rate must be finite and >= 0, got nan"
+    ),
+    "learning-rate-inf": (
+        {"train": {"learning_rate": float("inf")}}, "learning_rate must be finite and >= 0, got inf"
+    ),
+    "gamma1-nan": ({"train": {"gamma1": float("nan")}}, "gamma1 must be finite and >= 0, got nan"),
+    "gamma2-inf": ({"train": {"gamma2": float("inf")}}, "gamma2 must be finite and >= 0, got inf"),
     "missing-path": (
         {"paths": {k: v for k, v in PATHS.items() if k != "test"}},
         "missing required path: test",

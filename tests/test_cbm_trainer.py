@@ -1,12 +1,19 @@
 """Forward pass, objective terms, analytic gradients, and training behavior."""
 
+import json
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from riskcbm.cbm_trainer import (
     Batch,
+    _bce,
     CbmModel,
     TrainConfig,
     TrainingDivergedError,
@@ -22,8 +29,15 @@ from riskcbm.cbm_trainer import (
     train,
 )
 from riskcbm.core import ConceptId, DataError
-from riskcbm.dataset_builder import ConceptLabeledSample, ConceptVocabulary
+from riskcbm.dataio import load_model
+from riskcbm.dataset_builder import (
+    ConceptLabeledSample,
+    ConceptVocabulary,
+    build_vocabulary,
+    label_sample,
+)
 from riskcbm.evaluation import predict
+from riskcbm.synth import SynthSpec, generate_synthetic
 
 
 def model_of(wg, bg, wf, bf):
@@ -200,6 +214,63 @@ class TestGradients:
         assert np.all(grad.head_weights == 0.0)
 
 
+EPS = np.finfo(np.float64).eps
+
+# Logits at the edges of the logistic forms: 0, a logit whose softplus
+# rounds to itself, exp(-|U|) at its last subnormal, the end of the float
+# range, and subnormals.
+EDGE_LOGITS = [
+    0.0, 36.0, -36.0, 745.0, -745.0, 1e308, -1e308, 5e-324, -5e-324, 2.2e-308,
+]
+LOGITS = (
+    st.sampled_from(EDGE_LOGITS)
+    | st.floats(-800.0, 800.0)
+    | st.floats(allow_nan=False, allow_infinity=False)
+)
+
+
+class TestOneBceForm:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.tuples(st.integers(1, 4), st.integers(1, 4)).flatmap(
+            lambda shape: st.tuples(
+                arrays(np.float64, shape, elements=LOGITS),
+                arrays(np.float64, shape, elements=st.sampled_from([0.0, 1.0])),
+            )
+        )
+    )
+    @example((np.array([EDGE_LOGITS]), np.zeros((1, len(EDGE_LOGITS)))))
+    @example((np.array([EDGE_LOGITS]), np.ones((1, len(EDGE_LOGITS)))))
+    def test_bce_matches_logaddexp(self, logits_and_targets):
+        """Within 4 eps of the mean's uncancelled size mean(softplus(U) +
+        O*|U|). Relative to the mean itself the bound cannot hold: where
+        O = 1, softplus(U) - U cancels, and one ulp of softplus(U) near
+        U = 1.5 reads as about 7 eps of the difference."""
+        U, O = logits_and_targets
+        with np.errstate(over="ignore"):
+            got = _bce(U, O)
+            want = float(np.mean(np.logaddexp(0.0, U) - O * U))
+        if np.isinf(want):
+            assert got == want
+            return
+        # half the size, summed from halves so that it cannot overflow
+        half = np.sum((0.5 * np.logaddexp(0.0, U) + 0.5 * O * np.abs(U)) / U.size)
+        assert abs(got - want) <= 8 * EPS * max(half, np.finfo(np.float64).tiny)
+
+    @pytest.mark.parametrize("momentum", [0.0, 0.9])
+    def test_log_rows_are_the_objective(self, momentum):
+        """Row e of the log is `objective` on the model after e epochs, exactly."""
+        samples, vocab = separable_dataset(5)
+        config = TrainConfig(epochs=3, momentum=momentum, batch_size=4, rng_seed=10)
+        full = make_batch(samples)
+        _, log = train(samples, vocab, config)
+        initial, _ = train(samples, vocab, replace(config, epochs=1, learning_rate=0.0))
+        assert log[0].total == objective(initial, full, config)
+        for e in (1, 2, 3):
+            model, _ = train(samples, vocab, replace(config, epochs=e))
+            assert log[e].total == objective(model, full, config)
+
+
 def separable_dataset(n_per_class=20, seed=0):
     """Two linearly separable clusters with class-indicator concept labels."""
     rng = np.random.default_rng(seed)
@@ -288,15 +359,6 @@ class TestTraining:
         with np.errstate(over="ignore"), pytest.raises(TrainingDivergedError):
             train(samples, vocab, config)
 
-    def test_proximal_option_sparsifies(self):
-        # with no task gradient and a pure-L1 penalty, the soft-threshold
-        # step shrinks every head weight to exactly zero
-        samples, vocab = separable_dataset(10)
-        config = TrainConfig(gamma1=0.0, gamma2=0.1, beta=1.0, epochs=100,
-                             learning_rate=0.2, l1_proximal=True, rng_seed=8)
-        model, _ = train(samples, vocab, config)
-        assert np.all(model.head_weights == 0.0)
-
     def test_momentum_accepted(self):
         samples, vocab = separable_dataset(6)
         config = TrainConfig(epochs=30, momentum=0.9, learning_rate=0.05, rng_seed=9)
@@ -310,3 +372,35 @@ class TestTraining:
         assert batch.embeddings.shape == (6, 2)
         assert batch.concept_targets.shape == (6, 2)
         assert batch.labels.shape == (6,)
+
+
+GOLDEN_MODEL = Path(__file__).parent / "data" / "model_seed3_momentum.json"
+
+
+def golden_training():
+    """The run behind `GOLDEN_MODEL`: synth seed 3, concept sets at λ=0.5,
+    30 epochs with momentum 0.9. The file was written by `dataio.save_model`
+    from this function's result."""
+    spec = SynthSpec(classes=3, concepts_per_class=4, samples_per_class=10,
+                     embedding_dim=8, seed=3, with_pixels=False)
+    samples, catalog = generate_synthetic(spec)
+    vocab = build_vocabulary(samples, catalog, 0.5)
+    labeled = [label_sample(s, vocab, 0.5) for s in samples]
+    config = TrainConfig(epochs=30, momentum=0.9, learning_rate=0.05, batch_size=8,
+                         rng_seed=3)
+    model, _ = train(labeled, vocab, config, n_classes=catalog.num_classes)
+    return model, vocab, config
+
+
+class TestGoldenCheckpoint:
+    def test_retraining_reproduces_the_checkpoint(self):
+        """Pins the update rule: the four arrays and the vocabulary, exactly.
+        The file was written while `TrainConfig` still had `l1_proximal`, so
+        loading it also covers a checkpoint that records the removed key."""
+        assert json.loads(GOLDEN_MODEL.read_text())["config"]["l1_proximal"] is False
+        model, vocab, config = golden_training()
+        golden, golden_vocab, golden_config = load_model(GOLDEN_MODEL)
+        for got, want in zip(model._arrays(), golden._arrays()):
+            assert np.array_equal(got, want)
+        assert vocab.concepts == golden_vocab.concepts
+        assert golden_config == config

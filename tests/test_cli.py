@@ -50,6 +50,12 @@ def built(data_dir, tmp_path_factory):
     return cal_json, labeled, vocab
 
 
+# A short `train` run on the `built` files; each case appends the setting under test.
+TRAIN_ARGV = [
+    "train", "--labeled", "{labeled}", "--catalog", "{data}/catalog.json",
+    "--vocab", "{vocab}", "--out", "{tmp}/model.json", "--epochs", "2",
+]
+
 # Embeddings that load_dataset rejects, one per fault.
 FAULTY_EMBEDDINGS = {
     "nan": lambda emb: [float("nan")] + emb[1:],
@@ -419,17 +425,26 @@ class TestUsageErrors:
             ["crc-check", "--pool", "40", "--n-cal", "10", "--trials", "100", "--slack", "inf"],
             ["crc-check", "--pool", "40", "--n-cal", "10", "--trials", "100", "--slack=-0.01"],
             ["synth", "--out-dir", "{tmp}", "--classes", "0"],
+            [*TRAIN_ARGV, "--learning-rate", "nan"],
+            [*TRAIN_ARGV, "--learning-rate", "inf"],
+            [*TRAIN_ARGV, "--gamma2", "inf"],
         ],
         ids=[
             "trials", "n-cal", "alpha", "crc-classes", "slack-nan", "slack-inf",
-            "slack-negative", "synth-classes",
+            "slack-negative", "synth-classes", "learning-rate-nan", "learning-rate-inf",
+            "gamma2-inf",
         ],
     )
-    def test_bad_value_is_a_one_line_usage_error(self, argv, tmp_path, capsys):
-        code = main([arg.format(tmp=tmp_path) for arg in argv])
+    def test_bad_value_is_a_one_line_usage_error(self, argv, data_dir, built, tmp_path, capsys):
+        _, labeled, vocab = built
+        code = main([
+            arg.format(tmp=tmp_path, data=data_dir, labeled=labeled, vocab=vocab)
+            for arg in argv
+        ])
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert not (tmp_path / "model.json").exists()
 
     @pytest.mark.parametrize(
         "argv",

@@ -136,8 +136,9 @@ def test_from_dict_accepts_every_documented_key():
         "split": {"train_fraction": 0.5, "seed": 2},
         "calibration": {"resolution": 0.01, "exact": True},
         "eval": {"nec": 4},
-        "train": {"epochs": 5, "learning_rate": 0.5, "rng_seed": 1, "l1_proximal": True},
+        "train": {"epochs": 5, "learning_rate": 0.5, "rng_seed": 1, "momentum": 0.5},
         "augmentation": {"min_count": 3, "max_placement_attempts": 7, "rng_seed": 1},
     })
     assert (config.split_seed, config.resolution, config.exact_calibration) == (2, 0.01, True)
-    assert (config.train.epochs, config.augmentation.max_placement_attempts) == (5, 7)
+    assert (config.train.epochs, config.train.momentum) == (5, 0.5)
+    assert config.augmentation.max_placement_attempts == 7
