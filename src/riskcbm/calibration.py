@@ -98,6 +98,9 @@ class CalibrationResult:
     curves: dict[str, RiskCurve] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        for k in CRITERIA:
+            if not 0.0 <= self.lambda_for(k) <= 1.0:
+                raise ValueError(f"lambda_{k} must be in [0, 1], got {self.lambda_for(k)}")
         expected = max(self.lambda_dis, self.lambda_cov, self.lambda_div)
         if self.lambda_hat != expected:
             raise ValueError(
@@ -499,12 +502,6 @@ def _mean_over_draws(table: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return acc
 
 
-# Cells of the (draw position, draw) index block one bisection step reads at
-# once; bounds the search's temporaries to a few hundred kilobytes whatever
-# the trial count.
-_SEARCH_CELLS = 1 << 15
-
-
 def _leftmost_within_budget(matrix: np.ndarray, rows: np.ndarray, budget: float) -> np.ndarray:
     """Per draw (a row of ``rows``), the index of the first column of the
     (n_samples, candidates) loss ``matrix`` whose mean over the drawn samples
@@ -513,28 +510,24 @@ def _leftmost_within_budget(matrix: np.ndarray, rows: np.ndarray, budget: float)
     The means never increase along the candidates, so each draw bisects its
     own half-open range [lo, hi) of columns that may hold the first
     qualifying one, reading one column per step; a range that closes at the
-    end of the candidates finds none.
+    end of the candidates finds none. All draws step together.
     """
     n_cols = matrix.shape[1]
     cells = matrix.ravel()
-    out = np.empty(len(rows), dtype=np.intp)
-    per_chunk = max(1, _SEARCH_CELLS // rows.shape[1])
-    for start in range(0, len(rows), per_chunk):
-        # Row j of ``offsets`` holds draw position j of every draw in the
-        # chunk, so each gather of the mean reads one contiguous index row.
-        offsets = np.ascontiguousarray(rows[start : start + per_chunk].T) * n_cols
-        lo = np.zeros(offsets.shape[1], dtype=np.intp)
-        hi = np.full(offsets.shape[1], n_cols, dtype=np.intp)
-        for _ in range(n_cols.bit_length()):
-            mid = (lo + hi) // 2
-            # A closed range (lo == hi) keeps its bounds; its read, clipped
-            # onto the last column when lo == n_cols, is not used.
-            read = _mean_over_draws(cells, (offsets + np.minimum(mid, n_cols - 1)).T)
-            within = (read <= budget) | (lo == hi)
-            hi = np.where(within, mid, hi)
-            lo = np.where(within, lo, mid + 1)
-        out[start : start + len(lo)] = np.where(lo < n_cols, lo, -1)
-    return out
+    # Row j of ``offsets`` holds draw position j of every draw, so each
+    # gather of the mean reads one contiguous index row.
+    offsets = np.ascontiguousarray(rows.T) * n_cols
+    lo = np.zeros(len(rows), dtype=np.intp)
+    hi = np.full(len(rows), n_cols, dtype=np.intp)
+    for _ in range(n_cols.bit_length()):
+        mid = (lo + hi) // 2
+        # A closed range (lo == hi) keeps its bounds; its read, clipped
+        # onto the last column when lo == n_cols, is not used.
+        read = _mean_over_draws(cells, (offsets + np.minimum(mid, n_cols - 1)).T)
+        within = (read <= budget) | (lo == hi)
+        hi = np.where(within, mid, hi)
+        lo = np.where(within, lo, mid + 1)
+    return np.where(lo < n_cols, lo, -1)
 
 
 def _guarantee_report(

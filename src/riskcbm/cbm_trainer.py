@@ -124,6 +124,8 @@ class TrainConfig:
             raise ValueError("epochs and batch_size must be positive")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError(f"momentum must be in [0,1), got {self.momentum}")
+        if self.rng_seed < 0:
+            raise ValueError(f"rng_seed must be >= 0, got {self.rng_seed}")
 
 
 @dataclass(eq=False)

@@ -181,8 +181,6 @@ def _cmd_synth(args) -> int:
             "--samples-per-class must be >= 1 and --test-samples-per-class >= 0, "
             f"got {args.samples_per_class} and {args.test_samples_per_class}"
         )
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     # Train and test come from one generation run so they share the same
     # prototypes, concept embeddings, and presence rates.
     spec = SynthSpec(
@@ -194,6 +192,8 @@ def _cmd_synth(args) -> int:
         seed=args.seed,
         with_pixels=not args.no_pixels,
     )
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     samples, catalog = generate_synthetic(spec)
     by_class: dict[int, list] = {}
     for s in samples:

@@ -259,9 +259,6 @@ def _div_batch(cache: _CatalogCache, catalog: ConceptCatalog, batch: _Batch) -> 
 
 _BATCH_KERNELS = dict(zip(CRITERIA, (_dis_batch, _cov_batch, _div_batch)))
 
-# Pairs scored together; bounds the (pairs, P, P) diversity blocks.
-_BATCH_SIZE = 256
-
 
 def batch_prefix_losses(
     samples: Sequence,
@@ -332,25 +329,21 @@ def _prefix_losses(
     criteria: Sequence[str],
 ) -> np.ndarray:
     """`batch_prefix_losses` of lists given as their catalog ``rows``,
-    concatenated, and their ``lengths``."""
-    width = int(lengths.max(initial=0)) + 1
-    padded = np.zeros((len(samples), width - 1), dtype=np.intp)
-    padded[_leading(lengths, width - 1)] = rows
-    out = np.empty((len(criteria), len(samples), width))
-    for lo in range(0, len(samples), _BATCH_SIZE):
-        part = slice(lo, lo + _BATCH_SIZE)
-        part_lengths = lengths[part]
-        batch = _Batch(
-            samples=samples[part],
-            labels=np.array([_checked_label(s, catalog) for s in samples[part]], dtype=np.intp),
-            rows=padded[part, : int(part_lengths.max())],
-            lengths=part_lengths,
-        )
-        losses = np.stack([_BATCH_KERNELS[k](cache, catalog, batch) for k in criteria])
-        # A column past a list's end reads the list's last column.
-        cols = np.minimum(np.arange(width), part_lengths[:, None])
-        out[:, part] = losses[:, np.arange(len(cols))[:, None], cols]
-    return out
+    concatenated, and their ``lengths``: one batch of every pair, each
+    criterion's kernel run once."""
+    width = int(lengths.max(initial=0))
+    padded = np.zeros((len(samples), width), dtype=np.intp)
+    padded[_leading(lengths, width)] = rows
+    batch = _Batch(
+        samples=samples,
+        labels=np.array([_checked_label(s, catalog) for s in samples], dtype=np.intp),
+        rows=padded,
+        lengths=lengths,
+    )
+    losses = np.stack([_BATCH_KERNELS[k](cache, catalog, batch) for k in criteria])
+    # A column past a list's end reads the list's last column.
+    cols = np.minimum(np.arange(width + 1), lengths[:, None])
+    return losses[:, np.arange(len(samples))[:, None], cols]
 
 
 def _last_column(criterion: str, cset: ConceptSet, sample, catalog: ConceptCatalog) -> float:

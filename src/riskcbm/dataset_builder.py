@@ -179,6 +179,8 @@ class AugmentationConfig:
             raise ValueError(
                 f"max_placement_attempts must be >= 1, got {self.max_placement_attempts}"
             )
+        if self.rng_seed < 0:
+            raise ValueError(f"rng_seed must be >= 0, got {self.rng_seed}")
 
 
 def positive_counts(

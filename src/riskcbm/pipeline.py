@@ -96,6 +96,8 @@ class PipelineConfig:
             )
         if self.nec < 1:
             raise ValueError(f"nec must be >= 1, got {self.nec}")
+        if self.split_seed < 0:
+            raise ValueError(f"split_seed must be >= 0, got {self.split_seed}")
         default_grid(self.resolution)  # raises on a resolution out of range
 
     @classmethod

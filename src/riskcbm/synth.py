@@ -56,8 +56,10 @@ class SynthSpec:
             raise ValueError("classes, concepts_per_class, samples_per_class must be positive")
         if self.embedding_dim < 2:
             raise ValueError("embedding_dim must be >= 2")
-        if self.noise < 0:
-            raise ValueError("noise must be >= 0")
+        if not (np.isfinite(self.noise) and self.noise >= 0):
+            raise ValueError(f"noise must be finite and >= 0, got {self.noise}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.image_size < 32:
             raise ValueError("image_size must be >= 32")  # box sampling needs headroom
 

@@ -145,6 +145,11 @@ BAD_VALUES = {
     ),
     "gamma1-nan": ({"train": {"gamma1": float("nan")}}, "gamma1 must be finite and >= 0, got nan"),
     "gamma2-inf": ({"train": {"gamma2": float("inf")}}, "gamma2 must be finite and >= 0, got inf"),
+    "split-seed-negative": ({"split": {"seed": -1}}, "split_seed must be >= 0, got -1"),
+    "train-seed-negative": ({"train": {"rng_seed": -1}}, "rng_seed must be >= 0, got -1"),
+    "augmentation-seed-negative": (
+        {"augmentation": {"rng_seed": -1}}, "rng_seed must be >= 0, got -1"
+    ),
     "missing-path": (
         {"paths": {k: v for k, v in PATHS.items() if k != "test"}},
         "missing required path: test",

@@ -1,5 +1,6 @@
 """Empirical risk, threshold search, and the calibration result contract."""
 
+import hashlib
 import warnings
 
 import numpy as np
@@ -13,7 +14,9 @@ from conftest import (
     make_sample,
     random_instance,
 )
+from riskcbm import dataio
 from riskcbm.calibration import (
+    DEFAULT_BUDGET,
     DEFAULT_RESOLUTION,
     CalibrationResult,
     LossProfiles,
@@ -260,6 +263,36 @@ class TestCalibrate:
                 lambda_dis=0.2, lambda_cov=0.3, lambda_div=0.1,
                 lambda_hat=0.9, n_cal=10, budget=RiskBudget(0.7, 0.2, 0.2),
             )
+
+    @pytest.mark.parametrize(
+        "exact, lambdas, digest",
+        [
+            (
+                False,
+                (0.75, 0.355, 0.8310000000000001),
+                "49d1c2fec96df17192da8b4ba34f97b5ffcfeb8b98cfb92b7db11db01933dd6f",
+            ),
+            (
+                True,
+                (0.7492106138249419, 0.3542846759951337, 0.8300516001911146),
+                "a51fb72b511f2c110c08fd684edd270123e7f129815af4437bdbf8107f4b6a4a",
+            ),
+        ],
+        ids=["grid", "exact"],
+    )
+    def test_matches_the_golden_values_above_256_rows(self, exact, lambdas, digest, tmp_path):
+        """Pins the thresholds and the saved bytes, curves included, of a
+        320-row calibration. The values were written by a kernel that scored
+        at most 256 pairs at a time, so they hold only while no row depends
+        on the batch it is scored in."""
+        spec = SynthSpec(classes=4, concepts_per_class=8, samples_per_class=80,
+                         embedding_dim=16, noise=0.5, seed=7, with_pixels=False)
+        samples, catalog = generate_synthetic(spec)
+        result = calibrate(DEFAULT_BUDGET, samples, catalog, exact=exact)
+        assert (result.lambda_dis, result.lambda_cov, result.lambda_div) == lambdas
+        dataio.save_calibration(tmp_path / "calibration.json", result)
+        saved = (tmp_path / "calibration.json").read_bytes()
+        assert hashlib.sha256(saved).hexdigest() == digest
 
     def test_curve_monotonicity_enforced(self):
         with pytest.raises(ValueError):

@@ -167,6 +167,36 @@ class TestStagedCommands:
         assert err.startswith(f"error: {cal_json}: malformed calibration result")
         assert err.count("\n") == 1, err
 
+    @pytest.mark.parametrize("lam", [1.5, -0.5, float("nan")], ids=["above", "below", "nan"])
+    @pytest.mark.parametrize("command", ["build", "augment"])
+    def test_threshold_outside_the_unit_interval_is_a_one_line_data_error(
+        self, command, lam, built, data_dir, tmp_path, capsys
+    ):
+        """A calibration file whose thresholds all lie outside [0, 1] is
+        malformed; neither stage writes anything at such a threshold."""
+        good, labeled, vocab = built
+        doc = json.loads(good.read_text())
+        for key in ("lambda_dis", "lambda_cov", "lambda_div", "lambda_hat"):
+            doc[key] = lam
+        cal_json = tmp_path / "calibration.json"
+        cal_json.write_text(json.dumps(doc))
+        out = tmp_path / "out.ndjson"
+        argv = {
+            "build": ["build", "--dataset", str(data_dir / "train.ndjson"),
+                      "--vocab-out", str(tmp_path / "vocab.json")],
+            "augment": ["augment", "--labeled", str(labeled), "--vocab", str(vocab)],
+        }[command]
+        capsys.readouterr()
+        code = main([
+            *argv, "--catalog", str(data_dir / "catalog.json"),
+            "--calibration", str(cal_json), "--out", str(out),
+        ])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: {cal_json}: malformed calibration result"), err
+        assert "lambda_dis must be in [0, 1]" in err and err.count("\n") == 1, err
+        assert not out.exists()
+
     @pytest.mark.parametrize("fault", list(FAULTY_EMBEDDINGS))
     @pytest.mark.parametrize("command", ["train", "augment"])
     def test_faulty_labeled_embedding_is_a_one_line_data_error(
@@ -415,27 +445,41 @@ class TestUsageErrors:
         assert code == 1
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, named",
         [
-            ["crc-check", "--pool", "40", "--n-cal", "30", "--trials", "50"],
-            ["crc-check", "--pool", "40", "--n-cal", "0"],
-            ["crc-check", "--pool", "40", "--alpha-dis", "1.5"],
-            ["crc-check", "--pool", "40", "--classes", "0"],
-            ["crc-check", "--pool", "40", "--n-cal", "10", "--trials", "100", "--slack", "nan"],
-            ["crc-check", "--pool", "40", "--n-cal", "10", "--trials", "100", "--slack", "inf"],
-            ["crc-check", "--pool", "40", "--n-cal", "10", "--trials", "100", "--slack=-0.01"],
-            ["synth", "--out-dir", "{tmp}", "--classes", "0"],
-            [*TRAIN_ARGV, "--learning-rate", "nan"],
-            [*TRAIN_ARGV, "--learning-rate", "inf"],
-            [*TRAIN_ARGV, "--gamma2", "inf"],
+            (["crc-check", "--pool", "40", "--n-cal", "30", "--trials", "50"], "n_trials"),
+            (["crc-check", "--pool", "40", "--n-cal", "0"], "n_cal"),
+            (["crc-check", "--pool", "40", "--alpha-dis", "1.5"], "alpha_dis"),
+            (["crc-check", "--pool", "40", "--classes", "0"], "classes"),
+            (["crc-check", "--pool", "40", "--n-cal", "10", "--trials", "100",
+              "--slack", "nan"], "slack"),
+            (["crc-check", "--pool", "40", "--n-cal", "10", "--trials", "100",
+              "--slack", "inf"], "slack"),
+            (["crc-check", "--pool", "40", "--n-cal", "10", "--trials", "100",
+              "--slack=-0.01"], "slack"),
+            (["crc-check", "--pool", "40", "--n-cal", "10", "--trials", "100",
+              "--noise", "inf"], "noise"),
+            (["crc-check", "--pool", "40", "--n-cal", "10", "--trials", "100",
+              "--seed", "-1"], "seed"),
+            (["synth", "--out-dir", "{tmp}/out", "--classes", "0"], "classes"),
+            (["synth", "--out-dir", "{tmp}/out", "--seed", "-1"], "seed"),
+            (["synth", "--out-dir", "{tmp}/out", "--noise", "nan"], "noise"),
+            ([*TRAIN_ARGV, "--learning-rate", "nan"], "learning_rate"),
+            ([*TRAIN_ARGV, "--learning-rate", "inf"], "learning_rate"),
+            ([*TRAIN_ARGV, "--gamma2", "inf"], "gamma2"),
+            ([*TRAIN_ARGV, "--seed", "-1"], "rng_seed"),
         ],
         ids=[
             "trials", "n-cal", "alpha", "crc-classes", "slack-nan", "slack-inf",
-            "slack-negative", "synth-classes", "learning-rate-nan", "learning-rate-inf",
-            "gamma2-inf",
+            "slack-negative", "crc-noise-inf", "crc-seed-negative", "synth-classes",
+            "synth-seed-negative", "synth-noise-nan", "learning-rate-nan",
+            "learning-rate-inf", "gamma2-inf", "train-seed-negative",
         ],
     )
-    def test_bad_value_is_a_one_line_usage_error(self, argv, data_dir, built, tmp_path, capsys):
+    def test_bad_value_is_a_one_line_usage_error(
+        self, argv, named, data_dir, built, tmp_path, capsys
+    ):
+        """The one error line names the setting at fault; nothing is written."""
         _, labeled, vocab = built
         code = main([
             arg.format(tmp=tmp_path, data=data_dir, labeled=labeled, vocab=vocab)
@@ -444,7 +488,9 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert named in err, err
         assert not (tmp_path / "model.json").exists()
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "argv",

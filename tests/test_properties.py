@@ -7,7 +7,6 @@ error decides membership unless the boundary guard absorbs it.
 
 import warnings
 from random import Random
-from unittest import mock
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -15,7 +14,6 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import assert_profiles_match, make_catalog, make_sample
-from riskcbm import calibration, concept_sets
 from riskcbm.calibration import (
     LossProfiles,
     RiskBudget,
@@ -195,13 +193,14 @@ AWKWARD_LOSSES = [1.0, 0.7, 1 / 3, 0.3, 0.2, 0.1, 2.0**-52, 2.0**-53, 0.0, -0.05
 
 
 @settings(max_examples=50, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.sampled_from([1, 7, 1 << 15]))
-def test_batched_search_is_exact_at_the_budget(seed, cells):
+@given(st.integers(0, 2**32 - 1), st.sampled_from([1, 3, 7]))
+def test_batched_search_is_exact_at_the_budget(seed, per_slice):
     """Up to 40 draws are searched in one call, on grids of 1001, 101, 4 and
-    3 points, in chunks of as few as one draw. With the budget set to one
-    draw's own mean risk at some grid point, or one ulp below it, every
-    draw's bisection lands where a scan of its own full mean-risk vector
-    does; a mean summed in any other order would miss."""
+    3 points, and again in contiguous slices of ``per_slice`` draws, as few
+    as one. With the budget set to one draw's own mean risk at some grid
+    point, or one ulp below it, every draw's bisection lands where a scan of
+    its own full mean-risk vector does, whatever slice it is searched in; a
+    mean summed in any other order would miss."""
     rng = np.random.default_rng(seed)
     n_samples = int(rng.integers(2, 9))
     neg_confidences = np.full((n_samples, 4), np.inf)
@@ -225,11 +224,13 @@ def test_batched_search_is_exact_at_the_budget(seed, cells):
             at = risks[rng.integers(len(rows)), rng.integers(len(grid))]
             for budget in (at, np.nextafter(at, -np.inf)):
                 expected = [oracles.leftmost_scan(draw_risks, budget) for draw_risks in risks]
-                with mock.patch.object(calibration, "_SEARCH_CELLS", cells):
-                    found = _leftmost_within_budget(matrix, rows, budget)
+                found = _leftmost_within_budget(matrix, rows, budget)
                 assert found.tolist() == [-1 if e is None else e for e in expected], (
                     len(grid), budget,
                 )
+                for lo in range(0, len(rows), per_slice):
+                    part = _leftmost_within_budget(matrix, rows[lo : lo + per_slice], budget)
+                    assert np.array_equal(part, found[lo : lo + per_slice]), (lo, per_slice)
 
 
 @settings(max_examples=60, deadline=None)
@@ -237,7 +238,8 @@ def test_batched_search_is_exact_at_the_budget(seed, cells):
 def test_a_profile_row_does_not_depend_on_its_batch(instance, random, batch_size):
     """Each sample's prefix losses over its entry order are the same bits
     whether it is scored alone, in the full batch, in a shuffled batch, or
-    in batches of ``batch_size`` whose boundaries split the samples."""
+    in a contiguous slice of ``batch_size`` samples, padded only to the
+    slice's longest list."""
     samples, catalog = instance
     lists = [[concept for concept, _ in oracles.entry_order(s)] for s in samples]
     alone = [batch_prefix_losses([s], catalog, [c])[:, 0] for s, c in zip(samples, lists)]
@@ -246,14 +248,17 @@ def test_a_profile_row_does_not_depend_on_its_batch(instance, random, batch_size
     shuffled = batch_prefix_losses(
         [samples[i] for i in order], catalog, [lists[i] for i in order]
     )
-    with mock.patch.object(concept_sets, "_BATCH_SIZE", batch_size):
-        split = batch_prefix_losses(samples, catalog, lists)
+    whole = batch_prefix_losses(samples, catalog, lists)
     for batch, positions in (
-        (batch_prefix_losses(samples, catalog, lists), range(len(samples))),
+        (whole, range(len(samples))),
         (shuffled, [order.index(i) for i in range(len(samples))]),
-        (split, range(len(samples))),
     ):
         for i, pos in enumerate(positions):
             width = len(lists[i]) + 1
             assert np.array_equal(batch[:, pos, :width], alone[i]), i
             assert np.all(batch[:, pos, width:] == alone[i][:, -1:]), i
+    for lo in range(0, len(samples), batch_size):
+        part = batch_prefix_losses(
+            samples[lo : lo + batch_size], catalog, lists[lo : lo + batch_size]
+        )
+        assert np.array_equal(part, whole[:, lo : lo + batch_size, : part.shape[2]]), lo

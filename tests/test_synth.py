@@ -1,6 +1,9 @@
 """Synthetic generator: determinism, structure, and the noise knob."""
 
+import re
+
 import numpy as np
+import pytest
 
 from riskcbm.core import validate_dataset
 from riskcbm.synth import SynthSpec, generate_synthetic, shift_distribution
@@ -48,6 +51,19 @@ class TestGenerate:
         for embeddings in by_class.values():
             for e in embeddings[1:]:
                 assert np.array_equal(embeddings[0], e)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("noise", float("nan"), "noise must be finite and >= 0, got nan"),
+            ("noise", float("inf"), "noise must be finite and >= 0, got inf"),
+            ("noise", -0.1, "noise must be finite and >= 0, got -0.1"),
+            ("seed", -1, "seed must be >= 0, got -1"),
+        ],
+    )
+    def test_spec_rejects_a_bad_noise_or_seed_by_name(self, field, value, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            SynthSpec(**{field: value})
 
     def test_no_pixels_mode(self):
         spec = SynthSpec(samples_per_class=2, with_pixels=False)
