@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from . import dataio
@@ -31,7 +32,7 @@ from .dataset_builder import (
     label_sample,
 )
 from .evaluation import EvalConfig
-from .pipeline import PipelineConfig, StageError, check_config, evaluate_sweep, run_pipeline
+from .pipeline import CONFIG_KEYS, PipelineConfig, StageError, check_config, evaluate_sweep, run_pipeline
 from .synth import SynthSpec, generate_synthetic, shift_distribution
 
 __all__ = ["main"]
@@ -59,17 +60,33 @@ def _require_file(path: str, what: str) -> Path:
     return p
 
 
-def _add_budget_flags(parser, default_to_none: bool = False) -> None:
-    # pipeline keeps None defaults so explicit flags can override a config file
+def _add_budget_flags(parser) -> None:
     for key, alpha in DEFAULT_BUDGET.as_dict().items():
-        default = None if default_to_none else alpha
-        parser.add_argument(f"--alpha-{key}", type=float, default=default)
+        parser.add_argument(f"--alpha-{key}", type=float, default=alpha)
 
 
-def _budget_from(args) -> RiskBudget:
-    return RiskBudget(
-        alpha_dis=args.alpha_dis, alpha_cov=args.alpha_cov, alpha_div=args.alpha_div
-    )
+def _config_from(cls, args):
+    """A ``cls`` built from the flags whose dests are its field names; a field
+    with no flag is an AttributeError."""
+    return cls(**{f.name: getattr(args, f.name) for f in fields(cls)})
+
+
+# Each `pipeline` flag, in --help order, and the config keys it overrides; a
+# flag parses to its keys' type in `CONFIG_KEYS`. A flag left out (None)
+# keeps the config file's value.
+_PIPELINE_FLAGS = {
+    "--train": [("paths", "train")],
+    "--test": [("paths", "test")],
+    "--catalog": [("paths", "catalog")],
+    "--out-dir": [("paths", "output_dir")],
+    **{f"--alpha-{k}": [("budget", f"alpha_{k}")] for k in DEFAULT_BUDGET.as_dict()},
+    "--train-fraction": [("split", "train_fraction")],
+    "--split-seed": [("split", "seed")],
+    "--min-count": [("augmentation", "min_count")],
+    "--epochs": [("train", "epochs")],
+    "--seed": [("augmentation", "rng_seed"), ("train", "rng_seed")],
+    "--nec": [("eval", "nec")],
+}
 
 
 def _build_parser() -> _Parser:
@@ -113,8 +130,11 @@ def _build_parser() -> _Parser:
     p.add_argument("--calibration", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--min-count", type=int, default=AugmentationConfig.min_count)
-    p.add_argument("--max-attempts", type=int, default=AugmentationConfig.max_placement_attempts)
-    p.add_argument("--seed", type=int, default=AugmentationConfig.rng_seed)
+    p.add_argument(
+        "--max-attempts", dest="max_placement_attempts", type=int,
+        default=AugmentationConfig.max_placement_attempts,
+    )
+    p.add_argument("--seed", dest="rng_seed", type=int, default=AugmentationConfig.rng_seed)
 
     p = sub.add_parser("train", help="train the concept-bottleneck classifier")
     p.add_argument("--labeled", required=True)
@@ -128,7 +148,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--learning-rate", type=float, default=TrainConfig.learning_rate)
     p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
     p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
-    p.add_argument("--seed", type=int, default=TrainConfig.rng_seed)
+    p.add_argument("--seed", dest="rng_seed", type=int, default=TrainConfig.rng_seed)
     p.add_argument("--momentum", type=float, default=TrainConfig.momentum)
 
     p = sub.add_parser("evaluate", help="accuracy and concept-compliance report")
@@ -143,17 +163,10 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("pipeline", help="run all stages end to end")
     p.add_argument("--config", help="JSON config file; flags override its values")
-    p.add_argument("--train")
-    p.add_argument("--test")
-    p.add_argument("--catalog")
-    p.add_argument("--out-dir")
-    _add_budget_flags(p, default_to_none=True)
-    p.add_argument("--train-fraction", type=float, default=None)
-    p.add_argument("--split-seed", type=int, default=None)
-    p.add_argument("--min-count", type=int, default=None)
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None, help="seed for augmentation and training")
-    p.add_argument("--nec", type=int, default=None)
+    for flag, keys in _PIPELINE_FLAGS.items():
+        section, key = keys[0]
+        note = "seed for augmentation and training" if flag == "--seed" else None
+        p.add_argument(flag, type=CONFIG_KEYS[section][key], help=note)
 
     p = sub.add_parser(
         "crc-check", help="Monte Carlo validation of the calibration guarantee"
@@ -171,7 +184,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--resolution", type=float, default=DEFAULT_RESOLUTION)
     p.add_argument("--shifted", action="store_true", help="draw targets from a shifted pool")
     p.add_argument("--out", help="write the JSON report here")
-    p.add_argument("--dat", help="write per-criterion summary table here")
     return parser
 
 
@@ -231,7 +243,7 @@ def _cmd_calibrate(args) -> int:
     catalog = dataio.load_catalog(_require_file(args.catalog, "catalog"))
     cal_set = dataio.load_dataset(_require_file(args.dataset, "dataset"), catalog)
     result = calibrate(
-        _budget_from(args),
+        _config_from(RiskBudget, args),
         cal_set,
         catalog,
         resolution=args.resolution,
@@ -265,13 +277,11 @@ def _cmd_augment(args) -> int:
     catalog = dataio.load_catalog(_require_file(args.catalog, "catalog"))
     labeled = dataio.load_labeled_dataset(_require_file(args.labeled, "labeled dataset"), catalog)
     vocab = dataio.load_vocabulary(_require_file(args.vocab, "vocabulary"))
+    vocab.check_in_catalog(catalog)
     result = dataio.load_calibration(_require_file(args.calibration, "calibration"))
-    config = AugmentationConfig(
-        min_count=args.min_count,
-        max_placement_attempts=args.max_attempts,
-        rng_seed=args.seed,
+    augmented, report = augment_dataset(
+        labeled, vocab, result.lambda_hat, _config_from(AugmentationConfig, args)
     )
-    augmented, report = augment_dataset(labeled, vocab, result.lambda_hat, config)
     dataio.save_labeled_dataset(args.out, augmented)
     added = len(augmented) - len(labeled)
     print(f"appended {added} augmented sample(s) across {len(report.outcomes)} sparse concept(s) -> {args.out}")
@@ -287,16 +297,8 @@ def _cmd_train(args) -> int:
     catalog = dataio.load_catalog(_require_file(args.catalog, "catalog"))
     labeled = dataio.load_labeled_dataset(_require_file(args.labeled, "labeled dataset"), catalog)
     vocab = dataio.load_vocabulary(_require_file(args.vocab, "vocabulary"))
-    config = TrainConfig(
-        gamma1=args.gamma1,
-        gamma2=args.gamma2,
-        beta=args.beta,
-        learning_rate=args.learning_rate,
-        epochs=args.epochs,
-        batch_size=args.batch_size,
-        rng_seed=args.seed,
-        momentum=args.momentum,
-    )
+    vocab.check_in_catalog(catalog)
+    config = _config_from(TrainConfig, args)
     model, log = train(labeled, vocab, config, n_classes=catalog.num_classes)
     dataio.save_model(args.out, model, vocab, config)
     if args.log_csv:
@@ -313,7 +315,7 @@ def _cmd_evaluate(args) -> int:
     model, vocab, _config = dataio.load_model(_require_file(args.model, "model"))
     test_set = dataio.load_dataset(_require_file(args.dataset, "dataset"), catalog)
     report = evaluate_sweep(
-        model, test_set, vocab, catalog, _budget_from(args), args.nec, args.cca_dat
+        model, test_set, vocab, catalog, _config_from(RiskBudget, args), args.nec, args.cca_dat
     )
     dataio.save_eval_report(args.out, report)
     if args.per_sample_csv:
@@ -335,24 +337,11 @@ def _cmd_pipeline(args) -> int:
             raise _UsageError(f"{config_path}: invalid JSON: {exc}") from None
         check_config(doc)
     # Flags override the config file key by key.
-    for section, key, value in (
-        ("paths", "train", args.train),
-        ("paths", "test", args.test),
-        ("paths", "catalog", args.catalog),
-        ("paths", "output_dir", args.out_dir),
-        ("budget", "alpha_dis", args.alpha_dis),
-        ("budget", "alpha_cov", args.alpha_cov),
-        ("budget", "alpha_div", args.alpha_div),
-        ("split", "train_fraction", args.train_fraction),
-        ("split", "seed", args.split_seed),
-        ("augmentation", "min_count", args.min_count),
-        ("augmentation", "rng_seed", args.seed),
-        ("train", "rng_seed", args.seed),
-        ("train", "epochs", args.epochs),
-        ("eval", "nec", args.nec),
-    ):
+    for flag, keys in _PIPELINE_FLAGS.items():
+        value = getattr(args, flag[2:].replace("-", "_"))
         if value is not None:
-            doc.setdefault(section, {})[key] = value
+            for section, key in keys:
+                doc.setdefault(section, {})[key] = value
     config = PipelineConfig.from_dict(doc)
     for what, path in (
         ("train", config.train_path), ("test", config.test_path), ("catalog", config.catalog_path)
@@ -368,7 +357,7 @@ def _cmd_pipeline(args) -> int:
 
 
 def _cmd_crc_check(args) -> int:
-    budget = _budget_from(args)
+    budget = _config_from(RiskBudget, args)
     # SynthSpec rejects a class count below 1; do not divide by it first.
     per_class = max(1, args.pool // max(args.classes, 1))
     spec = SynthSpec(
@@ -399,15 +388,6 @@ def _cmd_crc_check(args) -> int:
     )
     if args.out:
         dataio.save_guarantee_report(args.out, report)
-    if args.dat:
-        dataio.write_dat(
-            args.dat,
-            ["criterion", "alpha", "mean_target_loss", "std_target_loss", "mc_stderr"],
-            (
-                [k, c.alpha, c.mean_target_loss, c.std_target_loss, c.mc_stderr]
-                for k, c in report.per_criterion.items()
-            ),
-        )
     print(
         f"trials={report.n_trials} n_cal={report.n_cal} "
         f"mean_lambda_hat={report.mean_lambda_hat:.4f}"

@@ -78,6 +78,15 @@ class ConceptVocabulary:
                     f"{len(sample.concept_vector)}, vocabulary has {len(self)}"
                 )
 
+    def check_in_catalog(self, catalog: ConceptCatalog) -> None:
+        """Raise a DataError naming the first vocabulary concept that the
+        catalog does not list."""
+        for concept in self.concepts:
+            if not catalog.has_concept(concept):
+                raise DataError(
+                    f"vocabulary concept {concept.id} ('{concept.text}') not in catalog"
+                )
+
 
 @dataclass(frozen=True)
 class Provenance:

@@ -155,6 +155,7 @@ def _reports(
         raise DataError(
             f"model has {model.num_classes} classes, catalog has {num_classes}"
         )
+    vocab.check_in_catalog(catalog)
     predicted, ranked = _ranked_candidates(model, samples, vocab)
     labels = [s.label for s in samples]
     hits = [pred == label for pred, label in zip(predicted, labels)]

@@ -35,6 +35,7 @@ from .evaluation import SWEEP_NEC_VALUES, EvalConfig, EvalReport, cca_versus_nec
 from .evaluation import accuracy_report  # noqa: F401
 
 __all__ = [
+    "CONFIG_KEYS",
     "PipelineConfig",
     "PipelineResult",
     "StageError",
@@ -106,11 +107,11 @@ class PipelineConfig:
         or a value out of range raises a ValueError."""
         check_config(doc)
         paths = doc.get("paths", {})
-        for key in _CONFIG_KEYS["paths"]:
+        for key in CONFIG_KEYS["paths"]:
             if key not in paths:
                 raise ValueError(f"missing required path: {key}")
         scalars = {
-            name: _CONFIG_KEYS[section][key](doc[section][key])
+            name: CONFIG_KEYS[section][key](doc[section][key])
             for (section, key), name in _SCALAR_FIELDS.items()
             if key in doc.get(section, {})
         }
@@ -129,7 +130,7 @@ class PipelineConfig:
 
 
 # The sections of a config file, the keys each accepts and the type of each.
-_CONFIG_KEYS = {
+CONFIG_KEYS = {
     "paths": dict.fromkeys(("train", "test", "catalog", "output_dir"), str),
     "budget": get_type_hints(RiskBudget),
     "split": {"train_fraction": float, "seed": int},
@@ -153,8 +154,8 @@ def check_config(doc) -> None:
     """Raise a ValueError naming the first part of a config document that is
     not a JSON object, the first key it does not know, or the first value of
     the wrong type."""
-    _check_keys("the config", doc, _CONFIG_KEYS)
-    for name, types in _CONFIG_KEYS.items():
+    _check_keys("the config", doc, CONFIG_KEYS)
+    for name, types in CONFIG_KEYS.items():
         where = f"config section {name!r}"
         section = doc.get(name, {})
         _check_keys(where, section, types)

@@ -1,21 +1,24 @@
 """CLI subcommands: artifacts, exit codes, and determinism."""
 
+import argparse
 import json
 import os
 import subprocess
 import sys
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import pytest
 
 import riskcbm
 from conftest import BAD_KEYS, BAD_VALUES
-from riskcbm.calibration import DEFAULT_BUDGET, DEFAULT_RESOLUTION
+from riskcbm import cli, dataio
+from riskcbm.calibration import DEFAULT_BUDGET, DEFAULT_RESOLUTION, RiskBudget
 from riskcbm.cbm_trainer import TrainConfig
-from riskcbm.cli import _build_parser, main
-from riskcbm.dataset_builder import AugmentationConfig
+from riskcbm.cli import _build_parser, _config_from, main
+from riskcbm.dataset_builder import AugmentationConfig, ConceptVocabulary
 from riskcbm.evaluation import EvalConfig
-from riskcbm.pipeline import PipelineConfig
+from riskcbm.pipeline import PipelineConfig, PipelineResult
 from riskcbm.synth import SynthSpec
 
 
@@ -50,11 +53,34 @@ def built(data_dir, tmp_path_factory):
     return cal_json, labeled, vocab
 
 
+@pytest.fixture(scope="module")
+def foreign_vocab(built, tmp_path_factory):
+    """A vocabulary as long as the `built` one, taken from a 3 x 5 catalog:
+    its concept 4 is 'trait 0.4', which the 3 x 4 catalog of `data_dir`
+    does not list (its concept 4 is 'trait 1.0')."""
+    other = tmp_path_factory.mktemp("other")
+    assert main([
+        "synth", "--out-dir", str(other), "--classes", "3", "--concepts-per-class", "5",
+        "--samples-per-class", "2", "--test-samples-per-class", "0", "--seed", "1",
+    ]) == 0
+    width = len(dataio.load_vocabulary(built[2]))
+    concepts = dataio.load_catalog(other / "catalog.json").all_concepts()[:width]
+    path = other / "vocab.json"
+    dataio.save_vocabulary(path, ConceptVocabulary(concepts))
+    return path
+
+
 # A short `train` run on the `built` files; each case appends the setting under test.
 TRAIN_ARGV = [
     "train", "--labeled", "{labeled}", "--catalog", "{data}/catalog.json",
     "--vocab", "{vocab}", "--out", "{tmp}/model.json", "--epochs", "2",
 ]
+
+def _field_defaults(cls) -> dict:
+    return {f.name: f.default for f in fields(cls)}
+
+
+BUDGET_DEFAULTS = {f.name: getattr(DEFAULT_BUDGET, f.name) for f in fields(RiskBudget)}
 
 # Embeddings that load_dataset rejects, one per fault.
 FAULTY_EMBEDDINGS = {
@@ -197,6 +223,37 @@ class TestStagedCommands:
         assert "lambda_dis must be in [0, 1]" in err and err.count("\n") == 1, err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["augment", "train", "evaluate"])
+    def test_vocabulary_from_another_catalog_is_a_one_line_data_error(
+        self, command, foreign_vocab, built, data_dir, tmp_path, capsys
+    ):
+        """Its concept vectors have the right width, so only the catalog can
+        tell; `evaluate` checks the vocabulary its checkpoint records."""
+        cal_json, labeled, vocab = built
+        catalog = ["--catalog", str(data_dir / "catalog.json")]
+        out = tmp_path / "out"
+        if command == "evaluate":
+            model = tmp_path / "model.json"
+            assert main([
+                "train", "--labeled", str(labeled), *catalog, "--vocab", str(vocab),
+                "--out", str(model), "--epochs", "2",
+            ]) == 0
+            doc = json.loads(model.read_text())
+            doc["vocabulary"] = json.loads(foreign_vocab.read_text())["concepts"]
+            model.write_text(json.dumps(doc))
+            argv = ["evaluate", "--model", str(model), "--dataset", str(data_dir / "test.ndjson"),
+                    "--cca-dat", str(tmp_path / "cca.dat"), "--per-sample-csv", str(out)]
+        else:
+            argv = [command, "--labeled", str(labeled), "--vocab", str(foreign_vocab)]
+            if command == "augment":
+                argv += ["--calibration", str(cal_json)]
+        capsys.readouterr()
+        code = main([*argv, *catalog, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert err == "error: vocabulary concept 4 ('trait 0.4') not in catalog\n"
+        assert not out.exists() and not (tmp_path / "cca.dat").exists()
+
     @pytest.mark.parametrize("fault", list(FAULTY_EMBEDDINGS))
     @pytest.mark.parametrize("command", ["train", "augment"])
     def test_faulty_labeled_embedding_is_a_one_line_data_error(
@@ -273,6 +330,47 @@ PIPELINE_ARTIFACTS = {
 }
 
 
+# Each `pipeline` flag, a value unlike the test's config file, and the
+# PipelineConfig fields it must set (dotted through the nested configs).
+PIPELINE_FLAG_FIELDS = {
+    "--train": ("train2", ["train_path"]),
+    "--test": ("test2", ["test_path"]),
+    "--catalog": ("catalog2", ["catalog_path"]),
+    "--out-dir": ("out2", ["output_dir"]),
+    "--alpha-dis": ("0.5", ["budget.alpha_dis"]),
+    "--alpha-cov": ("0.3", ["budget.alpha_cov"]),
+    "--alpha-div": ("0.1", ["budget.alpha_div"]),
+    "--train-fraction": ("0.6", ["train_fraction"]),
+    "--split-seed": ("7", ["split_seed"]),
+    "--min-count": ("9", ["augmentation.min_count"]),
+    "--epochs": ("5", ["train.epochs"]),
+    "--seed": ("8", ["augmentation.rng_seed", "train.rng_seed"]),
+    "--nec": ("2", ["nec"]),
+}
+PATH_FLAGS = {"--train", "--test", "--catalog", "--out-dir"}
+
+
+def _flags_of(command: str) -> set:
+    """The option strings of a subcommand, without -h/--help."""
+    subparsers = next(
+        a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    actions = subparsers.choices[command]._actions
+    return {s for a in actions for s in a.option_strings} - {"-h", "--help"}
+
+
+def _flat(config) -> dict:
+    """A dataclass's fields by dotted name, nested dataclasses expanded."""
+    out = {}
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if is_dataclass(value):
+            out.update({f"{f.name}.{k}": v for k, v in _flat(value).items()})
+        else:
+            out[f.name] = value
+    return out
+
+
 class TestPipelineCommand:
     def _run(self, data_dir, out_dir):
         return main([
@@ -345,6 +443,38 @@ class TestPipelineCommand:
         assert main(["pipeline", "--config", str(cfg)]) == 0
         assert (tmp_path / "cfg_run" / "eval_report.json").is_file()
 
+    def test_each_pipeline_flag_overrides_its_config_keys(self, tmp_path, monkeypatch):
+        """Each flag changes exactly the fields of its config keys, to its
+        value parsed at the keys' type; every other field keeps the file's."""
+        assert set(PIPELINE_FLAG_FIELDS) == _flags_of("pipeline") - {"--config"}
+        for name in ("train", "test", "catalog", "train2", "test2", "catalog2"):
+            (tmp_path / name).write_text("")
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({
+            "paths": {"train": str(tmp_path / "train"), "test": str(tmp_path / "test"),
+                      "catalog": str(tmp_path / "catalog"), "output_dir": "out"},
+            "budget": {"alpha_dis": 0.6, "alpha_cov": 0.25, "alpha_div": 0.15},
+            "split": {"train_fraction": 0.7, "seed": 1},
+            "augmentation": {"min_count": 4, "rng_seed": 2},
+            "train": {"epochs": 11, "rng_seed": 3},
+            "eval": {"nec": 4},
+        }))
+        seen = []
+        monkeypatch.setattr(
+            cli, "run_pipeline",
+            lambda config: seen.append(_flat(config)) or PipelineResult(0.5, 1.0, 1.0),
+        )
+        assert main(["pipeline", "--config", str(cfg)]) == 0
+        base = seen.pop()
+        for flag, (value, changed) in PIPELINE_FLAG_FIELDS.items():
+            arg = str(tmp_path / value) if flag in PATH_FLAGS else value
+            assert main(["pipeline", "--config", str(cfg), flag, arg]) == 0
+            got = seen.pop()
+            moved = {k: v for k, v in got.items() if v != base[k]}
+            expected = type(base[changed[0]])(arg)
+            assert moved == dict.fromkeys(changed, expected), flag
+            assert all(type(got[k]) is type(base[k]) for k in changed), flag
+
 
 class TestEvaluateMismatch:
     """A model that does not fit the evaluated data is a one-line data error."""
@@ -389,13 +519,13 @@ class TestCrcCheckCommand:
             "crc-check", "--trials", "150", "--n-cal", "30",
             "--pool", "300", "--seed", "2",
             "--out", str(tmp_path / "crc.json"),
-            "--dat", str(tmp_path / "crc.dat"),
         ])
         out = capsys.readouterr().out
         assert code == 0
         assert "verdict: pass" in out
-        assert (tmp_path / "crc.json").is_file()
-        assert (tmp_path / "crc.dat").read_text().startswith("# criterion")
+        report = dataio.load_guarantee_report(tmp_path / "crc.json")
+        assert (report.n_trials, report.n_cal, report.verdict) == (150, 30, "pass")
+        assert {k: c.alpha for k, c in report.per_criterion.items()} == DEFAULT_BUDGET.as_dict()
 
     def test_report_matches_the_golden_file(self, tmp_path, capsys):
         """Pins what a seed draws and how the trials are searched: the
@@ -526,28 +656,14 @@ class TestUsageErrors:
                 "seed": SynthSpec.seed,
             }),
             (["calibrate", "--dataset", "d", "--catalog", "c", "--out", "o"], {
-                "resolution": DEFAULT_RESOLUTION,
-                **{f"alpha_{k}": a for k, a in DEFAULT_BUDGET.as_dict().items()},
+                "resolution": DEFAULT_RESOLUTION, **BUDGET_DEFAULTS,
             }),
             (["augment", "--labeled", "l", "--catalog", "c", "--vocab", "v",
-              "--calibration", "k", "--out", "o"], {
-                "min_count": AugmentationConfig.min_count,
-                "max_attempts": AugmentationConfig.max_placement_attempts,
-                "seed": AugmentationConfig.rng_seed,
-            }),
-            (["train", "--labeled", "l", "--catalog", "c", "--vocab", "v", "--out", "o"], {
-                "gamma1": TrainConfig.gamma1,
-                "gamma2": TrainConfig.gamma2,
-                "beta": TrainConfig.beta,
-                "learning_rate": TrainConfig.learning_rate,
-                "epochs": TrainConfig.epochs,
-                "batch_size": TrainConfig.batch_size,
-                "seed": TrainConfig.rng_seed,
-                "momentum": TrainConfig.momentum,
-            }),
+              "--calibration", "k", "--out", "o"], _field_defaults(AugmentationConfig)),
+            (["train", "--labeled", "l", "--catalog", "c", "--vocab", "v", "--out", "o"],
+             _field_defaults(TrainConfig)),
             (["evaluate", "--model", "m", "--dataset", "d", "--catalog", "c", "--out", "o"], {
-                "nec": EvalConfig.nec,
-                **{f"alpha_{k}": a for k, a in DEFAULT_BUDGET.as_dict().items()},
+                "nec": EvalConfig.nec, **BUDGET_DEFAULTS,
             }),
             (["crc-check"], {
                 "classes": SynthSpec.classes,
@@ -555,14 +671,25 @@ class TestUsageErrors:
                 "dim": SynthSpec.embedding_dim,
                 "noise": SynthSpec.noise,
                 "resolution": DEFAULT_RESOLUTION,
-                **{f"alpha_{k}": a for k, a in DEFAULT_BUDGET.as_dict().items()},
+                **BUDGET_DEFAULTS,
             }),
         ],
         ids=["synth", "calibrate", "augment", "train", "evaluate", "crc-check"],
     )
     def test_flag_defaults_are_the_config_defaults(self, argv, defaults):
+        """Every field of `TrainConfig`, `AugmentationConfig` and `RiskBudget`
+        has a flag whose dest is the field's name."""
         args = vars(_build_parser().parse_args(argv))
         assert {key: args[key] for key in defaults} == defaults
+
+    def test_a_config_field_without_a_flag_is_an_attribute_error(self):
+        args = _build_parser().parse_args(
+            ["train", "--labeled", "l", "--catalog", "c", "--vocab", "v", "--out", "o"]
+        )
+        assert _config_from(TrainConfig, args) == TrainConfig()
+        del args.momentum
+        with pytest.raises(AttributeError, match="momentum"):
+            _config_from(TrainConfig, args)
 
     def test_pipeline_nec_default_is_the_evaluation_default(self):
         assert PipelineConfig("t", "e", "c", "o").nec == EvalConfig().nec
