@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -417,8 +418,16 @@ _COMMANDS = {
 }
 
 
+def _warning_line(message, category, filename, lineno, line=None) -> str:
+    return f"warning: {message}\n"
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
+    # A warning reaches stderr as one line, like an error, and names no source
+    # file. Only the formatter is swapped, so `catch_warnings(record=True)`
+    # still records.
+    default_format, warnings.formatwarning = warnings.formatwarning, _warning_line
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
@@ -442,6 +451,8 @@ def main(argv=None) -> int:
     except ValueError as exc:  # a flag or config value out of range
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        warnings.formatwarning = default_format
 
 
 if __name__ == "__main__":

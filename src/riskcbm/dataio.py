@@ -8,22 +8,17 @@ of an image codec to keep augmentation bit-exact.
 
 from __future__ import annotations
 
+import functools
 import json
 import struct
 from contextlib import contextmanager
-from dataclasses import asdict, fields
+from dataclasses import fields, is_dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .calibration import (
-    CalibrationResult,
-    CriterionCoverage,
-    GuaranteeReport,
-    RiskBudget,
-    RiskCurve,
-)
+from .calibration import CalibrationResult, GuaranteeReport
 from .cbm_trainer import CbmModel, TrainConfig, TrainLogRow
 from .core import (
     AnnotatedSample,
@@ -39,7 +34,7 @@ from .dataset_builder import (
     ConceptVocabulary,
     Provenance,
 )
-from .evaluation import EvalReport, SampleCompliance
+from .evaluation import EvalReport
 
 __all__ = [
     "DataFormatError",
@@ -378,40 +373,75 @@ def load_labeled_dataset(
 
 
 # ---------------------------------------------------------------------------
-# Vocabulary
+# JSON artifacts: each file holds its dataclass's `init` fields, nested
+# dataclasses as objects and arrays as lists. The `save_*`/`load_*` pairs
+# state only where a file differs from its dataclass.
 # ---------------------------------------------------------------------------
 
 
-def _vocab_to_json(vocab: ConceptVocabulary) -> list[dict]:
-    return [
-        {"id": c.id, "text": c.text, "class_of_origin": c.class_of_origin}
-        for c in vocab.concepts
-    ]
+@functools.cache
+def _init_fields(cls) -> tuple[tuple[str, object], ...]:
+    """The name and resolved type of each `init` field of a dataclass."""
+    hints = get_type_hints(cls)
+    return tuple((f.name, hints[f.name]) for f in fields(cls) if f.init)
 
 
-def _vocab_from_json(entries) -> ConceptVocabulary:
-    concepts = tuple(
-        ConceptId(
-            id=int(e["id"]), text=str(e["text"]), class_of_origin=int(e["class_of_origin"])
-        )
-        for e in entries
-    )
-    return ConceptVocabulary(concepts=concepts)
+def _record(obj):
+    """A dataclass as a dict of its `init` fields, recursing into nested
+    dataclasses, dicts, lists and tuples; arrays become lists."""
+    if isinstance(obj, (str, int, float)):
+        return obj
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, dict):
+        return {k: _record(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_record(v) for v in obj]
+    return {name: _record(getattr(obj, name)) for name, _ in _init_fields(type(obj))}
+
+
+@functools.cache
+def _reader(kind) -> Callable:
+    """The function that builds a value of type ``kind`` from its record.
+    Every field of a dataclass is required; keys that name no field are
+    ignored."""
+    if kind in (float, int, str, bool):
+        return kind
+    if kind is np.ndarray:
+        return lambda value: np.asarray(value, dtype=np.float64)
+    if is_dataclass(kind):
+        readers = [(name, _reader(hint)) for name, hint in _init_fields(kind)]
+        return lambda value: kind(**{name: read(value[name]) for name, read in readers})
+    origin, args = get_origin(kind), get_args(kind)
+    if origin is dict:
+        read_key, read_value = _reader(args[0]), _reader(args[1])
+        return lambda value: {read_key(k): read_value(v) for k, v in value.items()}
+    if origin in (list, tuple):
+        read_item = _reader(args[0])
+        return lambda value: origin(map(read_item, value))
+    raise TypeError(f"no record form for {kind!r}")
+
+
+def _from_record(kind, value):
+    """The inverse of `_record`: a value of type ``kind`` from its record."""
+    return _reader(kind)(value)
+
+
+def _keyed(records: dict, key: str) -> None:
+    """Put each entry's dict key back as its ``key`` field, which a file
+    keyed by that field leaves out."""
+    for name, record in records.items():
+        record[key] = name
 
 
 def save_vocabulary(path: "str | Path", vocab: ConceptVocabulary) -> None:
-    _dump_json(Path(path), {"concepts": _vocab_to_json(vocab)})
+    _dump_json(Path(path), _record(vocab))
 
 
 def load_vocabulary(path: "str | Path") -> ConceptVocabulary:
     doc = _load_json(Path(path))
     with _parsing(path, "vocabulary"):
-        return _vocab_from_json(doc["concepts"])
-
-
-# ---------------------------------------------------------------------------
-# Model checkpoint
-# ---------------------------------------------------------------------------
+        return _from_record(ConceptVocabulary, doc)
 
 
 def save_model(
@@ -420,16 +450,15 @@ def save_model(
     vocab: ConceptVocabulary,
     config: TrainConfig,
 ) -> None:
+    """One flat object: the parameters, their shapes, the vocabulary's
+    concepts and the training config."""
     doc = {
+        **_record(model),
         "embedding_dim": model.embedding_dim,
         "num_concepts": model.num_concepts,
         "num_classes": model.num_classes,
-        "concept_weights": model.concept_weights.tolist(),
-        "concept_bias": model.concept_bias.tolist(),
-        "head_weights": model.head_weights.tolist(),
-        "head_bias": model.head_bias.tolist(),
-        "vocabulary": _vocab_to_json(vocab),
-        "config": asdict(config),
+        "vocabulary": _record(vocab)["concepts"],
+        "config": _record(config),
     }
     _dump_json(Path(path), doc)
 
@@ -438,13 +467,8 @@ def load_model(path: "str | Path") -> tuple[CbmModel, ConceptVocabulary, TrainCo
     path = Path(path)
     doc = _load_json(path)
     with _parsing(path, "model checkpoint"):
-        model = CbmModel(
-            concept_weights=np.asarray(doc["concept_weights"], dtype=np.float64),
-            concept_bias=np.asarray(doc["concept_bias"], dtype=np.float64),
-            head_weights=np.asarray(doc["head_weights"], dtype=np.float64),
-            head_bias=np.asarray(doc["head_bias"], dtype=np.float64),
-        ).freeze()
-        vocab = _vocab_from_json(doc["vocabulary"])
+        model = _from_record(CbmModel, doc).freeze()
+        vocab = _from_record(ConceptVocabulary, {"concepts": doc["vocabulary"]})
         # Earlier checkpoints record the removed `l1_proximal` option.
         config = TrainConfig(**{k: v for k, v in doc["config"].items() if k != "l1_proximal"})
     if model.num_concepts != len(vocab):
@@ -455,28 +479,11 @@ def load_model(path: "str | Path") -> tuple[CbmModel, ConceptVocabulary, TrainCo
     return model, vocab, config
 
 
-# ---------------------------------------------------------------------------
-# Calibration result
-# ---------------------------------------------------------------------------
-
-
-def _budget_from_json(doc) -> RiskBudget:
-    return RiskBudget(**{f.name: float(doc[f.name]) for f in fields(RiskBudget)})
-
-
 def save_calibration(path: "str | Path", result: CalibrationResult) -> None:
-    doc = {
-        "lambda_dis": result.lambda_dis,
-        "lambda_cov": result.lambda_cov,
-        "lambda_div": result.lambda_div,
-        "lambda_hat": result.lambda_hat,
-        "n_cal": result.n_cal,
-        "budget": asdict(result.budget),
-        "curves": {
-            k: {"grid": curve.grid.tolist(), "risks": curve.risks.tolist()}
-            for k, curve in result.curves.items()
-        },
-    }
+    """`curves` is keyed by criterion."""
+    doc = _record(result)
+    for curve in doc["curves"].values():
+        del curve["criterion"]
     _dump_json(Path(path), doc)
 
 
@@ -484,55 +491,16 @@ def load_calibration(path: "str | Path") -> CalibrationResult:
     path = Path(path)
     doc = _load_json(path)
     with _parsing(path, "calibration result"):
-        curves = {
-            k: RiskCurve(
-                criterion=k,
-                grid=np.asarray(c["grid"], dtype=np.float64),
-                risks=np.asarray(c["risks"], dtype=np.float64),
-            )
-            for k, c in doc["curves"].items()
-        }
-        return CalibrationResult(
-            lambda_dis=float(doc["lambda_dis"]),
-            lambda_cov=float(doc["lambda_cov"]),
-            lambda_div=float(doc["lambda_div"]),
-            lambda_hat=float(doc["lambda_hat"]),
-            n_cal=int(doc["n_cal"]),
-            budget=_budget_from_json(doc["budget"]),
-            curves=curves,
-        )
-
-
-# ---------------------------------------------------------------------------
-# Guarantee report
-# ---------------------------------------------------------------------------
+        _keyed(doc["curves"], "criterion")
+        return _from_record(CalibrationResult, doc)
 
 
 def save_guarantee_report(path: "str | Path", report: GuaranteeReport) -> None:
-    doc = {
-        "n_trials": report.n_trials,
-        "n_cal": report.n_cal,
-        "seed": report.seed,
-        "slack": report.slack,
-        "resolution": report.resolution,
-        "exchangeable": report.exchangeable,
-        "pool_size": report.pool_size,
-        "budget": asdict(report.budget),
-        "per_criterion": {
-            k: {
-                "alpha": c.alpha,
-                "mean_target_loss": c.mean_target_loss,
-                "std_target_loss": c.std_target_loss,
-                "mc_stderr": c.mc_stderr,
-                "fallback_rate": c.fallback_rate,
-                "gap": c.gap,
-            }
-            for k, c in report.per_criterion.items()
-        },
-        "mean_lambda_hat": report.mean_lambda_hat,
-        "verdict": report.verdict,
-        "notes": report.notes,
-    }
+    """`per_criterion` is keyed by criterion and adds each criterion's `gap`."""
+    doc = _record(report)
+    for k, entry in doc["per_criterion"].items():
+        del entry["criterion"]
+        entry["gap"] = report.per_criterion[k].gap
     _dump_json(Path(path), doc)
 
 
@@ -540,58 +508,15 @@ def load_guarantee_report(path: "str | Path") -> GuaranteeReport:
     path = Path(path)
     doc = _load_json(path)
     with _parsing(path, "guarantee report"):
-        per = {
-            k: CriterionCoverage(
-                criterion=k,
-                alpha=float(c["alpha"]),
-                mean_target_loss=float(c["mean_target_loss"]),
-                std_target_loss=float(c["std_target_loss"]),
-                mc_stderr=float(c["mc_stderr"]),
-                fallback_rate=float(c["fallback_rate"]),
-            )
-            for k, c in doc["per_criterion"].items()
-        }
-        return GuaranteeReport(
-            n_trials=int(doc["n_trials"]),
-            n_cal=int(doc["n_cal"]),
-            seed=int(doc["seed"]),
-            slack=float(doc["slack"]),
-            resolution=float(doc["resolution"]),
-            exchangeable=bool(doc["exchangeable"]),
-            pool_size=int(doc["pool_size"]),
-            budget=_budget_from_json(doc["budget"]),
-            per_criterion=per,
-            mean_lambda_hat=float(doc["mean_lambda_hat"]),
-            verdict=str(doc["verdict"]),
-            notes=list(doc["notes"]),
-        )
-
-
-# ---------------------------------------------------------------------------
-# Evaluation report
-# ---------------------------------------------------------------------------
+        _keyed(doc["per_criterion"], "criterion")
+        return _from_record(GuaranteeReport, doc)
 
 
 def save_eval_report(path: "str | Path", report: EvalReport) -> None:
-    doc = {
-        "overall_accuracy": report.overall_accuracy,
-        "worst_class_accuracy": report.worst_class_accuracy,
-        "cca": report.cca,
-        "per_class_accuracy": report.per_class_accuracy.tolist(),
-        "nec": report.nec,
-        "budget": asdict(report.budget),
-        "n_samples": report.n_samples,
-        "per_sample": [
-            {
-                "id": s.sample_id,
-                "correct": s.correct,
-                "dis_ok": s.dis_ok,
-                "cov_ok": s.cov_ok,
-                "div_ok": s.div_ok,
-            }
-            for s in report.per_sample
-        ],
-    }
+    """Each `per_sample` record names its sample `id`."""
+    doc = _record(report)
+    for sample in doc["per_sample"]:
+        sample["id"] = sample.pop("sample_id")
     _dump_json(Path(path), doc)
 
 
@@ -599,26 +524,9 @@ def load_eval_report(path: "str | Path") -> EvalReport:
     path = Path(path)
     doc = _load_json(path)
     with _parsing(path, "eval report"):
-        per_sample = [
-            SampleCompliance(
-                sample_id=str(s["id"]),
-                correct=bool(s["correct"]),
-                dis_ok=bool(s["dis_ok"]),
-                cov_ok=bool(s["cov_ok"]),
-                div_ok=bool(s["div_ok"]),
-            )
-            for s in doc["per_sample"]
-        ]
-        return EvalReport(
-            overall_accuracy=float(doc["overall_accuracy"]),
-            worst_class_accuracy=float(doc["worst_class_accuracy"]),
-            cca=float(doc["cca"]),
-            per_class_accuracy=np.asarray(doc["per_class_accuracy"], dtype=np.float64),
-            per_sample=per_sample,
-            nec=int(doc["nec"]),
-            budget=_budget_from_json(doc["budget"]),
-            n_samples=int(doc["n_samples"]),
-        )
+        for sample in doc["per_sample"]:
+            sample["sample_id"] = sample.pop("id")
+        return _from_record(EvalReport, doc)
 
 
 # ---------------------------------------------------------------------------

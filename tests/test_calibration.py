@@ -1,5 +1,6 @@
 """Empirical risk, threshold search, and the calibration result contract."""
 
+import functools
 import hashlib
 import warnings
 
@@ -87,6 +88,41 @@ class TestEmpiricalRisk:
         _, catalog = step_loss_fixture([0.2])
         with pytest.raises(DataError):
             empirical_risk("cov", 0.5, [], catalog)
+
+
+FLOOR_CLASSES = [2, 4, 8]
+
+
+@functools.cache
+def dis_floor(classes: int) -> tuple[float, float]:
+    """The dis risk at lambda=1 on a synth set of ``classes`` classes (8
+    concepts and 60 samples per class, d=64, seed 0), and the oracle's mean
+    loss with every detected concept selected."""
+    samples, catalog = generate_synthetic(SynthSpec(
+        classes=classes, concepts_per_class=8, samples_per_class=60,
+        embedding_dim=64, seed=0, with_pixels=False,
+    ))
+    oracle = np.mean([
+        oracles.loss_dis(oracles.concept_set(s, 1.0), s, catalog) for s in samples
+    ])
+    return empirical_risk("dis", 1.0, samples, catalog), float(oracle)
+
+
+@pytest.mark.parametrize("classes", FLOOR_CLASSES)
+def test_dis_floor_rises_with_the_class_count(classes):
+    """The dis loss is 1 - S/C, with C the similarity mass of every competing
+    class's concepts, so its lowest risk, at lambda=1, grows with the class
+    count: it is negative at 2 classes and above the default budget at 8,
+    where lambda_dis falls back to 1."""
+    floor, oracle = dis_floor(classes)
+    assert abs(floor - oracle) <= 1e-12
+    index = FLOOR_CLASSES.index(classes)
+    if index:
+        assert floor > dis_floor(FLOOR_CLASSES[index - 1])[0]
+    if classes == 2:
+        assert floor < 0.0
+    if classes == 8:
+        assert floor > DEFAULT_BUDGET.alpha_dis
 
 
 class TestCalibrateCriterion:

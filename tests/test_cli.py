@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import fields, is_dataclass
 from pathlib import Path
 
@@ -548,6 +549,47 @@ class TestCrcCheckCommand:
         assert "not covered by theorem" in out
 
 
+def _run_entry_point(argv) -> subprocess.CompletedProcess:
+    """Run ``python -m riskcbm.cli`` in a child process, which imports the
+    same riskcbm as this one, installed or not."""
+    package_root = str(Path(riskcbm.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (package_root, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-m", "riskcbm.cli", *argv],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+    )
+
+
+class TestWarnings:
+    """Over the training file of `data_dir` the dis risk at lambda=1 is
+    0.259, so ``--alpha-dis 0.2`` cannot be met."""
+
+    @staticmethod
+    def _unattainable_calibrate(data_dir, tmp_path) -> list[str]:
+        return [
+            "calibrate", "--dataset", str(data_dir / "train.ndjson"),
+            "--catalog", str(data_dir / "catalog.json"),
+            "--out", str(tmp_path / "calibration.json"), "--alpha-dis", "0.2",
+        ]
+
+    def test_a_warning_is_one_line_on_stderr(self, data_dir, tmp_path):
+        """In a child process, where no test harness records warnings."""
+        proc = _run_entry_point(self._unattainable_calibrate(data_dir, tmp_path))
+        assert proc.returncode == 0
+        assert proc.stderr.startswith("warning: no threshold meets the dis budget: ")
+        assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n"), proc.stderr
+
+    def test_recorded_warnings_are_still_recorded(self, data_dir, tmp_path, capsys):
+        formatter = warnings.formatwarning
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(self._unattainable_calibrate(data_dir, tmp_path)) == 0
+        messages = [str(w.message) for w in caught]
+        assert any(m.startswith("no threshold meets the dis budget: ") for m in messages)
+        assert warnings.formatwarning is formatter
+        assert capsys.readouterr().err == ""
+
+
 class TestUsageErrors:
     def test_missing_file_is_usage_error(self, tmp_path, capsys):
         code = main([
@@ -558,15 +600,10 @@ class TestUsageErrors:
         assert code == 1
 
     def test_subprocess_entry_point(self, data_dir):
-        # The child imports the same riskcbm as this process, installed or not.
-        package_root = str(Path(riskcbm.__file__).resolve().parents[1])
-        path = os.pathsep.join(p for p in (package_root, os.environ.get("PYTHONPATH")) if p)
-        proc = subprocess.run(
-            [sys.executable, "-m", "riskcbm.cli", "validate",
-             "--dataset", str(data_dir / "train.ndjson"),
-             "--catalog", str(data_dir / "catalog.json")],
-            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
-        )
+        proc = _run_entry_point([
+            "validate", "--dataset", str(data_dir / "train.ndjson"),
+            "--catalog", str(data_dir / "catalog.json"),
+        ])
         assert proc.returncode == 0
         assert "no violations" in proc.stdout
 

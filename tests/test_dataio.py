@@ -2,21 +2,38 @@
 
 import json
 import re
+import tempfile
+from dataclasses import fields, is_dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from riskcbm import dataio
-from riskcbm.calibration import RiskBudget, calibrate, validate_guarantee, ExchangeablePool
-from riskcbm.cbm_trainer import TrainConfig, train
-from riskcbm.core import DataError
+from riskcbm.calibration import (
+    CalibrationResult,
+    CriterionCoverage,
+    ExchangeablePool,
+    GuaranteeReport,
+    RiskBudget,
+    RiskCurve,
+    calibrate,
+    validate_guarantee,
+)
+from riskcbm.cbm_trainer import CbmModel, TrainConfig, train
+from riskcbm.concept_sets import CRITERIA
+from riskcbm.core import ConceptId, DataError
 from riskcbm.dataset_builder import (
     AugmentationConfig,
+    ConceptVocabulary,
     augment_dataset,
     build_vocabulary,
     label_sample,
 )
-from riskcbm.evaluation import EvalConfig, accuracy_report
+from riskcbm.evaluation import EvalConfig, EvalReport, SampleCompliance, accuracy_report
 from riskcbm.pipeline import split_train_cal
 from riskcbm.synth import SynthSpec, generate_synthetic
 
@@ -300,6 +317,166 @@ class TestReports:
         assert lines[1] == "1 2.5"
 
 
+# ---------------------------------------------------------------------------
+# Round-trip properties: every field of every JSON artifact, at values no
+# program run produces.
+# ---------------------------------------------------------------------------
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+UNIT = st.floats(0.0, 1.0)
+ALPHA = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+COUNT = st.integers(0, 2**40)
+budgets = st.builds(RiskBudget, ALPHA, ALPHA, ALPHA)
+configs = st.builds(
+    TrainConfig,
+    gamma1=st.floats(0.0, 1e6), gamma2=st.floats(0.0, 1e6), beta=UNIT,
+    learning_rate=st.floats(0.0, 1e6), epochs=st.integers(1, 10**6),
+    batch_size=st.integers(1, 10**6), rng_seed=COUNT,
+    momentum=st.floats(0.0, 1.0, exclude_max=True),
+)
+
+
+def finite_arrays(shape):
+    return arrays(np.float64, shape, elements=FINITE)
+
+
+@st.composite
+def vocabularies(draw, min_size=0):
+    ids = sorted(draw(st.sets(COUNT, min_size=min_size, max_size=6)))
+    return ConceptVocabulary(tuple(
+        ConceptId(id=i, text=draw(st.text(min_size=1)), class_of_origin=draw(COUNT))
+        for i in ids
+    ))
+
+
+@st.composite
+def checkpoints(draw):
+    vocab = draw(vocabularies(min_size=1))
+    k, d, n_classes = len(vocab), draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    model = CbmModel(
+        draw(finite_arrays((k, d))), draw(finite_arrays(k)),
+        draw(finite_arrays((n_classes, k))), draw(finite_arrays(n_classes)),
+    )
+    return model, vocab, draw(configs)
+
+
+@st.composite
+def risk_curves(draw, criterion):
+    grid = sorted(draw(st.lists(UNIT, min_size=1, max_size=6, unique=True)))
+    risks = sorted(draw(st.lists(FINITE, min_size=len(grid), max_size=len(grid))), reverse=True)
+    return RiskCurve(criterion, np.array(grid), np.array(risks))
+
+
+@st.composite
+def calibration_results(draw):
+    lambdas = draw(st.lists(UNIT, min_size=3, max_size=3))
+    criteria = draw(st.lists(st.sampled_from(CRITERIA), unique=True))
+    return CalibrationResult(
+        *lambdas, max(lambdas), draw(COUNT), draw(budgets),
+        {k: draw(risk_curves(k)) for k in criteria},
+    )
+
+
+@st.composite
+def guarantee_reports(draw):
+    criteria = draw(st.lists(st.sampled_from(CRITERIA), unique=True))
+    return GuaranteeReport(
+        n_trials=draw(COUNT), n_cal=draw(COUNT), seed=draw(COUNT), slack=draw(FINITE),
+        resolution=draw(FINITE), exchangeable=draw(st.booleans()), pool_size=draw(COUNT),
+        budget=draw(budgets),
+        per_criterion={
+            k: CriterionCoverage(k, *draw(st.lists(FINITE, min_size=5, max_size=5)))
+            for k in criteria
+        },
+        mean_lambda_hat=draw(FINITE), verdict=draw(st.text()),
+        notes=draw(st.lists(st.text(), max_size=3)),
+    )
+
+
+eval_reports = st.builds(
+    EvalReport,
+    overall_accuracy=UNIT, worst_class_accuracy=UNIT, cca=UNIT,
+    per_class_accuracy=finite_arrays(st.integers(0, 5)),
+    per_sample=st.lists(st.builds(
+        SampleCompliance, st.text(), st.booleans(), st.booleans(), st.booleans(),
+        st.booleans(),
+    ), max_size=5),
+    nec=COUNT, budget=budgets, n_samples=COUNT,
+)
+
+
+def assert_fields_equal(a, b):
+    """Equal field by field, down through nested dataclasses and containers;
+    arrays by `np.array_equal` and shape, scalars by value and type."""
+    assert type(a) is type(b), (a, b)
+    if is_dataclass(a):
+        for f in fields(a):
+            assert_fields_equal(getattr(a, f.name), getattr(b, f.name))
+    elif isinstance(a, np.ndarray):
+        assert a.shape == b.shape and np.array_equal(a, b), (a, b)
+    elif isinstance(a, dict):
+        assert a.keys() == b.keys()
+        for k in a:
+            assert_fields_equal(a[k], b[k])
+    elif isinstance(a, (list, tuple)):
+        assert len(a) == len(b)
+        for x, y in zip(a, b):
+            assert_fields_equal(x, y)
+    else:
+        assert a == b, (a, b)
+
+
+def round_trip(save, load, *artifact):
+    """Save, load and save again; the two files must be byte-identical.
+    Returns what was loaded, as a tuple."""
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp) / "first.json", Path(tmp) / "second.json"
+        save(first, *artifact)
+        back = load(first)
+        back = back if isinstance(back, tuple) else (back,)
+        save(second, *back)
+        assert first.read_bytes() == second.read_bytes()
+    return back
+
+
+class TestRoundTripProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(checkpoints())
+    def test_model(self, checkpoint):
+        assert_fields_equal(
+            round_trip(dataio.save_model, dataio.load_model, *checkpoint), checkpoint
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(vocabularies())
+    def test_vocabulary(self, vocab):
+        assert_fields_equal(
+            round_trip(dataio.save_vocabulary, dataio.load_vocabulary, vocab), (vocab,)
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(calibration_results())
+    def test_calibration(self, result):
+        assert_fields_equal(
+            round_trip(dataio.save_calibration, dataio.load_calibration, result), (result,)
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(guarantee_reports())
+    def test_guarantee_report(self, report):
+        assert_fields_equal(
+            round_trip(dataio.save_guarantee_report, dataio.load_guarantee_report, report),
+            (report,),
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(eval_reports)
+    def test_eval_report(self, report):
+        assert_fields_equal(
+            round_trip(dataio.save_eval_report, dataio.load_eval_report, report), (report,)
+        )
+
+
 @pytest.fixture(scope="module")
 def artifacts(tmp_path_factory):
     """One valid file of each JSON artifact kind, and one-record sample
@@ -341,6 +518,14 @@ def _set(*keys, value):
     return mutate
 
 
+def _drop(*keys):
+    def mutate(doc):
+        for key in keys[:-1]:
+            doc = doc[key]
+        del doc[keys[-1]]
+    return mutate
+
+
 def _beside_catalog(load):
     """A sample-file loader that resolves concept ids against the catalog
     file in the same directory."""
@@ -351,8 +536,8 @@ load_samples = _beside_catalog(dataio.load_dataset)
 load_labeled = _beside_catalog(dataio.load_labeled_dataset)
 AUGMENTED_UNKNOWN_CONCEPT = {"kind": "augmented", "source_id": "x", "inserted_concept_id": 999}
 
-# A value of the right JSON shape that the loader cannot build from, by
-# input: the file it goes into, the loader and the change.
+# A value of the right JSON shape that the loader cannot build from, or a
+# missing key, by input: the file it goes into, the loader and the change.
 MALFORMED_VALUES = {
     "catalog": ("catalog.json", dataio.load_catalog,
                 _set("classes", 0, "label", value="x")),
@@ -364,6 +549,14 @@ MALFORMED_VALUES = {
     "guarantee": ("guarantee.json", dataio.load_guarantee_report,
                   _set("n_trials", value="x")),
     "eval": ("eval.json", dataio.load_eval_report, _set("nec", value="x")),
+    "guarantee_no_fallback_rate": ("guarantee.json", dataio.load_guarantee_report,
+                                   _drop("per_criterion", "dis", "fallback_rate")),
+    "guarantee_no_notes": ("guarantee.json", dataio.load_guarantee_report,
+                           _drop("notes")),
+    "calibration_no_curves": ("calibration.json", dataio.load_calibration,
+                              _drop("curves")),
+    "eval_no_sample_id": ("eval.json", dataio.load_eval_report,
+                          _drop("per_sample", 0, "id")),
     "embedding": ("dataset.ndjson", load_samples,
                   _set("embedding", 0, value=float("nan"))),
     "detection_concept": ("dataset.ndjson", load_samples,
