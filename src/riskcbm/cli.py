@@ -28,6 +28,7 @@ from .concept_sets import CRITERIA
 from .core import DataError, NumericError, validate_dataset
 from .dataset_builder import (
     AugmentationConfig,
+    ConceptVocabulary,
     augment_dataset,
     build_vocabulary,
     label_sample,
@@ -128,7 +129,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--labeled", required=True)
     p.add_argument("--catalog", required=True)
     p.add_argument("--vocab", required=True)
-    p.add_argument("--calibration", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--min-count", type=int, default=AugmentationConfig.min_count)
     p.add_argument(
@@ -158,7 +158,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--catalog", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--nec", type=int, default=EvalConfig.nec)
-    _add_budget_flags(p)
     p.add_argument("--per-sample-csv")
     p.add_argument("--cca-dat", help="write a compliance-vs-NEC table here")
 
@@ -263,8 +262,8 @@ def _cmd_build(args) -> int:
     catalog = dataio.load_catalog(_require_file(args.catalog, "catalog"))
     samples = dataio.load_dataset(_require_file(args.dataset, "dataset"), catalog)
     result = dataio.load_calibration(_require_file(args.calibration, "calibration"))
-    vocab = build_vocabulary(samples, catalog, result.lambda_hat)
-    labeled = [label_sample(s, vocab, result.lambda_hat) for s in samples]
+    vocab = build_vocabulary(samples, catalog, result.lambda_hat, result.budget)
+    labeled = [label_sample(s, vocab) for s in samples]
     dataio.save_vocabulary(args.vocab_out, vocab)
     dataio.save_labeled_dataset(args.out, labeled)
     print(
@@ -274,14 +273,21 @@ def _cmd_build(args) -> int:
     return EXIT_OK
 
 
+def _load_vocabulary(path: str, catalog) -> ConceptVocabulary:
+    """A vocabulary written by `build`: it records its calibration, and each
+    of its concepts is in ``catalog``."""
+    vocab = dataio.load_vocabulary(_require_file(path, "vocabulary"))
+    vocab.calibration()
+    vocab.check_in_catalog(catalog)
+    return vocab
+
+
 def _cmd_augment(args) -> int:
     catalog = dataio.load_catalog(_require_file(args.catalog, "catalog"))
     labeled = dataio.load_labeled_dataset(_require_file(args.labeled, "labeled dataset"), catalog)
-    vocab = dataio.load_vocabulary(_require_file(args.vocab, "vocabulary"))
-    vocab.check_in_catalog(catalog)
-    result = dataio.load_calibration(_require_file(args.calibration, "calibration"))
+    vocab = _load_vocabulary(args.vocab, catalog)
     augmented, report = augment_dataset(
-        labeled, vocab, result.lambda_hat, _config_from(AugmentationConfig, args)
+        labeled, vocab, vocab.lambda_hat, _config_from(AugmentationConfig, args)
     )
     dataio.save_labeled_dataset(args.out, augmented)
     added = len(augmented) - len(labeled)
@@ -297,8 +303,7 @@ def _cmd_augment(args) -> int:
 def _cmd_train(args) -> int:
     catalog = dataio.load_catalog(_require_file(args.catalog, "catalog"))
     labeled = dataio.load_labeled_dataset(_require_file(args.labeled, "labeled dataset"), catalog)
-    vocab = dataio.load_vocabulary(_require_file(args.vocab, "vocabulary"))
-    vocab.check_in_catalog(catalog)
+    vocab = _load_vocabulary(args.vocab, catalog)
     config = _config_from(TrainConfig, args)
     model, log = train(labeled, vocab, config, n_classes=catalog.num_classes)
     dataio.save_model(args.out, model, vocab, config)
@@ -315,9 +320,7 @@ def _cmd_evaluate(args) -> int:
     catalog = dataio.load_catalog(_require_file(args.catalog, "catalog"))
     model, vocab, _config = dataio.load_model(_require_file(args.model, "model"))
     test_set = dataio.load_dataset(_require_file(args.dataset, "dataset"), catalog)
-    report = evaluate_sweep(
-        model, test_set, vocab, catalog, _config_from(RiskBudget, args), args.nec, args.cca_dat
-    )
+    report = evaluate_sweep(model, test_set, vocab, catalog, args.nec, args.cca_dat)
     dataio.save_eval_report(args.out, report)
     if args.per_sample_csv:
         dataio.save_per_sample_csv(args.per_sample_csv, report)

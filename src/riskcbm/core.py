@@ -8,6 +8,7 @@ derived quantities keyed on object identity.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -25,6 +26,7 @@ __all__ = [
     "ConceptCatalog",
     "make_embedding",
     "make_pixels",
+    "sample_id_problems",
     "validate_dataset",
 ]
 
@@ -227,6 +229,26 @@ class ConceptCatalog:
         return tuple(sorted(out, key=lambda c: c.id))
 
 
+# Characters that make a sample id more than a plain file name.
+_PATH_CHARS = frozenset("/\\\0")
+
+
+def sample_id_problems(sample_ids: Iterable[str]) -> list[str]:
+    """Report each id that repeats an earlier one or is not a plain file
+    name: empty, ``.``, ``..``, or holding ``/``, ``\\`` or NUL. A sample's
+    pixel tensor is written to a file named by its id, so such an id would
+    overwrite another sample's file or escape the output directory."""
+    problems: list[str] = []
+    seen: set[str] = set()
+    for sample_id in sample_ids:
+        if sample_id in ("", ".", "..") or not _PATH_CHARS.isdisjoint(sample_id):
+            problems.append(f"sample {sample_id!r}: id is not a plain file name")
+        elif sample_id in seen:
+            problems.append(f"sample {sample_id!r}: repeated id")
+        seen.add(sample_id)
+    return problems
+
+
 def validate_dataset(
     samples: Sequence[AnnotatedSample], catalog: ConceptCatalog
 ) -> list[str]:
@@ -247,6 +269,8 @@ def validate_dataset(
             )
         elif float(np.linalg.norm(emb)) < ZERO_NORM_TOL:
             problems.append(f"concept {c.id} ('{c.text}'): zero embedding")
+
+    problems += sample_id_problems(sample.sample_id for sample in samples)
 
     for sample in samples:
         tag = f"sample {sample.sample_id}"
@@ -281,7 +305,9 @@ def validate_dataset(
             if not 0.0 <= det.confidence <= 1.0:
                 problems.append(f"{dtag}: confidence out of [0,1] ({det.confidence})")
             box = det.box
-            if box.x2 <= box.x1 or box.y2 <= box.y1:
+            if not all(map(math.isfinite, (box.x1, box.y1, box.x2, box.y2))):
+                problems.append(f"{dtag}: non-finite box coordinate {box}")
+            elif box.x2 <= box.x1 or box.y2 <= box.y1:
                 problems.append(f"{dtag}: degenerate box {box}")
             elif box.x1 < 0 or box.y1 < 0 or (
                 width is not None and (box.x2 > width or box.y2 > height)

@@ -27,6 +27,7 @@ from .core import (
     ConceptId,
     DataError,
     Detection,
+    sample_id_problems,
     validate_dataset,
 )
 from .dataset_builder import (
@@ -219,8 +220,12 @@ def _save_samples(
 ) -> None:
     """Write one NDJSON record per sample: the fields every sample file
     shares, plus ``extra_fields(sample)``. Pixel tensors go to a sibling
-    directory."""
+    directory, one file per sample id; a repeated id, or one that is not a
+    plain file name, raises `DataError` before anything is written."""
     path = Path(path)
+    problems = sample_id_problems(sample.sample_id for sample in samples)
+    if problems:
+        raise DataError(f"{path}: {problems[0]}")
     pixels_dir = _pixels_dir(path)
     lines = []
     for sample in samples:
@@ -388,7 +393,8 @@ def _init_fields(cls) -> tuple[tuple[str, object], ...]:
 
 def _record(obj):
     """A dataclass as a dict of its `init` fields, recursing into nested
-    dataclasses, dicts, lists and tuples; arrays become lists."""
+    dataclasses, dicts, lists and tuples; arrays become lists. A field that
+    is None is left out."""
     if isinstance(obj, (str, int, float)):
         return obj
     if isinstance(obj, np.ndarray):
@@ -397,22 +403,34 @@ def _record(obj):
         return {k: _record(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_record(v) for v in obj]
-    return {name: _record(getattr(obj, name)) for name, _ in _init_fields(type(obj))}
+    values = ((name, getattr(obj, name)) for name, _ in _init_fields(type(obj)))
+    return {name: _record(value) for name, value in values if value is not None}
 
 
 @functools.cache
 def _reader(kind) -> Callable:
     """The function that builds a value of type ``kind`` from its record.
-    Every field of a dataclass is required; keys that name no field are
-    ignored."""
+    Every field of a dataclass is required, except that a field whose type
+    admits None reads as None when its key is missing; keys that name no
+    field are ignored."""
     if kind in (float, int, str, bool):
         return kind
     if kind is np.ndarray:
         return lambda value: np.asarray(value, dtype=np.float64)
     if is_dataclass(kind):
-        readers = [(name, _reader(hint)) for name, hint in _init_fields(kind)]
-        return lambda value: kind(**{name: read(value[name]) for name, read in readers})
+        readers = [
+            (name, _reader(hint), type(None) in get_args(hint))
+            for name, hint in _init_fields(kind)
+        ]
+        return lambda value: kind(**{
+            name: read(value.get(name) if optional else value[name])
+            for name, read, optional in readers
+        })
     origin, args = get_origin(kind), get_args(kind)
+    if type(None) in args:  # `X | None`
+        (inner,) = set(args) - {type(None)}
+        read_inner = _reader(inner)
+        return lambda value: None if value is None else read_inner(value)
     if origin is dict:
         read_key, read_value = _reader(args[0]), _reader(args[1])
         return lambda value: {read_key(k): read_value(v) for k, v in value.items()}
@@ -451,13 +469,16 @@ def save_model(
     config: TrainConfig,
 ) -> None:
     """One flat object: the parameters, their shapes, the vocabulary's
-    concepts and the training config."""
+    concepts as `vocabulary` and its `lambda_hat` and `budget` when it
+    records them, and the training config."""
+    vocab_doc = _record(vocab)
     doc = {
         **_record(model),
         "embedding_dim": model.embedding_dim,
         "num_concepts": model.num_concepts,
         "num_classes": model.num_classes,
-        "vocabulary": _record(vocab)["concepts"],
+        "vocabulary": vocab_doc.pop("concepts"),
+        **vocab_doc,
         "config": _record(config),
     }
     _dump_json(Path(path), doc)
@@ -468,7 +489,9 @@ def load_model(path: "str | Path") -> tuple[CbmModel, ConceptVocabulary, TrainCo
     doc = _load_json(path)
     with _parsing(path, "model checkpoint"):
         model = _from_record(CbmModel, doc).freeze()
-        vocab = _from_record(ConceptVocabulary, {"concepts": doc["vocabulary"]})
+        # A checkpoint written before vocabularies recorded their
+        # calibration has no `lambda_hat` or `budget`: its vocabulary has none.
+        vocab = _from_record(ConceptVocabulary, {**doc, "concepts": doc["vocabulary"]})
         # Earlier checkpoints record the removed `l1_proximal` option.
         config = TrainConfig(**{k: v for k, v in doc["config"].items() if k != "l1_proximal"})
     if model.num_concepts != len(vocab):

@@ -17,6 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .calibration import RiskBudget
 from .concept_sets import build_concept_set, confidence_admits
 from .core import (
     AnnotatedSample,
@@ -48,9 +49,17 @@ SCALE_RANGE = (0.5, 1.0)
 
 @dataclass(eq=False)
 class ConceptVocabulary:
-    """Ordered global concept vocabulary; order is ascending concept id."""
+    """Ordered global concept vocabulary; order is ascending concept id.
+
+    `build_vocabulary` records the calibration's ``lambda_hat``, the
+    threshold its concepts were admitted at, and the risk ``budget`` that
+    threshold is valid for. A vocabulary or checkpoint written before they
+    were recorded loads with neither; `calibration` rejects it.
+    """
 
     concepts: tuple[ConceptId, ...]
+    lambda_hat: "float | None" = None
+    budget: "RiskBudget | None" = None
     index_of: dict[ConceptId, int] = field(init=False)
 
     def __post_init__(self) -> None:
@@ -59,6 +68,10 @@ class ConceptVocabulary:
             raise DataError("vocabulary contains duplicate concepts")
         if ordered != tuple(self.concepts):
             raise DataError("vocabulary must be sorted by concept id")
+        if (self.lambda_hat is None) != (self.budget is None):
+            raise DataError("a vocabulary records lambda_hat and budget together or neither")
+        if self.lambda_hat is not None and not 0.0 <= self.lambda_hat <= 1.0:
+            raise DataError(f"lambda_hat must be in [0, 1], got {self.lambda_hat}")
         self.concepts = ordered
         self.index_of = {c: i for i, c in enumerate(ordered)}
 
@@ -67,6 +80,16 @@ class ConceptVocabulary:
 
     def __contains__(self, concept: ConceptId) -> bool:
         return concept in self.index_of
+
+    def calibration(self) -> tuple[float, RiskBudget]:
+        """The ``lambda_hat`` and risk ``budget`` this vocabulary was built
+        at; a DataError if it records neither."""
+        if self.budget is None:
+            raise DataError(
+                "vocabulary records no lambda_hat and risk budget; rebuild it "
+                "with `riskcbm build` and retrain on it"
+            )
+        return self.lambda_hat, self.budget
 
     def check_aligned(self, dataset: Sequence["ConceptLabeledSample"]) -> None:
         """Raise a DataError naming the first sample whose concept vector does
@@ -147,8 +170,10 @@ def build_vocabulary(
     samples: Sequence[AnnotatedSample],
     catalog: ConceptCatalog,
     lambda_hat: float,
+    budget: RiskBudget,
 ) -> ConceptVocabulary:
-    """Union of calibrated concept sets over the samples, ordered by id."""
+    """Union of calibrated concept sets over the samples, ordered by id,
+    recording ``lambda_hat`` and the ``budget`` it was calibrated at."""
     union: set[ConceptId] = set()
     for sample in samples:
         union.update(build_concept_set(sample, lambda_hat).members)
@@ -159,13 +184,13 @@ def build_vocabulary(
         raise DataError(
             "empty vocabulary: no detection clears the calibrated threshold"
         )
-    return ConceptVocabulary(concepts=tuple(sorted(union, key=lambda c: c.id)))
+    return ConceptVocabulary(tuple(sorted(union, key=lambda c: c.id)), lambda_hat, budget)
 
 
-def label_sample(
-    sample: AnnotatedSample, vocab: ConceptVocabulary, lambda_hat: float
-) -> ConceptLabeledSample:
-    """One-hot concept labels: entry j is 1 iff vocabulary concept j is in the calibrated set."""
+def label_sample(sample: AnnotatedSample, vocab: ConceptVocabulary) -> ConceptLabeledSample:
+    """One-hot concept labels: entry j is 1 iff vocabulary concept j is in
+    the sample's set at the vocabulary's ``lambda_hat``."""
+    lambda_hat, _ = vocab.calibration()
     vector = np.zeros(len(vocab), dtype=np.uint8)
     for concept in build_concept_set(sample, lambda_hat).members:
         idx = vocab.index_of.get(concept)

@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .calibration import DEFAULT_BUDGET, RiskBudget
+from .calibration import RiskBudget
 from .cbm_trainer import CbmModel, forward
 from .concept_sets import CRITERIA, ConceptSet, batch_prefix_losses
 from .core import AnnotatedSample, ClassLabel, ConceptCatalog, DataError
@@ -36,10 +36,10 @@ SWEEP_NEC_VALUES = (1, 2, 5, 10, 15, 20, 25)
 
 @dataclass(frozen=True)
 class EvalConfig:
-    """Evaluation knobs: effective-set size cap and compliance thresholds."""
+    """Evaluation knob: the effective-set size cap. Compliance is scored at
+    the risk budget the vocabulary records."""
 
     nec: int = 10
-    budget: RiskBudget = DEFAULT_BUDGET
 
     def __post_init__(self) -> None:
         if self.nec < 1:
@@ -149,6 +149,7 @@ def _reports(
     """One report per config from one pass: one forward pass and one ranking
     for all samples, then one prefix-kernel call; NEC n reads column
     ``min(n, len)``."""
+    _, budget = vocab.calibration()
     num_classes = catalog.num_classes
     samples = check_test_set(test_set, num_classes)
     if model.num_classes != num_classes:
@@ -164,9 +165,9 @@ def _reports(
     totals = np.bincount(labels, minlength=num_classes)
     correct = np.bincount(labels, weights=hits, minlength=num_classes)
     per_class = correct / totals
+    alphas = np.array([budget.alpha_for(k) for k in CRITERIA])
     reports = []
     for config in configs:
-        alphas = np.array([config.budget.alpha_for(k) for k in CRITERIA])
         # Columns past a list's end repeat its last, so column min(nec, P)
         # reads every sample's column min(nec, len).
         ok = losses[:, :, min(config.nec, losses.shape[2] - 1)] <= alphas[:, None]
@@ -182,7 +183,7 @@ def _reports(
                 per_class_accuracy=per_class,
                 per_sample=per_sample,
                 nec=config.nec,
-                budget=config.budget,
+                budget=budget,
                 n_samples=len(per_sample),
             )
         )
@@ -199,8 +200,9 @@ def accuracy_report(
     """Overall, worst-class, and concept-compliance accuracy over a test set.
 
     Effective sets are restricted by the predicted class; the three losses
-    are evaluated against the true label. Samples carrying augmented
-    provenance are skipped (test data is never augmented).
+    are evaluated against the true label, at the risk budget ``vocab``
+    records. Samples carrying augmented provenance are skipped (test data is
+    never augmented).
     """
     return _reports(model, test_set, vocab, catalog, [eval_config])[0]
 
@@ -210,10 +212,9 @@ def cca_versus_nec(
     test_set: Sequence[AnnotatedSample],
     vocab: ConceptVocabulary,
     catalog: ConceptCatalog,
-    budget: RiskBudget,
     nec_values: Sequence[int],
 ) -> list[tuple[int, EvalReport]]:
     """Evaluate the report at several effective-set sizes (for compliance curves)."""
-    configs = [EvalConfig(nec=int(nec), budget=budget) for nec in nec_values]
+    configs = [EvalConfig(nec=int(nec)) for nec in nec_values]
     reports = _reports(model, test_set, vocab, catalog, configs)
     return [(config.nec, report) for config, report in zip(configs, reports)]

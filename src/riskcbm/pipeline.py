@@ -80,7 +80,8 @@ class PipelineConfig:
     test_path: str
     catalog_path: str
     output_dir: str
-    # One budget per run: calibration and the evaluation's compliance checks.
+    # One budget per run: calibration's, which the vocabulary carries on to
+    # the checkpoint and the evaluation's compliance checks.
     budget: RiskBudget = DEFAULT_BUDGET
     augmentation: AugmentationConfig = field(default_factory=AugmentationConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
@@ -190,13 +191,12 @@ class PipelineResult:
 
 def evaluate_sweep(
     model: CbmModel, test_set: Sequence[AnnotatedSample], vocab: ConceptVocabulary,
-    catalog: ConceptCatalog, budget: RiskBudget, nec: int, dat_path: "str | Path | None" = None,
+    catalog: ConceptCatalog, nec: int, dat_path: "str | Path | None" = None,
 ) -> EvalReport:
     """The report at ``nec``, read off one sweep over `SWEEP_NEC_VALUES` and
-    ``nec``; given ``dat_path``, the sweep is written there as a table."""
-    sweep = cca_versus_nec(
-        model, test_set, vocab, catalog, budget, sorted({*SWEEP_NEC_VALUES, nec})
-    )
+    ``nec`` at the risk budget ``vocab`` records; given ``dat_path``, the
+    sweep is written there as a table."""
+    sweep = cca_versus_nec(model, test_set, vocab, catalog, sorted({*SWEEP_NEC_VALUES, nec}))
     if dat_path is not None:
         dataio.write_dat(
             dat_path,
@@ -245,17 +245,15 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     dataio.save_calibration(out_dir / "calibration.json", result)
 
     vocab = stage(
-        "build", lambda: build_vocabulary(train_part, catalog, result.lambda_hat)
+        "build",
+        lambda: build_vocabulary(train_part, catalog, result.lambda_hat, result.budget),
     )
     dataio.save_vocabulary(out_dir / "vocabulary.json", vocab)
-    labeled = stage(
-        "build",
-        lambda: [label_sample(s, vocab, result.lambda_hat) for s in train_part],
-    )
+    labeled = stage("build", lambda: [label_sample(s, vocab) for s in train_part])
 
     augmented, _report = stage(
         "augment",
-        lambda: augment_dataset(labeled, vocab, result.lambda_hat, config.augmentation),
+        lambda: augment_dataset(labeled, vocab, vocab.lambda_hat, config.augmentation),
     )
     dataio.save_labeled_dataset(out_dir / "dataset_aug.ndjson", augmented)
 
@@ -269,8 +267,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     report = stage(
         "evaluate",
         lambda: evaluate_sweep(
-            model, test_samples, vocab, catalog, config.budget, config.nec,
-            out_dir / "cca_vs_nec.dat",
+            model, test_samples, vocab, catalog, config.nec, out_dir / "cca_vs_nec.dat",
         ),
     )
     dataio.save_eval_report(out_dir / "eval_report.json", report)

@@ -86,8 +86,8 @@ def e2e_run(tmp_path_factory):
 
     train_part, cal_part = split_train_cal(train_samples, 0.8, seed=0)
     result = calibrate(BUDGET, cal_part, catalog)
-    vocab = build_vocabulary(train_part, catalog, result.lambda_hat)
-    labeled = [label_sample(s, vocab, result.lambda_hat) for s in train_part]
+    vocab = build_vocabulary(train_part, catalog, result.lambda_hat, result.budget)
+    labeled = [label_sample(s, vocab) for s in train_part]
     augmented, _ = augment_dataset(labeled, vocab, result.lambda_hat,
                                    AugmentationConfig())
     model, log = train(augmented, vocab, TrainConfig(),
@@ -285,8 +285,8 @@ class TestCriterion6:
             spec = SynthSpec(classes=2, concepts_per_class=4, samples_per_class=12,
                              seed=seed, image_size=64)
             samples, catalog = generate_synthetic(spec)
-            vocab = build_vocabulary(samples, catalog, lam_hat)
-            labeled = [label_sample(s, vocab, lam_hat) for s in samples]
+            vocab = build_vocabulary(samples, catalog, lam_hat, BUDGET)
+            labeled = [label_sample(s, vocab) for s in samples]
             config = AugmentationConfig(min_count=min_count, rng_seed=seed)
             augmented, report = augment_dataset(labeled, vocab, lam_hat, config)
             counts = np.zeros(len(vocab), dtype=int)
@@ -408,8 +408,8 @@ class TestCriterion9:
             test_samples.extend(by_class[label][50:])
         train_part, cal_part = split_train_cal(train_samples, 0.8, seed=0)
         result = calibrate(BUDGET, cal_part, catalog)
-        vocab = build_vocabulary(train_part, catalog, result.lambda_hat)
-        labeled = [label_sample(s, vocab, result.lambda_hat) for s in train_part]
+        vocab = build_vocabulary(train_part, catalog, result.lambda_hat, result.budget)
+        labeled = [label_sample(s, vocab) for s in train_part]
         augmented, _ = augment_dataset(labeled, vocab, result.lambda_hat,
                                        AugmentationConfig())
         model, _ = train(augmented, vocab, TrainConfig(),

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from riskcbm.calibration import DEFAULT_BUDGET
 from riskcbm.cbm_trainer import (
     Batch,
     _bce,
@@ -380,12 +381,13 @@ GOLDEN_MODEL = Path(__file__).parent / "data" / "model_seed3_momentum.json"
 def golden_training():
     """The run behind `GOLDEN_MODEL`: synth seed 3, concept sets at λ=0.5,
     30 epochs with momentum 0.9. The file was written by `dataio.save_model`
-    from this function's result."""
+    from this function's result, before vocabularies recorded their
+    `lambda_hat` and `budget`, so it has neither."""
     spec = SynthSpec(classes=3, concepts_per_class=4, samples_per_class=10,
                      embedding_dim=8, seed=3, with_pixels=False)
     samples, catalog = generate_synthetic(spec)
-    vocab = build_vocabulary(samples, catalog, 0.5)
-    labeled = [label_sample(s, vocab, 0.5) for s in samples]
+    vocab = build_vocabulary(samples, catalog, 0.5, DEFAULT_BUDGET)
+    labeled = [label_sample(s, vocab) for s in samples]
     config = TrainConfig(epochs=30, momentum=0.9, learning_rate=0.05, batch_size=8,
                          rng_seed=3)
     model, _ = train(labeled, vocab, config, n_classes=catalog.num_classes)

@@ -3,6 +3,7 @@
 import argparse
 import json
 import os
+import shutil
 import subprocess
 import sys
 import warnings
@@ -19,8 +20,10 @@ from riskcbm.cbm_trainer import TrainConfig
 from riskcbm.cli import _build_parser, _config_from, main
 from riskcbm.dataset_builder import AugmentationConfig, ConceptVocabulary
 from riskcbm.evaluation import EvalConfig
-from riskcbm.pipeline import PipelineConfig, PipelineResult
+from riskcbm.pipeline import PipelineConfig, PipelineResult, split_train_cal
 from riskcbm.synth import SynthSpec
+
+GOLDEN_MODEL = Path(__file__).parent / "data" / "model_seed3_momentum.json"
 
 
 @pytest.fixture(scope="module")
@@ -58,16 +61,17 @@ def built(data_dir, tmp_path_factory):
 def foreign_vocab(built, tmp_path_factory):
     """A vocabulary as long as the `built` one, taken from a 3 x 5 catalog:
     its concept 4 is 'trait 0.4', which the 3 x 4 catalog of `data_dir`
-    does not list (its concept 4 is 'trait 1.0')."""
+    does not list (its concept 4 is 'trait 1.0'). It records the `built`
+    vocabulary's calibration, so only the catalog can reject it."""
     other = tmp_path_factory.mktemp("other")
     assert main([
         "synth", "--out-dir", str(other), "--classes", "3", "--concepts-per-class", "5",
         "--samples-per-class", "2", "--test-samples-per-class", "0", "--seed", "1",
     ]) == 0
-    width = len(dataio.load_vocabulary(built[2]))
-    concepts = dataio.load_catalog(other / "catalog.json").all_concepts()[:width]
+    vocab = dataio.load_vocabulary(built[2])
+    concepts = dataio.load_catalog(other / "catalog.json").all_concepts()[:len(vocab)]
     path = other / "vocab.json"
-    dataio.save_vocabulary(path, ConceptVocabulary(concepts))
+    dataio.save_vocabulary(path, ConceptVocabulary(concepts, vocab.lambda_hat, vocab.budget))
     return path
 
 
@@ -151,7 +155,7 @@ class TestStagedCommands:
         assert main([
             "augment", "--labeled", str(labeled),
             "--catalog", str(data_dir / "catalog.json"),
-            "--vocab", str(vocab), "--calibration", str(cal_json),
+            "--vocab", str(vocab),
             "--out", str(augmented), "--min-count", "5",
         ]) == 0
         model = tmp_path / "model.json"
@@ -199,29 +203,57 @@ class TestStagedCommands:
     def test_threshold_outside_the_unit_interval_is_a_one_line_data_error(
         self, command, lam, built, data_dir, tmp_path, capsys
     ):
-        """A calibration file whose thresholds all lie outside [0, 1] is
-        malformed; neither stage writes anything at such a threshold."""
-        good, labeled, vocab = built
-        doc = json.loads(good.read_text())
-        for key in ("lambda_dis", "lambda_cov", "lambda_div", "lambda_hat"):
-            doc[key] = lam
-        cal_json = tmp_path / "calibration.json"
-        cal_json.write_text(json.dumps(doc))
+        """A calibration file whose thresholds all lie outside [0, 1], or a
+        vocabulary whose `lambda_hat` does, is malformed; neither stage
+        writes anything at such a threshold."""
+        good_cal, labeled, good_vocab = built
+        if command == "build":
+            doc = json.loads(good_cal.read_text())
+            for key in ("lambda_dis", "lambda_cov", "lambda_div", "lambda_hat"):
+                doc[key] = lam
+            bad = tmp_path / "calibration.json"
+            argv = ["build", "--dataset", str(data_dir / "train.ndjson"),
+                    "--vocab-out", str(tmp_path / "vocab.json"), "--calibration", str(bad)]
+            malformed, named = "calibration result", "lambda_dis must be in [0, 1]"
+        else:
+            doc = json.loads(good_vocab.read_text())
+            doc["lambda_hat"] = lam
+            bad = tmp_path / "vocab.json"
+            argv = ["augment", "--labeled", str(labeled), "--vocab", str(bad)]
+            malformed, named = "vocabulary", "lambda_hat must be in [0, 1]"
+        bad.write_text(json.dumps(doc))
         out = tmp_path / "out.ndjson"
-        argv = {
-            "build": ["build", "--dataset", str(data_dir / "train.ndjson"),
-                      "--vocab-out", str(tmp_path / "vocab.json")],
-            "augment": ["augment", "--labeled", str(labeled), "--vocab", str(vocab)],
-        }[command]
+        capsys.readouterr()
+        code = main([*argv, "--catalog", str(data_dir / "catalog.json"), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: {bad}: malformed {malformed}"), err
+        assert named in err and err.count("\n") == 1, err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["augment", "train"])
+    def test_vocabulary_without_its_calibration_is_a_one_line_data_error(
+        self, command, built, data_dir, tmp_path, capsys
+    ):
+        """A vocabulary written before it recorded `lambda_hat` and `budget`
+        gives neither the threshold to augment at nor a budget to pass on."""
+        _, labeled, vocab = built
+        doc = json.loads(vocab.read_text())
+        del doc["lambda_hat"], doc["budget"]
+        bare = tmp_path / "vocab.json"
+        bare.write_text(json.dumps(doc))
+        out = tmp_path / "out"
         capsys.readouterr()
         code = main([
-            *argv, "--catalog", str(data_dir / "catalog.json"),
-            "--calibration", str(cal_json), "--out", str(out),
+            command, "--labeled", str(labeled), "--catalog", str(data_dir / "catalog.json"),
+            "--vocab", str(bare), "--out", str(out),
         ])
         err = capsys.readouterr().err
         assert code == 2
-        assert err.startswith(f"error: {cal_json}: malformed calibration result"), err
-        assert "lambda_dis must be in [0, 1]" in err and err.count("\n") == 1, err
+        assert err == (
+            "error: vocabulary records no lambda_hat and risk budget; "
+            "rebuild it with `riskcbm build` and retrain on it\n"
+        )
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["augment", "train", "evaluate"])
@@ -230,7 +262,7 @@ class TestStagedCommands:
     ):
         """Its concept vectors have the right width, so only the catalog can
         tell; `evaluate` checks the vocabulary its checkpoint records."""
-        cal_json, labeled, vocab = built
+        _, labeled, vocab = built
         catalog = ["--catalog", str(data_dir / "catalog.json")]
         out = tmp_path / "out"
         if command == "evaluate":
@@ -246,8 +278,6 @@ class TestStagedCommands:
                     "--cca-dat", str(tmp_path / "cca.dat"), "--per-sample-csv", str(out)]
         else:
             argv = [command, "--labeled", str(labeled), "--vocab", str(foreign_vocab)]
-            if command == "augment":
-                argv += ["--calibration", str(cal_json)]
         capsys.readouterr()
         code = main([*argv, *catalog, "--out", str(out)])
         err = capsys.readouterr().err
@@ -260,7 +290,7 @@ class TestStagedCommands:
     def test_faulty_labeled_embedding_is_a_one_line_data_error(
         self, command, fault, built, data_dir, tmp_path, capsys
     ):
-        cal_json, labeled, vocab = built
+        _, labeled, vocab = built
         lines = labeled.read_text().splitlines()
         doc = json.loads(lines[0])
         doc["embedding"] = FAULTY_EMBEDDINGS[fault](doc["embedding"])
@@ -269,8 +299,7 @@ class TestStagedCommands:
         bad.write_text("\n".join([json.dumps(doc), *lines[1:]]) + "\n")
         flags = {
             "train": ["--out", str(tmp_path / "model.json"), "--epochs", "5"],
-            "augment": ["--calibration", str(cal_json),
-                        "--out", str(tmp_path / "aug.ndjson")],
+            "augment": ["--out", str(tmp_path / "aug.ndjson")],
         }[command]
         capsys.readouterr()
         code = main([
@@ -290,7 +319,7 @@ class TestStagedCommands:
     ):
         """A vocabulary one concept short of every vector, or one vector one
         entry short of the vocabulary, names the first sample that differs."""
-        cal_json, labeled, vocab = built
+        _, labeled, vocab = built
         lines = labeled.read_text().splitlines()
         docs = [json.loads(line) for line in lines]
         width = len(docs[0]["concept_vector"])
@@ -308,7 +337,7 @@ class TestStagedCommands:
         bad.write_text("".join(json.dumps(doc) + "\n" for doc in docs))
         flags = {
             "train": ["--epochs", "5"],
-            "augment": ["--calibration", str(cal_json)],
+            "augment": [],
         }[command]
         capsys.readouterr()
         code = main([
@@ -322,6 +351,72 @@ class TestStagedCommands:
         assert err.startswith(expected), err
         assert err.count("\n") == 1 and "Traceback" not in err, err
         assert not (tmp_path / "out").exists()
+
+
+    def test_staged_chain_carries_the_pipeline_budget(self, data_dir, tmp_path):
+        """At a budget other than the default, `calibrate`, `build`,
+        `augment`, `train` and `evaluate` on the two parts of the training
+        file write the bytes `pipeline` writes: the budget is given once, to
+        `calibrate`, and travels on through the vocabulary and the model."""
+        budget = ["--alpha-dis", "0.8", "--alpha-cov", "0.25", "--alpha-div", "0.3"]
+        catalog = ["--catalog", str(data_dir / "catalog.json")]
+        run = tmp_path / "run"
+        assert main([
+            "pipeline", "--train", str(data_dir / "train.ndjson"),
+            "--test", str(data_dir / "test.ndjson"), *catalog, "--out-dir", str(run),
+            "--epochs", "30", "--seed", "3", *budget,
+        ]) == 0
+        samples = dataio.load_dataset(data_dir / "train.ndjson", dataio.load_catalog(catalog[1]))
+        config = PipelineConfig("t", "e", "c", "o")
+        parts = split_train_cal(samples, config.train_fraction, config.split_seed)
+        staged = tmp_path / "staged"
+        staged.mkdir()
+        for name, part in zip(("train_part", "cal_part"), parts):
+            dataio.save_dataset(staged / f"{name}.ndjson", part)
+        cal, labeled, vocab = staged / "cal.json", staged / "labeled.ndjson", staged / "vocabulary.json"
+        aug, model, report = staged / "aug.ndjson", staged / "model.json", staged / "eval_report.json"
+        for argv in (
+            ["calibrate", "--dataset", str(staged / "cal_part.ndjson"), "--out", str(cal), *budget],
+            ["build", "--dataset", str(staged / "train_part.ndjson"), "--calibration", str(cal),
+             "--out", str(labeled), "--vocab-out", str(vocab)],
+            ["augment", "--labeled", str(labeled), "--vocab", str(vocab), "--out", str(aug),
+             "--seed", "3"],
+            ["train", "--labeled", str(aug), "--vocab", str(vocab), "--out", str(model),
+             "--epochs", "30", "--seed", "3"],
+            ["evaluate", "--model", str(model), "--dataset", str(data_dir / "test.ndjson"),
+             "--out", str(report)],
+        ):
+            assert main([*argv, *catalog]) == 0, argv[0]
+        for path in (vocab, model, report):
+            assert path.read_bytes() == (run / path.name).read_bytes(), path.name
+        assert json.loads(report.read_text())["budget"] == {
+            "alpha_dis": 0.8, "alpha_cov": 0.25, "alpha_div": 0.3,
+        }
+
+    def test_evaluate_on_a_checkpoint_without_a_budget_is_a_one_line_data_error(
+        self, tmp_path, capsys
+    ):
+        """The golden checkpoint predates the recorded budget; with these
+        flags `synth` draws the catalog it was trained on."""
+        assert main([
+            "synth", "--out-dir", str(tmp_path / "data"), "--classes", "3",
+            "--concepts-per-class", "4", "--dim", "8", "--seed", "3", "--no-pixels",
+        ]) == 0
+        report = tmp_path / "report.json"
+        capsys.readouterr()
+        code = main([
+            "evaluate", "--model", str(GOLDEN_MODEL),
+            "--dataset", str(tmp_path / "data" / "test.ndjson"),
+            "--catalog", str(tmp_path / "data" / "catalog.json"),
+            "--out", str(report), "--cca-dat", str(tmp_path / "cca.dat"),
+        ])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == (
+            "error: vocabulary records no lambda_hat and risk budget; "
+            "rebuild it with `riskcbm build` and retrain on it\n"
+        )
+        assert not report.exists() and not (tmp_path / "cca.dat").exists()
 
 
 # Every top-level name `pipeline` writes into its output directory.
@@ -427,6 +522,33 @@ class TestPipelineCommand:
         ])
         assert code == 1
         assert "catalog" in capsys.readouterr().err
+
+    def test_path_escaping_sample_id_is_a_data_error_before_any_write(
+        self, data_dir, tmp_path, capsys
+    ):
+        """Each training sample's pixels are written to a file named by its
+        id; an id of ``../../escaped`` would put one outside the output
+        directory."""
+        inputs = tmp_path / "in"
+        shutil.copytree(data_dir / "train.pixels", inputs / "train.pixels")
+        lines = (data_dir / "train.ndjson").read_text().splitlines()
+        docs = [json.loads(line) for line in lines]
+        for doc in docs:
+            doc["id"] = f"../../escaped-{doc['id']}"
+        (inputs / "train.ndjson").write_text("".join(json.dumps(d) + "\n" for d in docs))
+        before = sorted(tmp_path.rglob("*"))
+        capsys.readouterr()
+        code = main([
+            "pipeline", "--train", str(inputs / "train.ndjson"),
+            "--test", str(data_dir / "test.ndjson"),
+            "--catalog", str(data_dir / "catalog.json"),
+            "--out-dir", str(tmp_path / "runs" / "trav"), "--epochs", "2",
+        ])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: stage 'load' failed: ") and err.count("\n") == 1, err
+        assert "id is not a plain file name" in err
+        assert sorted(tmp_path.rglob("*")) == before
 
     def test_config_file_with_overrides(self, data_dir, tmp_path):
         config = {
@@ -612,6 +734,22 @@ class TestUsageErrors:
         assert code == 1
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            ["evaluate", "--model", "m", "--dataset", "d", "--catalog", "c", "--out", "o",
+             "--alpha-dis", "0.6"],
+            ["augment", "--labeled", "l", "--catalog", "c", "--vocab", "v", "--out", "o",
+             "--calibration", "x"],
+        ],
+        ids=["evaluate-alpha", "augment-calibration"],
+    )
+    def test_removed_flag_is_a_usage_error(self, argv, capsys):
+        """The budget and its threshold come from the vocabulary or the
+        checkpoint, so neither command takes them as flags."""
+        assert main(argv) == 1
+        assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
         "argv, named",
         [
             (["crc-check", "--pool", "40", "--n-cal", "30", "--trials", "50"], "n_trials"),
@@ -695,12 +833,12 @@ class TestUsageErrors:
             (["calibrate", "--dataset", "d", "--catalog", "c", "--out", "o"], {
                 "resolution": DEFAULT_RESOLUTION, **BUDGET_DEFAULTS,
             }),
-            (["augment", "--labeled", "l", "--catalog", "c", "--vocab", "v",
-              "--calibration", "k", "--out", "o"], _field_defaults(AugmentationConfig)),
+            (["augment", "--labeled", "l", "--catalog", "c", "--vocab", "v", "--out", "o"],
+             _field_defaults(AugmentationConfig)),
             (["train", "--labeled", "l", "--catalog", "c", "--vocab", "v", "--out", "o"],
              _field_defaults(TrainConfig)),
             (["evaluate", "--model", "m", "--dataset", "d", "--catalog", "c", "--out", "o"], {
-                "nec": EvalConfig.nec, **BUDGET_DEFAULTS,
+                "nec": EvalConfig.nec,
             }),
             (["crc-check"], {
                 "classes": SynthSpec.classes,

@@ -166,3 +166,35 @@ class TestValidateDataset:
         second = validate_dataset([sample], catalog)
         assert first == second
         assert sample.detections[0].confidence == 1.5
+
+    @pytest.mark.parametrize(
+        "bad_id", ["", ".", "..", "../../escaped", "a/b", "a\\b", "a\0b"],
+        ids=["empty", "dot", "dotdot", "escaping", "slash", "backslash", "nul"],
+    )
+    def test_id_that_is_not_a_plain_file_name(self, bad_id):
+        """Pixel tensors are written to files named by sample id."""
+        catalog = self._catalog()
+        samples = [make_sample("a", 0, [1.0, 0.0], []), make_sample(bad_id, 0, [1.0, 0.0], [])]
+        assert validate_dataset(samples, catalog) == [
+            f"sample {bad_id!r}: id is not a plain file name"
+        ]
+
+    def test_repeated_id(self):
+        catalog = self._catalog()
+        samples = [make_sample(i, 0, [1.0, 0.0], []) for i in ("c0-s0", "c0-s1", "c0-s0")]
+        assert validate_dataset(samples, catalog) == ["sample 'c0-s0': repeated id"]
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")],
+                             ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("coordinate", ["x1", "y1", "x2", "y2"])
+    def test_non_finite_box_coordinate(self, coordinate, value):
+        """Without pixels no bounds check applies, and NaN fails no comparison."""
+        catalog = self._catalog()
+        c0 = catalog.concepts_for(0)[0]
+        corners = {"x1": 1.0, "y1": 1.0, "x2": 4.0, "y2": 4.0, coordinate: value}
+        det = Detection(box=BoundingBox(**corners), confidence=0.5, concept=c0)
+        sample = AnnotatedSample("a", 0, [1.0, 0.0], [det])
+        report = validate_dataset([sample], catalog)
+        assert len(report) == 1, report
+        assert report[0].startswith("sample a: detection 0 ('")
+        assert "non-finite box coordinate" in report[0]

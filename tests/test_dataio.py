@@ -3,7 +3,7 @@
 import json
 import re
 import tempfile
-from dataclasses import fields, is_dataclass
+from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +14,7 @@ from hypothesis.extra.numpy import arrays
 
 from riskcbm import dataio
 from riskcbm.calibration import (
+    DEFAULT_BUDGET,
     CalibrationResult,
     CriterionCoverage,
     ExchangeablePool,
@@ -173,12 +174,23 @@ class TestDataset:
         got = dataio.load_dataset(path, catalog, validate=False)
         assert got[0].detections[0].confidence == 1.7
 
+    @pytest.mark.parametrize("fault", ["repeated", "escaping"])
+    def test_unsafe_sample_id_raises_before_any_write(self, fault, tmp_path, synth):
+        """Pixel tensors are written to files named by sample id: a repeated
+        id would overwrite one, a `../` id would land outside the directory."""
+        samples, _ = synth
+        bad_id = {"repeated": samples[0].sample_id, "escaping": "../escaped"}[fault]
+        samples = [samples[0], replace(samples[1], sample_id=bad_id), *samples[2:]]
+        with pytest.raises(DataError, match=re.escape(f"sample {bad_id!r}: ")):
+            dataio.save_dataset(tmp_path / "data.ndjson", samples)
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestLabeledDataset:
     def test_round_trip_including_augmented(self, tmp_path, synth):
         samples, catalog = synth
-        vocab = build_vocabulary(samples, catalog, 0.4)
-        labeled = [label_sample(s, vocab, 0.4) for s in samples]
+        vocab = build_vocabulary(samples, catalog, 0.4, DEFAULT_BUDGET)
+        labeled = [label_sample(s, vocab) for s in samples]
         augmented, _ = augment_dataset(
             labeled, vocab, 0.4, AugmentationConfig(min_count=4, rng_seed=1)
         )
@@ -205,8 +217,8 @@ class TestLabeledDataset:
         """Both sample files share one layout: a labeled line without
         `concept_vector` and `provenance` is the annotated line."""
         samples, catalog = synth
-        vocab = build_vocabulary(samples, catalog, 0.4)
-        labeled = [label_sample(s, vocab, 0.4) for s in samples]
+        vocab = build_vocabulary(samples, catalog, 0.4, DEFAULT_BUDGET)
+        labeled = [label_sample(s, vocab) for s in samples]
         (tmp_path / "a").mkdir()
         (tmp_path / "b").mkdir()
         dataio.save_dataset(tmp_path / "a" / "data.ndjson", samples)
@@ -224,16 +236,17 @@ class TestLabeledDataset:
 class TestVocabularyAndModel:
     def test_vocabulary_round_trip(self, tmp_path, synth):
         samples, catalog = synth
-        vocab = build_vocabulary(samples, catalog, 0.5)
+        vocab = build_vocabulary(samples, catalog, 0.5, DEFAULT_BUDGET)
         path = tmp_path / "vocab.json"
         dataio.save_vocabulary(path, vocab)
         back = dataio.load_vocabulary(path)
         assert back.concepts == vocab.concepts
+        assert back.calibration() == (0.5, DEFAULT_BUDGET)
 
     def test_model_round_trip(self, tmp_path, synth):
         samples, catalog = synth
-        vocab = build_vocabulary(samples, catalog, 0.5)
-        labeled = [label_sample(s, vocab, 0.5) for s in samples]
+        vocab = build_vocabulary(samples, catalog, 0.5, DEFAULT_BUDGET)
+        labeled = [label_sample(s, vocab) for s in samples]
         config = TrainConfig(epochs=5, rng_seed=2)
         model, _ = train(labeled, vocab, config, n_classes=catalog.num_classes)
         path = tmp_path / "model.json"
@@ -244,6 +257,7 @@ class TestVocabularyAndModel:
         assert np.array_equal(model.head_weights, model2.head_weights)
         assert np.array_equal(model.head_bias, model2.head_bias)
         assert vocab2.concepts == vocab.concepts
+        assert vocab2.calibration() == (0.5, DEFAULT_BUDGET)
         assert config2 == config
         path2 = tmp_path / "model2.json"
         dataio.save_model(path2, model2, vocab2, config2)
@@ -269,8 +283,8 @@ class TestReports:
 
     def test_eval_report_round_trip(self, tmp_path, synth):
         samples, catalog = synth
-        vocab = build_vocabulary(samples, catalog, 0.5)
-        labeled = [label_sample(s, vocab, 0.5) for s in samples]
+        vocab = build_vocabulary(samples, catalog, 0.5, DEFAULT_BUDGET)
+        labeled = [label_sample(s, vocab) for s in samples]
         model, _ = train(labeled, vocab, TrainConfig(epochs=5),
                          n_classes=catalog.num_classes)
         report = accuracy_report(model, samples, vocab, catalog, EvalConfig())
@@ -303,8 +317,8 @@ class TestReports:
 
     def test_tabular_outputs(self, tmp_path, synth):
         samples, catalog = synth
-        vocab = build_vocabulary(samples, catalog, 0.5)
-        labeled = [label_sample(s, vocab, 0.5) for s in samples]
+        vocab = build_vocabulary(samples, catalog, 0.5, DEFAULT_BUDGET)
+        labeled = [label_sample(s, vocab) for s in samples]
         model, log = train(labeled, vocab, TrainConfig(epochs=3),
                            n_classes=catalog.num_classes)
         dataio.save_training_log(tmp_path / "log.csv", log)
@@ -342,11 +356,13 @@ def finite_arrays(shape):
 
 @st.composite
 def vocabularies(draw, min_size=0):
+    """With or without a recorded calibration (`lambda_hat` and `budget`)."""
     ids = sorted(draw(st.sets(COUNT, min_size=min_size, max_size=6)))
+    calibration = draw(st.one_of(st.just(()), st.tuples(UNIT, budgets)))
     return ConceptVocabulary(tuple(
         ConceptId(id=i, text=draw(st.text(min_size=1)), class_of_origin=draw(COUNT))
         for i in ids
-    ))
+    ), *calibration)
 
 
 @st.composite
@@ -486,11 +502,11 @@ def artifacts(tmp_path_factory):
         SynthSpec(classes=2, concepts_per_class=3, samples_per_class=8, seed=17,
                   with_pixels=False)
     )
-    vocab = build_vocabulary(samples, catalog, 0.5)
-    labeled = [label_sample(s, vocab, 0.5) for s in samples]
+    budget = RiskBudget(0.7, 0.2, 0.2)
+    vocab = build_vocabulary(samples, catalog, 0.5, budget)
+    labeled = [label_sample(s, vocab) for s in samples]
     config = TrainConfig(epochs=3)
     model, _ = train(labeled, vocab, config, n_classes=catalog.num_classes)
-    budget = RiskBudget(0.7, 0.2, 0.2)
     pool = ExchangeablePool(samples=samples, catalog=catalog)
     dataio.save_catalog(out / "catalog.json", catalog)
     dataio.save_dataset(out / "dataset.ndjson", samples[:1])
@@ -543,7 +559,12 @@ MALFORMED_VALUES = {
                 _set("classes", 0, "label", value="x")),
     "vocabulary": ("vocabulary.json", dataio.load_vocabulary,
                    _set("concepts", 0, "id", value="x")),
+    "vocabulary_budget": ("vocabulary.json", dataio.load_vocabulary,
+                          _set("budget", "alpha_dis", value=1.5)),
+    "vocabulary_lambda_hat_only": ("vocabulary.json", dataio.load_vocabulary,
+                                   _drop("budget")),
     "model": ("model.json", dataio.load_model, _set("config", "epochs", value=0)),
+    "model_budget": ("model.json", dataio.load_model, _set("budget", "alpha_cov", value=0)),
     "calibration": ("calibration.json", dataio.load_calibration,
                     _set("lambda_hat", value=lambda v: v + 1.0)),
     "guarantee": ("guarantee.json", dataio.load_guarantee_report,

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import make_catalog, make_sample
+from riskcbm.calibration import DEFAULT_BUDGET, RiskBudget
 from riskcbm.concept_sets import confidence_admits
 from riskcbm.core import AnnotatedSample, BoundingBox, DataError, Detection
 from riskcbm.dataset_builder import (
@@ -34,6 +35,11 @@ def gray(h=64, w=64, value=0.25):
     return np.full((h, w, 3), value, dtype=np.float32)
 
 
+def vocab_at(lambda_hat, *concepts):
+    """A vocabulary of ``concepts`` built at ``lambda_hat``."""
+    return ConceptVocabulary(concepts, lambda_hat, DEFAULT_BUDGET)
+
+
 class TestVocabulary:
     def test_union_and_order(self, catalog):
         a, b, c = catalog.concepts_for(0)
@@ -41,7 +47,7 @@ class TestVocabulary:
             make_sample("s0", 0, [1, 0], [(a, 0.9), (b, 0.8)]),
             make_sample("s1", 0, [1, 0], [(b, 0.9), (c, 0.85)]),
         ]
-        vocab = build_vocabulary(samples, catalog, 0.3)
+        vocab = build_vocabulary(samples, catalog, 0.3, DEFAULT_BUDGET)
         assert vocab.concepts == (a, b, c)
         assert [vocab.index_of[x] for x in (a, b, c)] == [0, 1, 2]
 
@@ -52,15 +58,15 @@ class TestVocabulary:
             make_sample("s1", 0, [1, 0], [(c, 0.9)]),
             make_sample("s2", 0, [1, 0], [(b, 0.9)]),
         ]
-        forward = build_vocabulary(samples, catalog, 0.5)
-        backward = build_vocabulary(list(reversed(samples)), catalog, 0.5)
+        forward = build_vocabulary(samples, catalog, 0.5, DEFAULT_BUDGET)
+        backward = build_vocabulary(list(reversed(samples)), catalog, 0.5, DEFAULT_BUDGET)
         assert forward.concepts == backward.concepts
 
     def test_empty_vocabulary_is_an_error(self, catalog):
         a = catalog.concepts_for(0)[0]
         samples = [make_sample("s0", 0, [1, 0], [(a, 0.99)])]
         with pytest.raises(DataError, match="empty vocabulary"):
-            build_vocabulary(samples, catalog, 0.0)
+            build_vocabulary(samples, catalog, 0.0, DEFAULT_BUDGET)
 
     def test_lambda_one_collects_every_detected_concept(self, catalog):
         a, b, _ = catalog.concepts_for(0)
@@ -69,8 +75,41 @@ class TestVocabulary:
             make_sample("s0", 0, [1, 0], [(a, 0.01), (b, 0.2)]),
             make_sample("s1", 1, [-1, 0], [(d, 0.0)]),
         ]
-        vocab = build_vocabulary(samples, catalog, 1.0)
+        vocab = build_vocabulary(samples, catalog, 1.0, DEFAULT_BUDGET)
         assert set(vocab.concepts) == {a, b, d}
+
+    def test_records_the_threshold_and_the_budget_it_was_built_at(self, catalog):
+        a = catalog.concepts_for(0)[0]
+        budget = RiskBudget(alpha_dis=0.8, alpha_cov=0.25, alpha_div=0.3)
+        samples = [make_sample("s0", 0, [1, 0], [(a, 0.9)])]
+        vocab = build_vocabulary(samples, catalog, 0.4, budget)
+        assert (vocab.lambda_hat, vocab.budget) == (0.4, budget)
+        assert vocab.calibration() == (0.4, budget)
+
+    def test_without_its_calibration_nothing_is_labeled(self, catalog):
+        """A vocabulary loaded from a file that predates `lambda_hat` and
+        `budget` has neither, so it gives no threshold to label at."""
+        a, b, _ = catalog.concepts_for(0)
+        bare = ConceptVocabulary(concepts=(a, b))
+        sample = make_sample("s0", 0, [1, 0], [(a, 0.9)])
+        message = "vocabulary records no lambda_hat and risk budget"
+        with pytest.raises(DataError, match=message):
+            bare.calibration()
+        with pytest.raises(DataError, match=message):
+            label_sample(sample, bare)
+
+    @pytest.mark.parametrize("lambda_hat, budget, message", [
+        (0.5, None, "together or neither"),
+        (None, DEFAULT_BUDGET, "together or neither"),
+        (1.5, DEFAULT_BUDGET, r"lambda_hat must be in \[0, 1\]"),
+        (-0.1, DEFAULT_BUDGET, r"lambda_hat must be in \[0, 1\]"),
+    ])
+    def test_half_or_out_of_range_calibration_rejected(
+        self, catalog, lambda_hat, budget, message
+    ):
+        a = catalog.concepts_for(0)[0]
+        with pytest.raises(DataError, match=message):
+            ConceptVocabulary((a,), lambda_hat, budget)
 
     def test_duplicate_or_unsorted_construction_rejected(self, catalog):
         a, b, _ = catalog.concepts_for(0)
@@ -88,9 +127,9 @@ class TestVocabulary:
 class TestLabeling:
     def test_indicator_vector(self, catalog):
         a, b, c = catalog.concepts_for(0)
-        vocab = ConceptVocabulary(concepts=(a, b, c))
+        vocab = vocab_at(0.3, a, b, c)
         sample = make_sample("s0", 0, [1, 0], [(c, 0.9), (a, 0.95)], pixels=gray())
-        labeled = label_sample(sample, vocab, 0.3)
+        labeled = label_sample(sample, vocab)
         assert labeled.concept_vector.tolist() == [1, 0, 1]
         assert labeled.is_original
         # A labeled row is an annotated sample and passes the same checks.
@@ -105,31 +144,31 @@ class TestLabeling:
 
     def test_empty_set_gives_zero_vector(self, catalog):
         a, b, c = catalog.concepts_for(0)
-        vocab = ConceptVocabulary(concepts=(a, b, c))
+        vocab = vocab_at(0.2, a, b, c)
         sample = make_sample("s0", 0, [1, 0], [(a, 0.1)])
-        assert label_sample(sample, vocab, 0.2).concept_vector.tolist() == [0, 0, 0]
+        assert label_sample(sample, vocab).concept_vector.tolist() == [0, 0, 0]
 
     def test_full_set_gives_ones(self, catalog):
         a, b, c = catalog.concepts_for(0)
-        vocab = ConceptVocabulary(concepts=(a, b, c))
+        vocab = vocab_at(0.5, a, b, c)
         sample = make_sample("s0", 0, [1, 0], [(a, 0.9), (b, 0.9), (c, 0.9)])
-        assert label_sample(sample, vocab, 0.5).concept_vector.tolist() == [1, 1, 1]
+        assert label_sample(sample, vocab).concept_vector.tolist() == [1, 1, 1]
 
     def test_concepts_outside_vocab_ignored(self, catalog):
         a, b, _ = catalog.concepts_for(0)
-        vocab = ConceptVocabulary(concepts=(a,))
+        vocab = vocab_at(0.5, a)
         sample = make_sample("s0", 0, [1, 0], [(a, 0.9), (b, 0.9)])
-        assert label_sample(sample, vocab, 0.5).concept_vector.tolist() == [1]
+        assert label_sample(sample, vocab).concept_vector.tolist() == [1]
 
     def test_label_matches_membership_recomputation(self, catalog):
         rng = np.random.default_rng(41)
         concepts = catalog.concepts_for(0)
-        vocab = ConceptVocabulary(concepts=tuple(concepts))
         for _ in range(25):
             confs = [(c, float(rng.uniform(0, 1))) for c in concepts]
             lam = float(rng.uniform(0, 1))
+            vocab = vocab_at(lam, *concepts)
             sample = make_sample("s", 0, [1, 0], confs)
-            labeled = label_sample(sample, vocab, lam)
+            labeled = label_sample(sample, vocab)
             for c, conf in confs:
                 expected = 1 if confidence_admits(conf, lam) else 0
                 assert labeled.concept_vector[vocab.index_of[c]] == expected
@@ -138,20 +177,20 @@ class TestLabeling:
 class TestSparseConcepts:
     def test_counts_and_ordering(self, catalog):
         a, b, c = catalog.concepts_for(0)
-        vocab = ConceptVocabulary(concepts=(a, b, c))
+        vocab = vocab_at(0.5, a, b, c)
         samples = [
             make_sample(f"s{i}", 0, [1, 0], [(a, 0.9)] + ([(b, 0.9)] if i < 3 else []))
             for i in range(6)
         ]
-        labeled = [label_sample(s, vocab, 0.5) for s in samples]
+        labeled = [label_sample(s, vocab) for s in samples]
         sparse = find_sparse_concepts(labeled, vocab, AugmentationConfig(min_count=10))
         assert sparse == [(c, 0), (b, 3), (a, 6)]
 
     def test_all_concepts_frequent_enough(self, catalog):
         a, _, _ = catalog.concepts_for(0)
-        vocab = ConceptVocabulary(concepts=(a,))
+        vocab = vocab_at(0.5, a)
         samples = [make_sample(f"s{i}", 0, [1, 0], [(a, 0.9)]) for i in range(4)]
-        labeled = [label_sample(s, vocab, 0.5) for s in samples]
+        labeled = [label_sample(s, vocab) for s in samples]
         assert find_sparse_concepts(labeled, vocab, AugmentationConfig(min_count=3)) == []
 
 
@@ -241,8 +280,8 @@ def build_augmentation_fixture(seed=3, lam_hat=0.3, min_count=8):
     spec = SynthSpec(classes=2, concepts_per_class=4, samples_per_class=12,
                      seed=seed, image_size=64)
     samples, catalog = generate_synthetic(spec)
-    vocab = build_vocabulary(samples, catalog, lam_hat)
-    labeled = [label_sample(s, vocab, lam_hat) for s in samples]
+    vocab = build_vocabulary(samples, catalog, lam_hat, DEFAULT_BUDGET)
+    labeled = [label_sample(s, vocab) for s in samples]
     config = AugmentationConfig(min_count=min_count, max_placement_attempts=100,
                                 rng_seed=0)
     return labeled, vocab, catalog, config
@@ -254,14 +293,14 @@ class TestAugmentation:
 
     def test_appends_exactly_the_shortfall(self, catalog):
         a, b, _ = catalog.concepts_for(0)
-        vocab = ConceptVocabulary(concepts=(a, b))
+        vocab = vocab_at(0.3, a, b)
         samples = []
         for i in range(8):
             confs = [(b, 0.9)] + ([(a, 0.9)] if i < 3 else [(a, 0.1)])
             samples.append(
                 make_sample(f"s{i}", 0, [1, 0], confs, pixels=gray())
             )
-        labeled = [label_sample(s, vocab, 0.3) for s in samples]
+        labeled = [label_sample(s, vocab) for s in samples]
         out, report = augment_dataset(labeled, vocab, 0.3,
                                       AugmentationConfig(min_count=5, rng_seed=0))
         added = [s for s in out if not s.is_original]
@@ -273,12 +312,12 @@ class TestAugmentation:
 
     def test_max_update_rule(self, catalog):
         a, b, _ = catalog.concepts_for(0)
-        vocab = ConceptVocabulary(concepts=(a, b))
+        vocab = vocab_at(0.3, a, b)
         samples = [
             make_sample("src", 0, [1, 0], [(a, 0.9), (b, 0.9)], pixels=gray()),
             make_sample("tgt", 0, [1, 0], [(b, 0.9)], pixels=gray()),
         ]
-        labeled = [label_sample(s, vocab, 0.3) for s in samples]
+        labeled = [label_sample(s, vocab) for s in samples]
         assert labeled[1].concept_vector.tolist() == [0, 1]
         out, report = augment_dataset(labeled, vocab, 0.3,
                                       AugmentationConfig(min_count=2))
@@ -293,11 +332,11 @@ class TestAugmentation:
 
     def test_unseedable_concept_is_reported_and_warned(self, catalog):
         a, b, _ = catalog.concepts_for(0)
-        vocab = ConceptVocabulary(concepts=(a, b))
+        vocab = vocab_at(0.3, a, b)
         samples = [
             make_sample(f"s{i}", 0, [1, 0], [(b, 0.9)], pixels=gray()) for i in range(2)
         ]
-        labeled = [label_sample(s, vocab, 0.3) for s in samples]
+        labeled = [label_sample(s, vocab) for s in samples]
         with pytest.warns(UserWarning, match=r"unseedable concept \d+ .*no reliable source"):
             out, report = augment_dataset(labeled, vocab, 0.3,
                                           AugmentationConfig(min_count=2))
@@ -307,7 +346,7 @@ class TestAugmentation:
 
     def test_exhaustion_is_reported_and_warned(self, catalog):
         a, b, _ = catalog.concepts_for(0)
-        vocab = ConceptVocabulary(concepts=(a, b))
+        vocab = vocab_at(0.3, a, b)
         # every possible target is fully blocked by a reliable box of b
         blocked = []
         for i in range(3):
@@ -317,7 +356,7 @@ class TestAugmentation:
             )
             blocked.append(target)
         source = make_sample("src", 0, [1, 0], [(a, 0.9)], pixels=gray())
-        labeled = [label_sample(s, vocab, 0.3) for s in (source, *blocked)]
+        labeled = [label_sample(s, vocab) for s in (source, *blocked)]
         config = AugmentationConfig(min_count=3, max_placement_attempts=20)
         with pytest.warns(UserWarning, match="exhausted .*reached 1 < 3 positives"):
             out, report = augment_dataset(labeled, vocab, 0.3, config)

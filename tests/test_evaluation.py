@@ -1,10 +1,12 @@
 """Prediction, effective concept sets, and the compliance report."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from conftest import make_catalog, make_sample
-from riskcbm.calibration import RiskBudget
+from riskcbm.calibration import DEFAULT_BUDGET, RiskBudget
 from riskcbm.cbm_trainer import CbmModel
 from riskcbm.core import DataError
 from riskcbm.dataset_builder import ConceptLabeledSample, ConceptVocabulary, Provenance
@@ -39,8 +41,15 @@ def catalog():
 @pytest.fixture
 def vocab(catalog):
     return ConceptVocabulary(
-        concepts=tuple(catalog.concepts_for(0)) + tuple(catalog.concepts_for(1))
+        concepts=tuple(catalog.concepts_for(0)) + tuple(catalog.concepts_for(1)),
+        lambda_hat=0.5,
+        budget=DEFAULT_BUDGET,
     )
+
+
+def at_budget(vocab, alpha_dis, alpha_cov, alpha_div):
+    """``vocab`` as if built at a calibration for this budget."""
+    return replace(vocab, budget=RiskBudget(alpha_dis, alpha_cov, alpha_div))
 
 
 class TestPredict:
@@ -111,8 +120,8 @@ class TestAccuracyReport:
 
     def test_perfect_model(self, catalog, vocab):
         report = accuracy_report(
-            self._good_model(vocab), self._samples(catalog), vocab, catalog,
-            EvalConfig(nec=3, budget=RiskBudget(0.95, 0.6, 0.6)),
+            self._good_model(vocab), self._samples(catalog),
+            at_budget(vocab, 0.95, 0.6, 0.6), catalog, EvalConfig(nec=3),
         )
         assert report.overall_accuracy == 1.0
         assert report.worst_class_accuracy == 1.0
@@ -124,8 +133,8 @@ class TestAccuracyReport:
         samples = self._samples(catalog)
         samples[3] = make_sample("d", 1, [1.0, -0.1], [])
         report = accuracy_report(
-            self._good_model(vocab), samples, vocab, catalog,
-            EvalConfig(nec=3, budget=RiskBudget(0.95, 0.6, 0.6)),
+            self._good_model(vocab), samples,
+            at_budget(vocab, 0.95, 0.6, 0.6), catalog, EvalConfig(nec=3),
         )
         assert report.per_class_accuracy.tolist() == [1.0, 0.5]
         assert report.worst_class_accuracy == 0.5
@@ -134,8 +143,8 @@ class TestAccuracyReport:
     def test_cca_counts_conjunction(self, catalog, vocab):
         # tight budgets fail the compliance indicators even when predictions hit
         report = accuracy_report(
-            self._good_model(vocab), self._samples(catalog), vocab, catalog,
-            EvalConfig(nec=1, budget=RiskBudget(0.05, 0.05, 0.05)),
+            self._good_model(vocab), self._samples(catalog),
+            at_budget(vocab, 0.05, 0.05, 0.05), catalog, EvalConfig(nec=1),
         )
         assert report.overall_accuracy == 1.0
         assert report.cca == 0.0
@@ -150,11 +159,25 @@ class TestAccuracyReport:
             np.zeros(2),
         )
         report = accuracy_report(
-            inverted, self._samples(catalog), vocab, catalog,
-            EvalConfig(nec=3, budget=RiskBudget(0.95, 0.6, 0.6)),
+            inverted, self._samples(catalog),
+            at_budget(vocab, 0.95, 0.6, 0.6), catalog, EvalConfig(nec=3),
         )
         assert report.overall_accuracy == 0.0
         assert report.cca == 0.0
+
+    def test_compliance_is_scored_at_the_vocabulary_budget(self, catalog, vocab):
+        """The report records the budget its vocabulary was built at, and a
+        vocabulary that records none, as one loaded from a checkpoint written
+        before vocabularies recorded it, is an error."""
+        report = accuracy_report(
+            self._good_model(vocab), self._samples(catalog),
+            at_budget(vocab, 0.95, 0.6, 0.6), catalog, EvalConfig(nec=3),
+        )
+        assert report.budget == RiskBudget(0.95, 0.6, 0.6)
+        bare = ConceptVocabulary(concepts=vocab.concepts)
+        with pytest.raises(DataError, match="records no lambda_hat and risk budget"):
+            accuracy_report(self._good_model(vocab), self._samples(catalog), bare, catalog,
+                            EvalConfig())
 
     def test_missing_class_is_an_error(self, catalog, vocab):
         samples = [make_sample("a", 0, [1.0, 0.1], [])]
@@ -195,16 +218,16 @@ class TestAccuracyReport:
             samples.append(make_sample("fix0", 0, rng.normal(size=2), []))
             samples.append(make_sample("fix1", 1, rng.normal(size=2), []))
         report = accuracy_report(
-            self._good_model(vocab), samples, vocab, catalog,
-            EvalConfig(nec=2, budget=RiskBudget(0.5, 0.3, 0.3)),
+            self._good_model(vocab), samples,
+            at_budget(vocab, 0.5, 0.3, 0.3), catalog, EvalConfig(nec=2),
         )
         assert report.cca <= report.overall_accuracy <= 1.0
         assert report.worst_class_accuracy <= report.overall_accuracy
 
     def test_nec_sweep(self, catalog, vocab):
         sweep = cca_versus_nec(
-            self._good_model(vocab), self._samples(catalog), vocab, catalog,
-            RiskBudget(0.95, 0.6, 0.6), [1, 2, 3],
+            self._good_model(vocab), self._samples(catalog), at_budget(vocab, 0.95, 0.6, 0.6),
+            catalog, [1, 2, 3],
         )
         assert [nec for nec, _ in sweep] == [1, 2, 3]
         # at nec = full class pool the effective set is maximal, div loss is 0

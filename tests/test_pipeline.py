@@ -7,10 +7,12 @@ import pytest
 
 from conftest import BAD_KEYS, BAD_VALUES, PATHS
 from riskcbm.calibration import DEFAULT_BUDGET, RiskBudget
-from riskcbm.cbm_trainer import TrainConfig
+from riskcbm.cbm_trainer import TrainConfig, train
 from riskcbm.cli import main
-from riskcbm.evaluation import EvalConfig
-from riskcbm.pipeline import PipelineConfig, StageError, run_pipeline
+from riskcbm.core import DataError
+from riskcbm.dataset_builder import ConceptVocabulary, build_vocabulary, label_sample
+from riskcbm.pipeline import PipelineConfig, StageError, evaluate_sweep, run_pipeline
+from riskcbm.synth import SynthSpec, generate_synthetic
 
 
 @pytest.fixture(scope="module")
@@ -79,7 +81,7 @@ def test_from_dict_defaults_to_the_default_budget():
     config = PipelineConfig.from_dict(
         {"paths": {"train": "a", "test": "b", "catalog": "c", "output_dir": "d"}}
     )
-    assert config.budget == DEFAULT_BUDGET == EvalConfig().budget
+    assert config.budget == DEFAULT_BUDGET
     assert config == PipelineConfig("a", "b", "c", "d")
 
 
@@ -107,6 +109,24 @@ def test_nec_sweep_uses_the_run_budget(data_dir, tmp_path):
     assert report["nec"] == config.nec
     assert report["budget"] == {"alpha_dis": 0.99, "alpha_cov": 0.9, "alpha_div": 0.9}
     assert by_nec[config.nec] == report["cca"]
+
+
+def test_evaluate_sweep_needs_the_budget_its_vocabulary_records(tmp_path):
+    """A vocabulary loaded from a file that predates its `lambda_hat` and
+    `budget` gives the sweep no budget to score compliance at."""
+    samples, catalog = generate_synthetic(
+        SynthSpec(classes=2, concepts_per_class=3, samples_per_class=6, seed=1,
+                  with_pixels=False)
+    )
+    vocab = build_vocabulary(samples, catalog, 0.5, DEFAULT_BUDGET)
+    labeled = [label_sample(s, vocab) for s in samples]
+    model, _ = train(labeled, vocab, TrainConfig(epochs=1), n_classes=catalog.num_classes)
+    dat = tmp_path / "cca.dat"
+    assert evaluate_sweep(model, samples, vocab, catalog, 3).budget == DEFAULT_BUDGET
+    bare = ConceptVocabulary(vocab.concepts)
+    with pytest.raises(DataError, match="vocabulary records no lambda_hat and risk budget"):
+        evaluate_sweep(model, samples, bare, catalog, 3, dat)
+    assert not dat.exists()
 
 
 @pytest.mark.parametrize("section", list(BAD_KEYS))
