@@ -4,14 +4,18 @@ All JSON is emitted with sorted keys and repr-exact floats, so every artifact
 round-trips to identical values and reruns with identical seeds produce
 byte-identical files. Pixel tensors use a tiny headered binary format instead
 of an image codec to keep augmentation bit-exact.
+
+Every file is written through `_write`, which writes over an existing file in
+place and then cuts it to length, instead of truncating it first.
 """
 
 from __future__ import annotations
 
 import functools
 import json
+import os
 import struct
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import fields, is_dataclass
 from pathlib import Path
 from typing import Callable, Sequence, get_args, get_origin, get_type_hints
@@ -69,8 +73,31 @@ class DataFormatError(DataError):
     """A file could not be parsed; the message names the offending location."""
 
 
+def _write(path: "str | Path", data: "str | bytes") -> None:
+    """Make ``path`` hold exactly ``data``, a `str` encoded as UTF-8.
+
+    An existing file is written over in place and then cut to the bytes
+    written: truncating it first makes the file system free its blocks only
+    to allocate them again. The mode of a new file is that of
+    ``open(path, "wb")``. If a write fails the file is still cut to the
+    bytes written, so it never holds new bytes followed by the old tail."""
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    view = memoryview(data)
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    written = 0
+    try:
+        while written < len(view):
+            written += os.write(fd, view[written:])
+    finally:
+        try:
+            os.ftruncate(fd, written)
+        finally:
+            os.close(fd)
+
+
 def _dump_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
+    _write(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
 def _load_json(path: Path):
@@ -104,14 +131,10 @@ def _parsing(where: "str | Path", what: str):
 
 
 def save_pixels(path: "str | Path", pixels: np.ndarray) -> None:
-    path = Path(path)
     arr = np.ascontiguousarray(pixels, dtype="<f4")
     if arr.ndim != 3:
         raise DataError(f"pixels must be 3-D, got shape {arr.shape}")
-    h, w, c = arr.shape
-    with open(path, "wb") as fh:
-        fh.write(_PIXEL_MAGIC + struct.pack("<III", h, w, c))
-        fh.write(arr.tobytes())
+    _write(path, _PIXEL_MAGIC + struct.pack("<III", *arr.shape) + arr.tobytes())
 
 
 def load_pixels(path: "str | Path") -> np.ndarray:
@@ -220,14 +243,17 @@ def _save_samples(
 ) -> None:
     """Write one NDJSON record per sample: the fields every sample file
     shares, plus ``extra_fields(sample)``. Pixel tensors go to a sibling
-    directory, one file per sample id; a repeated id, or one that is not a
-    plain file name, raises `DataError` before anything is written."""
+    directory, one file per sample id, and any other tensor there, which an
+    earlier save of this file left, is removed. A repeated id, or one that
+    is not a plain file name, raises `DataError` before anything is written."""
     path = Path(path)
     problems = sample_id_problems(sample.sample_id for sample in samples)
     if problems:
         raise DataError(f"{path}: {problems[0]}")
     pixels_dir = _pixels_dir(path)
-    lines = []
+    if any(sample.image_pixels is not None for sample in samples):
+        pixels_dir.mkdir(parents=True, exist_ok=True)
+    lines, tensors = [], set()
     for sample in samples:
         record = {
             "id": sample.sample_id,
@@ -237,12 +263,31 @@ def _save_samples(
             **extra_fields(sample),
         }
         if sample.image_pixels is not None:
-            pixels_dir.mkdir(parents=True, exist_ok=True)
-            rel = f"{pixels_dir.name}/{sample.sample_id}.ult1"
-            save_pixels(path.parent / rel, sample.image_pixels)
-            record["pixels_path"] = rel
+            name = f"{sample.sample_id}.ult1"
+            save_pixels(pixels_dir / name, sample.image_pixels)
+            record["pixels_path"] = f"{pixels_dir.name}/{name}"
+            tensors.add(name)
         lines.append(json.dumps(record, sort_keys=True))
-    path.write_text("\n".join(lines) + ("\n" if lines else ""))
+    _write(path, "\n".join(lines) + ("\n" if lines else ""))
+    _remove_stale_tensors(pixels_dir, tensors)
+
+
+def _remove_stale_tensors(pixels_dir: Path, keep: set) -> None:
+    """Remove each `.ult1` file in ``pixels_dir`` whose name is not in
+    ``keep``; every other file is left alone. With nothing to keep, the
+    directory goes too if that leaves it empty, as a fresh save would have
+    made none."""
+    try:
+        entries = os.scandir(pixels_dir)
+    except FileNotFoundError:
+        return
+    with entries:
+        for entry in entries:
+            if entry.name.endswith(".ult1") and entry.name not in keep and entry.is_file():
+                os.unlink(entry.path)
+    if not keep:
+        with suppress(OSError):
+            pixels_dir.rmdir()
 
 
 def _load_samples(
@@ -564,7 +609,7 @@ def save_training_log(path: "str | Path", log: Sequence[TrainLogRow]) -> None:
             f"{row.epoch},{row.loss_concept!r},{row.loss_task!r},"
             f"{row.regularizer!r},{row.total!r}"
         )
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write(path, "\n".join(lines) + "\n")
 
 
 def save_per_sample_csv(path: "str | Path", report: EvalReport) -> None:
@@ -574,7 +619,7 @@ def save_per_sample_csv(path: "str | Path", report: EvalReport) -> None:
             f"{s.sample_id},{int(s.correct)},{int(s.dis_ok)},"
             f"{int(s.cov_ok)},{int(s.div_ok)}"
         )
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write(path, "\n".join(lines) + "\n")
 
 
 def write_dat(path: "str | Path", columns: Sequence[str], rows) -> None:
@@ -582,4 +627,4 @@ def write_dat(path: "str | Path", columns: Sequence[str], rows) -> None:
     lines = ["# " + " ".join(columns)]
     for row in rows:
         lines.append(" ".join(repr(v) if isinstance(v, float) else str(v) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write(path, "\n".join(lines) + "\n")

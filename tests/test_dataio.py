@@ -1,6 +1,8 @@
 """Serialization round trips and parse error reporting."""
 
+import errno
 import json
+import os
 import re
 import tempfile
 from dataclasses import fields, is_dataclass, replace
@@ -35,7 +37,7 @@ from riskcbm.dataset_builder import (
     label_sample,
 )
 from riskcbm.evaluation import EvalConfig, EvalReport, SampleCompliance, accuracy_report
-from riskcbm.pipeline import split_train_cal
+from riskcbm.pipeline import PipelineConfig, run_pipeline, split_train_cal
 from riskcbm.synth import SynthSpec, generate_synthetic
 
 
@@ -84,6 +86,75 @@ class TestPixels:
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(dataio.DataFormatError, match="truncated"):
             dataio.load_pixels(path)
+
+
+class TestWrite:
+    @pytest.mark.parametrize("old", [None, b"x" * 100, b"y"], ids=["new", "longer", "shorter"])
+    @pytest.mark.parametrize("data", [b"abc\ndef\n", "ab\u00e9\n"], ids=["bytes", "str"])
+    def test_file_holds_exactly_the_data(self, tmp_path, old, data):
+        path = tmp_path / "f"
+        if old is not None:
+            path.write_bytes(old)
+        dataio._write(path, data)
+        want = data.encode("utf-8") if isinstance(data, str) else data
+        assert path.read_bytes() == want
+
+    def test_a_new_file_gets_the_mode_open_wb_gives(self, tmp_path):
+        with open(tmp_path / "reference", "wb"):
+            pass
+        dataio._write(tmp_path / "f", b"")
+        assert (tmp_path / "f").stat().st_mode == (tmp_path / "reference").stat().st_mode
+
+    def test_a_failed_write_leaves_the_prefix_written_and_no_old_tail(
+        self, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "f"
+        path.write_bytes(b"o" * 64)
+        real_write = os.write
+        calls = []
+
+        def failing_write(fd, data):
+            calls.append(len(data))
+            if len(calls) > 1:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return real_write(fd, bytes(data[:5]))
+
+        monkeypatch.setattr(os, "write", failing_write)
+        with pytest.raises(OSError) as caught:
+            dataio._write(path, b"0123456789")
+        monkeypatch.undo()
+        assert caught.value.errno == errno.ENOSPC
+        assert path.read_bytes() == b"01234"
+
+    def test_every_file_a_pipeline_run_writes_goes_through_it(self, tmp_path, monkeypatch):
+        samples, catalog = generate_synthetic(
+            SynthSpec(classes=2, concepts_per_class=3, samples_per_class=40,
+                      seed=17, image_size=32)
+        )
+        dataio.save_catalog(tmp_path / "catalog.json", catalog)
+        dataio.save_dataset(tmp_path / "train.ndjson", samples[::2])
+        dataio.save_dataset(tmp_path / "test.ndjson", samples[1::2])
+        written = []
+        real_write = dataio._write
+
+        def recording_write(path, data):
+            written.append(Path(path))
+            real_write(path, data)
+
+        monkeypatch.setattr(dataio, "_write", recording_write)
+        out = tmp_path / "run"
+        run_pipeline(
+            PipelineConfig(
+                train_path=str(tmp_path / "train.ndjson"),
+                test_path=str(tmp_path / "test.ndjson"),
+                catalog_path=str(tmp_path / "catalog.json"),
+                output_dir=str(out),
+                train=TrainConfig(epochs=3),
+            )
+        )
+        on_disk = {p for p in out.rglob("*") if p.is_file()}
+        assert any(p.suffix == ".ult1" for p in on_disk)
+        assert on_disk == set(written)
 
 
 class TestCatalog:
@@ -187,6 +258,28 @@ class TestDataset:
 
 
 class TestLabeledDataset:
+    def test_a_smaller_save_removes_the_tensors_no_record_names(self, tmp_path, synth):
+        """Only `.ult1` files go: another file in the pixel directory stays."""
+        samples, catalog = synth
+        vocab = build_vocabulary(samples, catalog, 0.4, DEFAULT_BUDGET)
+        labeled = [label_sample(s, vocab) for s in samples]
+        path = tmp_path / "labeled.ndjson"
+        dataio.save_labeled_dataset(path, labeled[:5])
+        (tmp_path / "labeled.pixels" / "notes.txt").write_text("kept")
+        dataio.save_labeled_dataset(path, labeled[2:5])
+        names = sorted(p.name for p in (tmp_path / "labeled.pixels").iterdir())
+        assert names == sorted(
+            ["notes.txt", *(f"{s.sample_id}.ult1" for s in labeled[2:5])]
+        )
+        assert len(dataio.load_labeled_dataset(path, catalog)) == 3
+
+    def test_a_save_without_pixels_leaves_no_pixel_directory(self, tmp_path, synth):
+        samples, _ = synth
+        path = tmp_path / "data.ndjson"
+        dataio.save_dataset(path, samples[:2])
+        dataio.save_dataset(path, [replace(s, image_pixels=None) for s in samples[:2]])
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data.ndjson"]
+
     def test_round_trip_including_augmented(self, tmp_path, synth):
         samples, catalog = synth
         vocab = build_vocabulary(samples, catalog, 0.4, DEFAULT_BUDGET)
