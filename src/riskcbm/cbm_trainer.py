@@ -29,8 +29,6 @@ __all__ = [
     "TrainingDivergedError",
     "sigmoid",
     "forward",
-    "loss_concept",
-    "loss_task",
     "regularizer",
     "objective",
     "gradients",
@@ -184,18 +182,6 @@ def _cross_entropy(V: np.ndarray, labels: np.ndarray) -> float:
     lse = vmax[:, 0] + np.log(np.sum(np.exp(V - vmax), axis=1))
     picked = V[np.arange(len(V)), labels]
     return float(np.mean(lse - picked))
-
-
-def loss_concept(model: CbmModel, batch: Batch) -> float:
-    """Binary cross entropy between concept activations and labels, averaged over samples and concepts."""
-    U, _, _ = forward(model, batch.embeddings)
-    return _bce(U, batch.concept_targets)
-
-
-def loss_task(model: CbmModel, batch: Batch) -> float:
-    """Softmax cross entropy of the class logits, averaged over samples."""
-    _, _, V = forward(model, batch.embeddings)
-    return _cross_entropy(V, batch.labels)
 
 
 def regularizer(model: CbmModel, beta: float) -> float:

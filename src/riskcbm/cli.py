@@ -336,8 +336,8 @@ def _cmd_pipeline(args) -> int:
     if args.config:
         config_path = _require_file(args.config, "config")
         try:
-            doc = json.loads(config_path.read_text())
-        except json.JSONDecodeError as exc:
+            doc = json.loads(config_path.read_text(encoding="utf-8"))
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise _UsageError(f"{config_path}: invalid JSON: {exc}") from None
         check_config(doc)
     # Flags override the config file key by key.

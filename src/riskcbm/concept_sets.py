@@ -72,7 +72,7 @@ class ConceptSet:
     """A deduplicated set of concepts selected for one image.
 
     ``lambda_used`` records the threshold parameter that produced the set;
-    it is None for sets built by other means (e.g. model-ranked sets).
+    it is None for a set assembled from its members rather than by thresholding.
     """
 
     members: frozenset[ConceptId]

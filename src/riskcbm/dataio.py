@@ -100,11 +100,32 @@ def _dump_json(path: Path, obj) -> None:
     _write(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
+def _read_text(path: Path) -> str:
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: not UTF-8: {exc}") from None
+
+
 def _load_json(path: Path):
     try:
-        return json.loads(path.read_text())
+        return json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise DataFormatError(f"{path}: invalid JSON: {exc}") from None
+
+
+def _is_a(value, kind: type) -> bool:
+    """JSON typing: an int is also a float, a bool is neither."""
+    if isinstance(value, bool):
+        return kind is bool
+    return isinstance(value, (int, float) if kind is float else kind)
+
+
+def _as(kind: type, value):
+    """``value`` as a ``kind``; a TypeError if JSON typing says it is not one."""
+    if not _is_a(value, kind):
+        raise TypeError(f"expected {kind.__name__}, got {value!r}")
+    return kind(value)
 
 
 @contextmanager
@@ -184,11 +205,11 @@ def load_catalog(path: "str | Path") -> ConceptCatalog:
         per_class: dict[int, list[ConceptId]] = {}
         embeddings: dict[ConceptId, np.ndarray] = {}
         for entry in doc["classes"]:
-            label = int(entry["label"])
+            label = _as(int, entry["label"])
             concepts = []
             for c in entry["concepts"]:
                 concept = ConceptId(
-                    id=int(c["id"]), text=str(c["text"]), class_of_origin=label
+                    id=_as(int, c["id"]), text=_as(str, c["text"]), class_of_origin=label
                 )
                 concepts.append(concept)
                 embeddings[concept] = np.asarray(c["embedding"], dtype=np.float64)
@@ -219,15 +240,15 @@ def _detections_to_json(detections) -> list[dict]:
 def _detections_from_json(entries, concept_by_id):
     out = []
     for entry in entries:
-        cid = int(entry["concept_id"])
+        cid = _as(int, entry["concept_id"])
         concept = concept_by_id.get(cid)
         if concept is None:
             raise DataError(f"unknown concept id {cid}")
-        x1, y1, x2, y2 = (float(v) for v in entry["box"])
+        x1, y1, x2, y2 = (_as(float, v) for v in entry["box"])
         out.append(
             Detection(
                 box=BoundingBox(x1, y1, x2, y2),
-                confidence=float(entry["confidence"]),
+                confidence=_as(float, entry["confidence"]),
                 concept=concept,
             )
         )
@@ -303,36 +324,35 @@ def _load_samples(
     fault in one record also its line."""
     concept_by_id = {c.id: c for c in catalog.all_concepts()}
     samples = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            where = f"{path}:{lineno}"
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataFormatError(f"{where}: invalid JSON: {exc.msg}") from None
-            with _parsing(where, "sample"):
-                pixels = None
-                if record.get("pixels_path"):
-                    pixels_path = path.parent / record["pixels_path"]
-                    try:
-                        pixels = load_pixels(pixels_path)
-                    except OSError as exc:
-                        raise DataFormatError(
-                            f"{where}: cannot read pixel tensor {pixels_path}: {exc.strerror}"
-                        ) from None
-                common = dict(
-                    sample_id=str(record["id"]),
-                    label=int(record["label"]),
-                    image_embedding=np.asarray(record["embedding"], dtype=np.float64),
-                    detections=_detections_from_json(
-                        record.get("detections", ()), concept_by_id
-                    ),
-                    image_pixels=pixels,
-                )
-                samples.append(build(record, common, concept_by_id))
+    for lineno, line in enumerate(_read_text(path).split("\n"), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        where = f"{path}:{lineno}"
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise DataFormatError(f"{where}: invalid JSON: {exc.msg}") from None
+        with _parsing(where, "sample"):
+            pixels = None
+            if record.get("pixels_path"):
+                pixels_path = path.parent / record["pixels_path"]
+                try:
+                    pixels = load_pixels(pixels_path)
+                except OSError as exc:
+                    raise DataFormatError(
+                        f"{where}: cannot read pixel tensor {pixels_path}: {exc.strerror}"
+                    ) from None
+            common = dict(
+                sample_id=_as(str, record["id"]),
+                label=_as(int, record["label"]),
+                image_embedding=np.asarray(record["embedding"], dtype=np.float64),
+                detections=_detections_from_json(
+                    record.get("detections", ()), concept_by_id
+                ),
+                image_pixels=pixels,
+            )
+            samples.append(build(record, common, concept_by_id))
     if validate:
         problems = validate_dataset(samples, catalog)
         if problems:
@@ -387,15 +407,15 @@ def _labeled_sample(record, common, concept_by_id) -> ConceptLabeledSample:
     if prov_doc["kind"] == "augmented":
         placement = None
         if prov_doc.get("placement"):
-            placement = BoundingBox(*(float(v) for v in prov_doc["placement"]))
-        inserted = concept_by_id.get(int(prov_doc["inserted_concept_id"]))
+            placement = BoundingBox(*(_as(float, v) for v in prov_doc["placement"]))
+        inserted = concept_by_id.get(_as(int, prov_doc["inserted_concept_id"]))
         if inserted is None:
             raise DataError(
                 f"unknown inserted concept id {prov_doc['inserted_concept_id']}"
             )
         provenance = Provenance(
             kind="augmented",
-            source_id=str(prov_doc["source_id"]),
+            source_id=_as(str, prov_doc["source_id"]),
             inserted_concept=inserted,
             placement=placement,
         )
@@ -457,9 +477,9 @@ def _reader(kind) -> Callable:
     """The function that builds a value of type ``kind`` from its record.
     Every field of a dataclass is required, except that a field whose type
     admits None reads as None when its key is missing; keys that name no
-    field are ignored."""
+    field are ignored. A scalar of another JSON type raises a TypeError."""
     if kind in (float, int, str, bool):
-        return kind
+        return functools.partial(_as, kind)
     if kind is np.ndarray:
         return lambda value: np.asarray(value, dtype=np.float64)
     if is_dataclass(kind):
@@ -538,7 +558,10 @@ def load_model(path: "str | Path") -> tuple[CbmModel, ConceptVocabulary, TrainCo
         # calibration has no `lambda_hat` or `budget`: its vocabulary has none.
         vocab = _from_record(ConceptVocabulary, {**doc, "concepts": doc["vocabulary"]})
         # Earlier checkpoints record the removed `l1_proximal` option.
-        config = TrainConfig(**{k: v for k, v in doc["config"].items() if k != "l1_proximal"})
+        hints = dict(_init_fields(TrainConfig))
+        config = TrainConfig(**{
+            k: _as(hints[k], v) for k, v in doc["config"].items() if k != "l1_proximal"
+        })
     if model.num_concepts != len(vocab):
         raise DataError(
             f"{path}: checkpoint bottleneck width {model.num_concepts} "

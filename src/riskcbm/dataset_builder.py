@@ -36,7 +36,6 @@ __all__ = [
     "AugmentationReport",
     "build_vocabulary",
     "label_sample",
-    "find_sparse_concepts",
     "sample_placement",
     "composite_patch",
     "augment_dataset",
@@ -224,15 +223,6 @@ def positive_counts(
     for sample in dataset:
         counts += sample.concept_vector
     return counts
-
-
-def find_sparse_concepts(
-    dataset: Sequence[ConceptLabeledSample],
-    vocab: ConceptVocabulary,
-    config: AugmentationConfig,
-) -> list[tuple[ConceptId, int]]:
-    """Vocabulary concepts with fewer than ``min_count`` positive labels, rarest first."""
-    return _rarest_first(positive_counts(dataset, vocab), vocab, config.min_count)
 
 
 def _rarest_first(

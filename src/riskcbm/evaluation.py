@@ -14,8 +14,8 @@ import numpy as np
 
 from .calibration import RiskBudget
 from .cbm_trainer import CbmModel, forward
-from .concept_sets import CRITERIA, ConceptSet, batch_prefix_losses
-from .core import AnnotatedSample, ClassLabel, ConceptCatalog, DataError
+from .concept_sets import CRITERIA, batch_prefix_losses
+from .core import AnnotatedSample, ConceptCatalog, DataError
 from .dataset_builder import ConceptLabeledSample, ConceptVocabulary
 
 __all__ = [
@@ -24,8 +24,6 @@ __all__ = [
     "SampleCompliance",
     "EvalReport",
     "check_test_set",
-    "predict",
-    "effective_concept_set",
     "accuracy_report",
     "cca_versus_nec",
 ]
@@ -90,27 +88,6 @@ def _ranked_candidates(model: CbmModel, samples: Sequence, vocab: ConceptVocabul
         candidates = np.flatnonzero(origin == pred)
         ranked.append(candidates[np.argsort(-acts[candidates], kind="stable")])
     return predicted, ranked
-
-
-def predict(model: CbmModel, sample) -> ClassLabel:
-    """Argmax class; ties go to the smallest class index."""
-    return _ranked_candidates(model, [sample], ConceptVocabulary(concepts=()))[0][0]
-
-
-def effective_concept_set(
-    model: CbmModel, sample, vocab: ConceptVocabulary, nec: int
-) -> ConceptSet:
-    """Top-``nec`` concepts by bottleneck activation among the predicted class's vocabulary.
-
-    Ties break toward the smaller vocabulary index; if the class has fewer
-    than ``nec`` vocabulary concepts the whole class-restricted set returns.
-    """
-    if nec < 1:
-        raise ValueError(f"nec must be >= 1, got {nec}")
-    ranked = _ranked_candidates(model, [sample], vocab)[1][0]
-    return ConceptSet(
-        members=frozenset(vocab.concepts[i] for i in ranked[:nec]), lambda_used=None
-    )
 
 
 def check_test_set(

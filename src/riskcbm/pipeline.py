@@ -161,17 +161,10 @@ def check_config(doc) -> None:
         section = doc.get(name, {})
         _check_keys(where, section, types)
         for key, value in section.items():
-            if not _is_a(value, types[key]):
+            if not dataio._is_a(value, types[key]):
                 raise ValueError(
                     f"{key} in {where} must be {types[key].__name__}, got {value!r}"
                 )
-
-
-def _is_a(value, kind: type) -> bool:
-    """JSON typing: an int is also a float, a bool is neither."""
-    if isinstance(value, bool):
-        return kind is bool
-    return isinstance(value, (int, float) if kind is float else kind)
 
 
 def _check_keys(where: str, section, allowed) -> None:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -10,6 +12,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))  # for `oracles`
 
+import riskcbm
 from riskcbm.concept_sets import batch_prefix_losses
 from riskcbm.core import (
     AnnotatedSample,
@@ -20,6 +23,17 @@ from riskcbm.core import (
 )
 
 BOX = BoundingBox(1.0, 1.0, 5.0, 5.0)
+
+
+def run_python(*args: str) -> subprocess.CompletedProcess:
+    """Run ``python *args`` in a child process, which imports the same
+    riskcbm as this one, installed or not."""
+    package_root = str(Path(riskcbm.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (package_root, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+    )
 
 
 def make_catalog(class_embeddings: dict[int, list], start_id: int = 0) -> ConceptCatalog:

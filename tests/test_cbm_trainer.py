@@ -15,14 +15,13 @@ from riskcbm.calibration import DEFAULT_BUDGET
 from riskcbm.cbm_trainer import (
     Batch,
     _bce,
+    _terms,
     CbmModel,
     TrainConfig,
     TrainingDivergedError,
     forward,
     gradient_check,
     gradients,
-    loss_concept,
-    loss_task,
     make_batch,
     objective,
     regularizer,
@@ -37,7 +36,7 @@ from riskcbm.dataset_builder import (
     build_vocabulary,
     label_sample,
 )
-from riskcbm.evaluation import predict
+from riskcbm.evaluation import _ranked_candidates
 from riskcbm.synth import SynthSpec, generate_synthetic
 
 
@@ -105,6 +104,16 @@ class TestForward:
         np.testing.assert_allclose(yl, yl2, atol=1e-12)
 
 
+def concept_loss(model, batch):
+    """The concept BCE term of the objective, as `_terms` computes it."""
+    return _terms(model, batch, TrainConfig())[0]
+
+
+def task_loss(model, batch):
+    """The task cross-entropy term of the objective, as `_terms` computes it."""
+    return _terms(model, batch, TrainConfig())[1]
+
+
 class TestLossValues:
     def _single_concept_batch(self, target):
         return Batch(
@@ -115,24 +124,24 @@ class TestLossValues:
 
     def test_bce_at_half(self):
         model = model_of([[0.0]], [0.0], [[0.0]], [0.0])
-        assert loss_concept(model, self._single_concept_batch(1.0)) == pytest.approx(
+        assert concept_loss(model, self._single_concept_batch(1.0)) == pytest.approx(
             math.log(2.0), abs=1e-15
         )
-        assert loss_concept(model, self._single_concept_batch(0.0)) == pytest.approx(
+        assert concept_loss(model, self._single_concept_batch(0.0)) == pytest.approx(
             math.log(2.0), abs=1e-15
         )
 
     def test_bce_saturated_logit(self):
         # logit +20, target 1: softplus(-20)
         model = model_of([[0.0]], [20.0], [[0.0]], [0.0])
-        got = loss_concept(model, self._single_concept_batch(1.0))
+        got = concept_loss(model, self._single_concept_batch(1.0))
         assert got == pytest.approx(math.log1p(math.exp(-20.0)), rel=1e-12)
         assert got < 2.1e-9
 
     def test_ce_uniform(self):
         model = model_of([[0.0]], [0.0], [[0.0], [0.0]], [0.0, 0.0])
         batch = Batch(np.zeros((1, 1)), np.zeros((1, 1)), np.array([0]))
-        assert loss_task(model, batch) == pytest.approx(math.log(2.0), abs=1e-15)
+        assert task_loss(model, batch) == pytest.approx(math.log(2.0), abs=1e-15)
 
     def test_ce_confident(self):
         # class logits (10, -10) via biases
@@ -140,8 +149,8 @@ class TestLossValues:
         batch0 = Batch(np.zeros((1, 1)), np.zeros((1, 1)), np.array([0]))
         batch1 = Batch(np.zeros((1, 1)), np.zeros((1, 1)), np.array([1]))
         expected_small = math.log1p(math.exp(-20.0))
-        assert loss_task(model, batch0) == pytest.approx(expected_small, rel=1e-12)
-        assert loss_task(model, batch1) == pytest.approx(20.0 + expected_small, rel=1e-12)
+        assert task_loss(model, batch0) == pytest.approx(expected_small, rel=1e-12)
+        assert task_loss(model, batch1) == pytest.approx(20.0 + expected_small, rel=1e-12)
 
     def test_regularizer_hand_value(self):
         model = model_of(np.zeros((2, 1)), np.zeros(2), [[1.0, -2.0]], [0.0])
@@ -161,8 +170,8 @@ class TestLossValues:
             config = TrainConfig(gamma1=float(rng.uniform(0, 2)),
                                  gamma2=float(rng.uniform(0, 0.1)))
             assert objective(model, batch, config) >= 0.0
-            assert loss_concept(model, batch) >= 0.0
-            assert loss_task(model, batch) >= 0.0
+            assert concept_loss(model, batch) >= 0.0
+            assert task_loss(model, batch) >= 0.0
 
 
 class TestGradients:
@@ -300,7 +309,8 @@ class TestTraining:
         samples, vocab = separable_dataset()
         config = TrainConfig(epochs=200, learning_rate=0.5, batch_size=64, rng_seed=1)
         model, log = train(samples, vocab, config)
-        correct = sum(int(predict(model, s) == s.label) for s in samples)
+        predicted, _ = _ranked_candidates(model, samples, vocab)
+        correct = sum(int(p == s.label) for p, s in zip(predicted, samples))
         assert correct == len(samples)
         assert log[-1].total < log[0].total
 

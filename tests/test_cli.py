@@ -2,18 +2,15 @@
 
 import argparse
 import json
-import os
 import shutil
 import subprocess
-import sys
 import warnings
 from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import pytest
 
-import riskcbm
-from conftest import BAD_KEYS, BAD_VALUES
+from conftest import BAD_KEYS, BAD_VALUES, run_python
 from riskcbm import cli, dataio
 from riskcbm.calibration import DEFAULT_BUDGET, DEFAULT_RESOLUTION, RiskBudget
 from riskcbm.cbm_trainer import TrainConfig
@@ -133,6 +130,20 @@ class TestSynthAndValidate:
         assert code == 2
         assert err.startswith(f"error: {copy}:1: cannot read pixel tensor")
         assert err.count("\n") == 1 and "Traceback" not in err, err
+
+    @pytest.mark.parametrize("which", ["dataset", "catalog"])
+    def test_file_that_is_not_utf8_is_a_one_line_data_error(
+        self, which, data_dir, tmp_path, capsys
+    ):
+        paths = {"dataset": data_dir / "train.ndjson", "catalog": data_dir / "catalog.json"}
+        bad = tmp_path / paths[which].name
+        bad.write_bytes(b"\xff\xfe" + paths[which].read_text().encode("utf-16-le"))
+        paths[which] = bad
+        code = main(["validate", "--dataset", str(paths["dataset"]),
+                     "--catalog", str(paths["catalog"])])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: {bad}: not UTF-8") and err.count("\n") == 1, err
 
 
 class TestStagedCommands:
@@ -254,6 +265,27 @@ class TestStagedCommands:
             "error: vocabulary records no lambda_hat and risk budget; "
             "rebuild it with `riskcbm build` and retrain on it\n"
         )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["augment", "train"])
+    def test_mistyped_lambda_hat_is_a_one_line_data_error(
+        self, command, built, data_dir, tmp_path, capsys
+    ):
+        """`true` is not a number in JSON typing: it is not read as 1.0."""
+        _, labeled, vocab = built
+        doc = json.loads(vocab.read_text())
+        doc["lambda_hat"] = True
+        bad = tmp_path / "vocab.json"
+        bad.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        capsys.readouterr()
+        code = main([
+            command, "--labeled", str(labeled), "--catalog", str(data_dir / "catalog.json"),
+            "--vocab", str(bad), "--out", str(out),
+        ])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: {bad}: malformed vocabulary") and err.count("\n") == 1, err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["augment", "train", "evaluate"])
@@ -672,14 +704,8 @@ class TestCrcCheckCommand:
 
 
 def _run_entry_point(argv) -> subprocess.CompletedProcess:
-    """Run ``python -m riskcbm.cli`` in a child process, which imports the
-    same riskcbm as this one, installed or not."""
-    package_root = str(Path(riskcbm.__file__).resolve().parents[1])
-    path = os.pathsep.join(p for p in (package_root, os.environ.get("PYTHONPATH")) if p)
-    return subprocess.run(
-        [sys.executable, "-m", "riskcbm.cli", *argv],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
-    )
+    """Run ``python -m riskcbm.cli`` in a child process."""
+    return run_python("-m", "riskcbm.cli", *argv)
 
 
 class TestWarnings:
@@ -946,6 +972,23 @@ class TestUsageErrors:
     ):
         cfg = tmp_path / "config.json"
         cfg.write_text("{bad")
+        code = main([
+            "pipeline", "--config", str(cfg),
+            "--train", str(data_dir / "train.ndjson"),
+            "--test", str(data_dir / "test.ndjson"),
+            "--catalog", str(data_dir / "catalog.json"),
+            "--out-dir", str(tmp_path / "out"),
+        ])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: {cfg}: invalid JSON") and err.count("\n") == 1, err
+        assert not (tmp_path / "out").exists()
+
+    def test_config_that_is_not_utf8_is_a_one_line_usage_error(
+        self, data_dir, tmp_path, capsys
+    ):
+        cfg = tmp_path / "config.json"
+        cfg.write_bytes(b"\xff\xfe" + "{}".encode("utf-16-le"))
         code = main([
             "pipeline", "--config", str(cfg),
             "--train", str(data_dir / "train.ndjson"),

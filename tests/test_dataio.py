@@ -683,6 +683,24 @@ MALFORMED_VALUES = {
                         _set("provenance", "kind", value="pasted")),
     "inserted_concept": ("labeled.ndjson", load_labeled,
                          _set("provenance", value=AUGMENTED_UNKNOWN_CONCEPT)),
+    # JSON typing: an int is also a float, a bool is neither. A value of
+    # another JSON type is an error, never converted.
+    "catalog_fractional_label": ("catalog.json", dataio.load_catalog,
+                                 _set("classes", 0, "label", value=lambda v: v + 0.6)),
+    "vocabulary_bool_lambda_hat": ("vocabulary.json", dataio.load_vocabulary,
+                                   _set("lambda_hat", value=True)),
+    "vocabulary_fractional_id": ("vocabulary.json", dataio.load_vocabulary,
+                                 _set("concepts", 0, "id", value=lambda v: v + 0.9)),
+    "model_fractional_epochs": ("model.json", dataio.load_model,
+                                _set("config", "epochs", value=lambda v: v + 0.5)),
+    "eval_string_correct": ("eval.json", dataio.load_eval_report,
+                            _set("per_sample", 0, "correct", value="no")),
+    "eval_fractional_nec": ("eval.json", dataio.load_eval_report,
+                            _set("nec", value=lambda v: v + 0.9)),
+    "fractional_label": ("dataset.ndjson", load_samples,
+                         _set("label", value=lambda v: v + 0.6)),
+    "bool_confidence": ("dataset.ndjson", load_samples,
+                        _set("detections", 0, "confidence", value=True)),
 }
 
 
@@ -700,6 +718,16 @@ def test_malformed_value_is_a_format_error_naming_the_file(kind, artifacts, tmp_
     with pytest.raises(dataio.DataFormatError, match=re.escape(f"{where}: malformed")) as exc:
         load(path)
     assert str(exc.value).count(str(path)) == 1, exc.value
+
+
+@pytest.mark.parametrize("name", ["vocabulary.json", "dataset.ndjson"])
+def test_file_that_is_not_utf8_is_a_format_error_naming_it(name, artifacts, tmp_path):
+    load = {"vocabulary.json": dataio.load_vocabulary, "dataset.ndjson": load_samples}[name]
+    (tmp_path / "catalog.json").write_bytes((artifacts / "catalog.json").read_bytes())
+    path = tmp_path / name
+    path.write_bytes(b"\xff\xfe" + (artifacts / name).read_text().encode("utf-16-le"))
+    with pytest.raises(dataio.DataFormatError, match=re.escape(f"{path}: not UTF-8")):
+        load(path)
 
 
 class TestSplit:

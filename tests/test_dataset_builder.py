@@ -13,11 +13,12 @@ from riskcbm.core import AnnotatedSample, BoundingBox, DataError, Detection
 from riskcbm.dataset_builder import (
     AugmentationConfig,
     ConceptVocabulary,
+    _rarest_first,
     augment_dataset,
     build_vocabulary,
     composite_patch,
-    find_sparse_concepts,
     label_sample,
+    positive_counts,
     resize_bilinear,
     sample_placement,
 )
@@ -183,7 +184,7 @@ class TestSparseConcepts:
             for i in range(6)
         ]
         labeled = [label_sample(s, vocab) for s in samples]
-        sparse = find_sparse_concepts(labeled, vocab, AugmentationConfig(min_count=10))
+        sparse = _rarest_first(positive_counts(labeled, vocab), vocab, min_count=10)
         assert sparse == [(c, 0), (b, 3), (a, 6)]
 
     def test_all_concepts_frequent_enough(self, catalog):
@@ -191,7 +192,7 @@ class TestSparseConcepts:
         vocab = vocab_at(0.5, a)
         samples = [make_sample(f"s{i}", 0, [1, 0], [(a, 0.9)]) for i in range(4)]
         labeled = [label_sample(s, vocab) for s in samples]
-        assert find_sparse_concepts(labeled, vocab, AugmentationConfig(min_count=3)) == []
+        assert _rarest_first(positive_counts(labeled, vocab), vocab, min_count=3) == []
 
 
 class TestPlacement:

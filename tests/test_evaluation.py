@@ -10,13 +10,7 @@ from riskcbm.calibration import DEFAULT_BUDGET, RiskBudget
 from riskcbm.cbm_trainer import CbmModel
 from riskcbm.core import DataError
 from riskcbm.dataset_builder import ConceptLabeledSample, ConceptVocabulary, Provenance
-from riskcbm.evaluation import (
-    EvalConfig,
-    accuracy_report,
-    cca_versus_nec,
-    effective_concept_set,
-    predict,
-)
+from riskcbm.evaluation import EvalConfig, _ranked_candidates, accuracy_report, cca_versus_nec
 
 
 def bias_model(concept_biases, head, d=2):
@@ -47,6 +41,18 @@ def vocab(catalog):
     )
 
 
+def predicted(model, sample, vocab):
+    """The sample's argmax class, from the batch ranking of one sample."""
+    return _ranked_candidates(model, [sample], vocab)[0][0]
+
+
+def effective_set(model, sample, vocab, nec):
+    """The sample's top-``nec`` vocabulary concepts of its predicted class,
+    from the batch ranking of one sample."""
+    ranked = _ranked_candidates(model, [sample], vocab)[1][0]
+    return [vocab.concepts[i] for i in ranked[:nec]]
+
+
 def at_budget(vocab, alpha_dis, alpha_cov, alpha_div):
     """``vocab`` as if built at a calibration for this budget."""
     return replace(vocab, budget=RiskBudget(alpha_dis, alpha_cov, alpha_div))
@@ -63,9 +69,9 @@ class TestPredict:
                 head_weights=np.zeros((len(bias), k)),
                 head_bias=np.asarray(bias, dtype=float),
             )
-        assert predict(with_head_bias([2.0, -1.0]), sample) == 0
-        assert predict(with_head_bias([1.0, 1.0]), sample) == 0  # tie-break
-        assert predict(with_head_bias([-5.0, -1.0, -3.0]), sample) == 1
+        assert predicted(with_head_bias([2.0, -1.0]), sample, vocab) == 0
+        assert predicted(with_head_bias([1.0, 1.0]), sample, vocab) == 0  # tie-break
+        assert predicted(with_head_bias([-5.0, -1.0, -3.0]), sample, vocab) == 1
 
 
 class TestEffectiveConceptSet:
@@ -73,29 +79,29 @@ class TestEffectiveConceptSet:
         # activations favor concepts 0 and 2 of the predicted class 0
         model = bias_model([3.0, -2.0, 1.5, -9, -9, -9], [[1.0] * 6, [0.0] * 6])
         sample = make_sample("s", 0, [1.0, 0.0], [])
-        got = effective_concept_set(model, sample, vocab, nec=2)
-        ids = {c.id for c in got.members}
+        got = effective_set(model, sample, vocab, nec=2)
+        ids = {c.id for c in got}
         assert ids == {0, 2}
 
     def test_nec_larger_than_class_pool(self, catalog, vocab):
         model = bias_model([0.0] * 6, [[1.0] * 6, [0.0] * 6])
         sample = make_sample("s", 0, [1.0, 0.0], [])
-        got = effective_concept_set(model, sample, vocab, nec=10)
-        assert {c.id for c in got.members} == {0, 1, 2}
+        got = effective_set(model, sample, vocab, nec=10)
+        assert {c.id for c in got} == {0, 1, 2}
 
     def test_tie_break_smallest_index(self, catalog, vocab):
         model = bias_model([0.5] * 6, [[1.0] * 6, [0.0] * 6])
         sample = make_sample("s", 0, [1.0, 0.0], [])
-        got = effective_concept_set(model, sample, vocab, nec=1)
-        assert {c.id for c in got.members} == {0}
+        got = effective_set(model, sample, vocab, nec=1)
+        assert {c.id for c in got} == {0}
 
     def test_set_restricted_to_predicted_class(self, catalog, vocab):
         # head prefers class 1, so candidates come from class 1 only
         model = bias_model([9.0] * 6, [[0.0] * 6, [1.0] * 6])
         sample = make_sample("s", 0, [1.0, 0.0], [])
-        got = effective_concept_set(model, sample, vocab, nec=2)
-        assert all(c.class_of_origin == 1 for c in got.members)
-        assert len(got.members) == 2
+        got = effective_set(model, sample, vocab, nec=2)
+        assert all(c.class_of_origin == 1 for c in got)
+        assert len(got) == 2
 
 
 class TestAccuracyReport:
