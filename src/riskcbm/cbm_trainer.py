@@ -214,37 +214,62 @@ class Gradients(NamedTuple):
     head_bias: np.ndarray
 
 
+def _views(flat: np.ndarray, like: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """Views of the contiguous vector `flat`, one per array of `like` and of
+    its shape, laid end to end in order."""
+    views, start = [], 0
+    for arr in like:
+        views.append(flat[start : start + arr.size].reshape(arr.shape))
+        start += arr.size
+    return views
+
+
 def gradients(model: CbmModel, batch: Batch, config: TrainConfig) -> Gradients:
     """Analytic gradient of the full objective on the batch.
 
     The L1 part uses the subgradient convention sign(0) = 0.
     """
-    n, k = batch.concept_targets.shape
-    Z = batch.embeddings
+    arrays = model._arrays()
+    grad = Gradients(*_views(np.empty(sum(a.size for a in arrays)), arrays))
+    _gradients_into(
+        grad, model, batch.embeddings, batch.concept_targets, batch.labels, config
+    )
+    return grad
+
+
+def _gradients_into(
+    grad: Gradients,
+    model: CbmModel,
+    Z: np.ndarray,
+    targets: np.ndarray,
+    labels: np.ndarray,
+    config: TrainConfig,
+) -> None:
+    """Write `gradients` of the batch (Z, targets, labels) into `grad`'s arrays."""
+    n, k = targets.shape
     U, A, V = forward(model, Z)
 
     # Concept BCE: d/dU mean(softplus(U) - O*U) = (sigmoid(U) - O) / (n*k)
-    dU = (A - batch.concept_targets) / (n * k)
+    dU = (A - targets) / (n * k)
 
     # Task CE: d/dV mean(lse(V) - V_y) = (softmax(V) - onehot) / n
     vmax = V.max(axis=1, keepdims=True)
     expv = np.exp(V - vmax)
     dV = expv / expv.sum(axis=1, keepdims=True)
-    dV[np.arange(n), batch.labels] -= 1.0
+    dV[np.arange(n), labels] -= 1.0
     dV *= config.gamma1 / n
 
     dA = dV @ model.head_weights
     dU += dA * A * (1.0 - A)
 
-    dW_head = dV.T @ A
-    db_head = dV.sum(axis=0)
-    dW_concept = dU.T @ Z
-    db_concept = dU.sum(axis=0)
+    np.matmul(dV.T, A, out=grad.head_weights)
+    dV.sum(axis=0, out=grad.head_bias)
+    np.matmul(dU.T, Z, out=grad.concept_weights)
+    dU.sum(axis=0, out=grad.concept_bias)
 
-    W = model.head_weights
-    dW_head = dW_head + config.gamma2 * (1.0 - config.beta) * W
-    dW_head = dW_head + config.gamma2 * config.beta * np.sign(W)
-    return Gradients(dW_concept, db_concept, dW_head, db_head)
+    W, dW_head = model.head_weights, grad.head_weights
+    dW_head += config.gamma2 * (1.0 - config.beta) * W
+    dW_head += config.gamma2 * config.beta * np.sign(W)
 
 
 @dataclass(frozen=True)
@@ -269,6 +294,11 @@ def _init_model(d: int, k: int, L: int, rng: np.random.Generator) -> CbmModel:
     )
 
 
+def _log_epochs(epochs: int) -> set[int]:
+    """The epochs `train` logs: 0, every power of two up to `epochs`, and `epochs`."""
+    return {0, epochs} | {1 << i for i in range(epochs.bit_length())}
+
+
 def train(
     dataset: Sequence[ConceptLabeledSample],
     vocab: ConceptVocabulary,
@@ -278,8 +308,12 @@ def train(
 ) -> tuple[CbmModel, list[TrainLogRow]]:
     """Fit the bottleneck and head jointly by mini-batch gradient descent.
 
-    Returns the final model (frozen read-only) and a per-epoch log of the
-    full-dataset objective components; row 0 records the initialization.
+    Returns the final model (frozen read-only) and a log of the full-dataset
+    objective components after epoch 0 (the initialization), every power of
+    two up to `config.epochs`, and the last epoch: for 200 epochs, epochs 0,
+    1, 2, 4, ..., 128 and 200. Every epoch, the parameters and the
+    regularizer must be finite, as must each logged objective; otherwise
+    `TrainingDivergedError`.
     """
     if len(dataset) == 0:
         raise DataError("training dataset is empty")
@@ -298,29 +332,51 @@ def train(
 
     rng = np.random.default_rng(config.rng_seed)
     model = _init_model(d, k, L, rng)
-    velocity = [np.zeros_like(param) for param in model._arrays()]
+    # The four parameter arrays, their gradient and their velocity are each
+    # views of one contiguous vector, so the update is one pass over each.
+    params = np.concatenate([a.ravel() for a in model._arrays()])
+    arrays = _views(params, model._arrays())
+    model.concept_weights, model.concept_bias, model.head_weights, model.head_bias = arrays
+    flat_grad = np.empty_like(params)
+    grad = Gradients(*_views(flat_grad, arrays))
+    velocity = np.zeros_like(params)
+    # Each epoch's permutation of the data, gathered once; a step's batch is
+    # a slice of rows.
+    Z = np.empty_like(full.embeddings)
+    targets = np.empty_like(full.concept_targets)
+    labels = np.empty_like(full.labels)
+
+    def diverged(epoch: int, what: str) -> TrainingDivergedError:
+        return TrainingDivergedError(
+            f"objective diverged at epoch {epoch}: {what} "
+            f"(learning rate {config.learning_rate} likely too large)"
+        )
+
+    logged = _log_epochs(config.epochs)
     log = [TrainLogRow(0, *_terms(model, full, config))]
     for epoch in range(1, config.epochs + 1):
         order = rng.permutation(n)
+        # mode="clip" only so that `take` writes `out` unbuffered; every
+        # index is in range.
+        full.embeddings.take(order, axis=0, out=Z, mode="clip")
+        full.concept_targets.take(order, axis=0, out=targets, mode="clip")
+        full.labels.take(order, out=labels, mode="clip")
         for start in range(0, n, config.batch_size):
-            rows = order[start : start + config.batch_size]
-            batch = Batch(
-                embeddings=full.embeddings[rows],
-                concept_targets=full.concept_targets[rows],
-                labels=full.labels[rows],
-            )
-            grad = gradients(model, batch, config)
-            for vel, g, param in zip(velocity, grad, model._arrays()):
-                vel *= config.momentum
-                vel += g
-                param -= config.learning_rate * vel
-        row = TrainLogRow(epoch, *_terms(model, full, config))
-        if not np.isfinite(row.total):
-            raise TrainingDivergedError(
-                f"objective diverged at epoch {epoch}: total={row.total} "
-                f"(learning rate {config.learning_rate} likely too large)"
-            )
-        log.append(row)
+            rows = slice(start, start + config.batch_size)
+            _gradients_into(grad, model, Z[rows], targets[rows], labels[rows], config)
+            velocity *= config.momentum
+            velocity += flat_grad
+            params -= config.learning_rate * velocity
+        if not np.isfinite(params).all():
+            raise diverged(epoch, "a parameter is not finite")
+        reg = regularizer(model, config.beta)
+        if not math.isfinite(reg):
+            raise diverged(epoch, f"regularizer={reg}")
+        if epoch in logged:
+            row = TrainLogRow(epoch, *_terms(model, full, config))
+            if not math.isfinite(row.total):
+                raise diverged(epoch, f"total={row.total}")
+            log.append(row)
     return model.freeze(), log
 
 

@@ -128,6 +128,23 @@ def _as(kind: type, value):
     return kind(value)
 
 
+def _as_array(kind: type, value, dtype: type = np.float64) -> np.ndarray:
+    """A JSON list of ``kind`` items, or a list of such lists, as an array of
+    ``dtype``; a TypeError if JSON typing says an item is not a ``kind``.
+    The rule is `_is_a`'s, checked on the set of item types of each list, so
+    a list costs a few calls, not one per item."""
+    if not isinstance(value, list):
+        raise TypeError(f"expected a list, got {value!r}")
+    types = set(map(type, value))
+    if types == {list}:
+        types = set().union(*(map(type, row) for row in value))
+    wrong = types - ({int, float} if kind is float else {kind})
+    if wrong:
+        names = ", ".join(sorted(t.__name__ for t in wrong))
+        raise TypeError(f"expected {kind.__name__} items, got {names}")
+    return np.asarray(value, dtype=dtype)
+
+
 @contextmanager
 def _parsing(where: "str | Path", what: str):
     """Report a fault met while building ``what`` from a parsed document,
@@ -212,7 +229,7 @@ def load_catalog(path: "str | Path") -> ConceptCatalog:
                     id=_as(int, c["id"]), text=_as(str, c["text"]), class_of_origin=label
                 )
                 concepts.append(concept)
-                embeddings[concept] = np.asarray(c["embedding"], dtype=np.float64)
+                embeddings[concept] = _as_array(float, c["embedding"])
             per_class[label] = concepts
         return ConceptCatalog(per_class=per_class, text_embeddings=embeddings)
 
@@ -346,7 +363,7 @@ def _load_samples(
             common = dict(
                 sample_id=_as(str, record["id"]),
                 label=_as(int, record["label"]),
-                image_embedding=np.asarray(record["embedding"], dtype=np.float64),
+                image_embedding=_as_array(float, record["embedding"]),
                 detections=_detections_from_json(
                     record.get("detections", ()), concept_by_id
                 ),
@@ -423,7 +440,7 @@ def _labeled_sample(record, common, concept_by_id) -> ConceptLabeledSample:
         provenance = Provenance(kind=prov_doc["kind"])
     return ConceptLabeledSample(
         **common,
-        concept_vector=np.asarray(record["concept_vector"], dtype=np.uint8),
+        concept_vector=_as_array(int, record["concept_vector"], np.uint8),
         provenance=provenance,
     )
 
@@ -477,11 +494,12 @@ def _reader(kind) -> Callable:
     """The function that builds a value of type ``kind`` from its record.
     Every field of a dataclass is required, except that a field whose type
     admits None reads as None when its key is missing; keys that name no
-    field are ignored. A scalar of another JSON type raises a TypeError."""
+    field are ignored. A scalar or array item of another JSON type raises a
+    TypeError."""
     if kind in (float, int, str, bool):
         return functools.partial(_as, kind)
     if kind is np.ndarray:
-        return lambda value: np.asarray(value, dtype=np.float64)
+        return functools.partial(_as_array, float)
     if is_dataclass(kind):
         readers = [
             (name, _reader(hint), type(None) in get_args(hint))

@@ -269,16 +269,28 @@ class TestOneBceForm:
 
     @pytest.mark.parametrize("momentum", [0.0, 0.9])
     def test_log_rows_are_the_objective(self, momentum):
-        """Row e of the log is `objective` on the model after e epochs, exactly."""
+        """The row for epoch e is `objective` on the model after e epochs, exactly."""
         samples, vocab = separable_dataset(5)
-        config = TrainConfig(epochs=3, momentum=momentum, batch_size=4, rng_seed=10)
+        config = TrainConfig(epochs=5, momentum=momentum, batch_size=4, rng_seed=10)
         full = make_batch(samples)
         _, log = train(samples, vocab, config)
+        rows = {row.epoch: row for row in log}
         initial, _ = train(samples, vocab, replace(config, epochs=1, learning_rate=0.0))
-        assert log[0].total == objective(initial, full, config)
-        for e in (1, 2, 3):
+        assert rows[0].total == objective(initial, full, config)
+        for e in set(rows) - {0}:
             model, _ = train(samples, vocab, replace(config, epochs=e))
-            assert log[e].total == objective(model, full, config)
+            assert rows[e].total == objective(model, full, config)
+
+    @pytest.mark.parametrize("epochs", [1, 2, 3, 7, 8, 9, 200])
+    def test_log_holds_the_log_spaced_epochs(self, epochs):
+        """Epoch 0, each power of two up to `epochs`, and `epochs`, in order;
+        the last row is the objective of the returned model."""
+        samples, vocab = separable_dataset(3)
+        config = TrainConfig(epochs=epochs, batch_size=4, rng_seed=11)
+        model, log = train(samples, vocab, config)
+        powers = {2**i for i in range(8) if 2**i <= epochs}
+        assert [row.epoch for row in log] == sorted({0, epochs} | powers)
+        assert log[-1].total == objective(model, make_batch(samples), config)
 
 
 def separable_dataset(n_per_class=20, seed=0):
@@ -302,6 +314,16 @@ def separable_dataset(n_per_class=20, seed=0):
                 )
             )
     return samples, vocab
+
+
+def objective_after_each_epoch(samples, vocab, config):
+    """The full-data objective after epochs 0, 1, ..., `config.epochs`: the
+    log keeps only some epochs, and a run of e epochs logs epoch e last."""
+    _, log = train(samples, vocab, config)
+    return [log[0].total] + [
+        train(samples, vocab, replace(config, epochs=e))[1][-1].total
+        for e in range(1, config.epochs + 1)
+    ]
 
 
 class TestTraining:
@@ -341,16 +363,14 @@ class TestTraining:
         samples, vocab = separable_dataset(10)
         config = TrainConfig(gamma2=0.0, epochs=50, learning_rate=0.1,
                              batch_size=len(samples), rng_seed=4)
-        _, log = train(samples, vocab, config)
-        totals = [row.total for row in log]
+        totals = objective_after_each_epoch(samples, vocab, config)
         assert all(b <= a for a, b in zip(totals, totals[1:]))
 
     def test_full_batch_non_increasing_with_default_config(self):
         samples, vocab = separable_dataset(10)
         config = TrainConfig(epochs=50, learning_rate=0.1,
                              batch_size=len(samples), rng_seed=5)
-        _, log = train(samples, vocab, config)
-        totals = [row.total for row in log]
+        totals = objective_after_each_epoch(samples, vocab, config)
         assert all(b <= a + 1e-12 for a, b in zip(totals, totals[1:]))
 
     def test_determinism_bit_identical(self):
@@ -385,34 +405,56 @@ class TestTraining:
         assert batch.labels.shape == (6,)
 
 
-GOLDEN_MODEL = Path(__file__).parent / "data" / "model_seed3_momentum.json"
+GOLDEN_DIR = Path(__file__).parent / "data"
 
 
-def golden_training():
-    """The run behind `GOLDEN_MODEL`: synth seed 3, concept sets at λ=0.5,
-    30 epochs with momentum 0.9. The file was written by `dataio.save_model`
-    from this function's result, before vocabularies recorded their
-    `lambda_hat` and `budget`, so it has neither."""
+def golden_training(config):
+    """The run behind a golden checkpoint: synth seed 3, concept sets at
+    λ=0.5, trained under `config` (one of `GOLDEN_CONFIGS`)."""
     spec = SynthSpec(classes=3, concepts_per_class=4, samples_per_class=10,
                      embedding_dim=8, seed=3, with_pixels=False)
     samples, catalog = generate_synthetic(spec)
     vocab = build_vocabulary(samples, catalog, 0.5, DEFAULT_BUDGET)
     labeled = [label_sample(s, vocab) for s in samples]
-    config = TrainConfig(epochs=30, momentum=0.9, learning_rate=0.05, batch_size=8,
-                         rng_seed=3)
     model, _ = train(labeled, vocab, config, n_classes=catalog.num_classes)
-    return model, vocab, config
+    return model, vocab
+
+
+# Each file was written by `dataio.save_model` from `golden_training` under
+# its config. `model_seed3_momentum.json` was written before vocabularies
+# recorded their `lambda_hat` and `budget`, so it has neither.
+# `model_seed3_plain.json` pins the default update rule, momentum 0, on 30
+# samples in batches of 8, so each epoch ends on a batch of 6.
+GOLDEN_CONFIGS = {
+    "model_seed3_momentum.json": TrainConfig(
+        epochs=30, momentum=0.9, learning_rate=0.05, batch_size=8, rng_seed=3
+    ),
+    "model_seed3_plain.json": TrainConfig(
+        epochs=30, learning_rate=0.1, batch_size=8, rng_seed=3
+    ),
+}
+
+
+def assert_retraining_reproduces(name):
+    """The four arrays, the vocabulary and the config, exactly."""
+    config = GOLDEN_CONFIGS[name]
+    model, vocab = golden_training(config)
+    golden, golden_vocab, golden_config = load_model(GOLDEN_DIR / name)
+    for got, want in zip(model._arrays(), golden._arrays()):
+        assert np.array_equal(got, want)
+    assert vocab.concepts == golden_vocab.concepts
+    assert golden_config == config
 
 
 class TestGoldenCheckpoint:
     def test_retraining_reproduces_the_checkpoint(self):
-        """Pins the update rule: the four arrays and the vocabulary, exactly.
-        The file was written while `TrainConfig` still had `l1_proximal`, so
-        loading it also covers a checkpoint that records the removed key."""
-        assert json.loads(GOLDEN_MODEL.read_text())["config"]["l1_proximal"] is False
-        model, vocab, config = golden_training()
-        golden, golden_vocab, golden_config = load_model(GOLDEN_MODEL)
-        for got, want in zip(model._arrays(), golden._arrays()):
-            assert np.array_equal(got, want)
-        assert vocab.concepts == golden_vocab.concepts
-        assert golden_config == config
+        """Pins the momentum update. The file was written while `TrainConfig`
+        still had `l1_proximal`, so loading it also covers a checkpoint that
+        records the removed key."""
+        path = GOLDEN_DIR / "model_seed3_momentum.json"
+        assert json.loads(path.read_text())["config"]["l1_proximal"] is False
+        assert_retraining_reproduces(path.name)
+
+    def test_retraining_reproduces_the_plain_checkpoint(self):
+        """Pins the default update, momentum 0, with a short last batch."""
+        assert_retraining_reproduces("model_seed3_plain.json")

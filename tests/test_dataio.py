@@ -701,6 +701,22 @@ MALFORMED_VALUES = {
                          _set("label", value=lambda v: v + 0.6)),
     "bool_confidence": ("dataset.ndjson", load_samples,
                         _set("detections", 0, "confidence", value=True)),
+    # Arrays follow the same rule, item by item.
+    "fractional_concept_vector": ("labeled.ndjson", load_labeled,
+                                  _set("concept_vector", 0, value=0.6)),
+    "bool_concept_vector": ("labeled.ndjson", load_labeled,
+                            _set("concept_vector", 0, value=True)),
+    "bool_embedding": ("dataset.ndjson", load_samples,
+                       _set("embedding", 0, value=True)),
+    "string_embedding": ("dataset.ndjson", load_samples,
+                         _set("embedding", 0, value="0.5")),
+    "catalog_bool_embedding": ("catalog.json", dataio.load_catalog,
+                               _set("classes", 0, "concepts", 0, "embedding", 0,
+                                    value=True)),
+    "model_bool_weight": ("model.json", dataio.load_model,
+                          _set("concept_weights", 0, 0, value=True)),
+    "model_bool_bias": ("model.json", dataio.load_model,
+                        _set("head_bias", 0, value=False)),
 }
 
 
