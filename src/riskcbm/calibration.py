@@ -21,6 +21,7 @@ from .core import AnnotatedSample, ConceptCatalog, DataError
 
 __all__ = [
     "RiskBudget",
+    "CalibrationConfig",
     "RiskCurve",
     "CalibrationResult",
     "ExchangeablePool",
@@ -34,6 +35,7 @@ __all__ = [
 ]
 
 DEFAULT_RESOLUTION = 1e-3
+DEFAULT_SLACK = 0.01  # how far above alpha a `validate_guarantee` pass may lie
 
 # Monotonicity slack for validating externally supplied risk curves; the
 # curves this module produces are non-increasing without tolerance.
@@ -42,11 +44,12 @@ _CURVE_TOL = 1e-12
 
 @dataclass(frozen=True)
 class RiskBudget:
-    """User-specified risk levels for the three criteria, each strictly in (0,1)."""
+    """User-specified risk levels for the three criteria, each strictly in
+    (0,1); the defaults are the budget a run uses when none is given."""
 
-    alpha_dis: float
-    alpha_cov: float
-    alpha_div: float
+    alpha_dis: float = 0.7
+    alpha_cov: float = 0.2
+    alpha_div: float = 0.2
 
     def __post_init__(self) -> None:
         for name, value in self.as_dict().items():
@@ -60,8 +63,19 @@ class RiskBudget:
         return self.as_dict()[criterion]
 
 
-# The budget a run uses when none is given.
-DEFAULT_BUDGET = RiskBudget(alpha_dis=0.7, alpha_cov=0.2, alpha_div=0.2)
+DEFAULT_BUDGET = RiskBudget()
+
+
+@dataclass(frozen=True)
+class CalibrationConfig:
+    """How `calibrate` searches for thresholds: the grid step, and whether to
+    search the loss breakpoints instead of the grid."""
+
+    resolution: float = DEFAULT_RESOLUTION
+    exact: bool = False
+
+    def __post_init__(self) -> None:
+        default_grid(self.resolution)  # raises on a resolution out of range
 
 
 @dataclass(eq=False)
@@ -365,7 +379,7 @@ def validate_guarantee(
     seed: int,
     *,
     resolution: float = DEFAULT_RESOLUTION,
-    slack: float = 0.01,
+    slack: float = DEFAULT_SLACK,
 ) -> GuaranteeReport:
     """Empirically check the calibration guarantee over repeated trials.
 

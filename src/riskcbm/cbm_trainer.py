@@ -304,7 +304,7 @@ def train(
     vocab: ConceptVocabulary,
     config: TrainConfig,
     *,
-    n_classes: "int | None" = None,
+    n_classes: int,
 ) -> tuple[CbmModel, list[TrainLogRow]]:
     """Fit the bottleneck and head jointly by mini-batch gradient descent.
 
@@ -313,7 +313,8 @@ def train(
     two up to `config.epochs`, and the last epoch: for 200 epochs, epochs 0,
     1, 2, 4, ..., 128 and 200. Every epoch, the parameters and the
     regularizer must be finite, as must each logged objective; otherwise
-    `TrainingDivergedError`.
+    `TrainingDivergedError`. Every label must lie in ``[0, n_classes)``; the
+    count is not read off the labels, which may lack the top class.
     """
     if len(dataset) == 0:
         raise DataError("training dataset is empty")
@@ -322,11 +323,15 @@ def train(
         raise DataError("vocabulary is empty")
     vocab.check_aligned(dataset)
     full = make_batch(dataset)
-    L = int(n_classes) if n_classes is not None else int(full.labels.max()) + 1
+    L = int(n_classes)
     if L < 2:
         raise DataError(f"need at least 2 classes, got {L}")
-    if int(full.labels.max()) >= L:
-        raise DataError("class label outside declared class count")
+    outside = (full.labels < 0) | (full.labels >= L)
+    if outside.any():
+        i = int(np.argmax(outside))
+        raise DataError(
+            f"sample {dataset[i].sample_id}: class label {full.labels[i]} outside [0, {L})"
+        )
     d = full.embeddings.shape[1]
     n = len(full)
 

@@ -13,11 +13,13 @@ import sys
 import warnings
 from dataclasses import fields
 from pathlib import Path
+from typing import get_type_hints
 
 from . import dataio
 from .calibration import (
     DEFAULT_BUDGET,
     DEFAULT_RESOLUTION,
+    DEFAULT_SLACK,
     ExchangeablePool,
     RiskBudget,
     calibrate,
@@ -62,9 +64,14 @@ def _require_file(path: str, what: str) -> Path:
     return p
 
 
-def _add_budget_flags(parser) -> None:
-    for key, alpha in DEFAULT_BUDGET.as_dict().items():
-        parser.add_argument(f"--alpha-{key}", type=float, default=alpha)
+def _add_flags(parser, cls, **renames: str) -> None:
+    """One flag per field of the dataclass ``cls``, in field order: its name
+    as ``--field-name`` unless ``renames`` gives the flag, its field's name as
+    dest, and its field's type and default."""
+    types = get_type_hints(cls)
+    for f in fields(cls):
+        flag = renames.get(f.name, "--" + f.name.replace("_", "-"))
+        parser.add_argument(flag, dest=f.name, type=types[f.name], default=f.default)
 
 
 def _config_from(cls, args):
@@ -114,7 +121,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--dataset", required=True, help="calibration split (NDJSON)")
     p.add_argument("--catalog", required=True)
     p.add_argument("--out", required=True)
-    _add_budget_flags(p)
+    _add_flags(p, RiskBudget)
     p.add_argument("--resolution", type=float, default=DEFAULT_RESOLUTION)
     p.add_argument("--exact", action="store_true", help="search loss breakpoints instead of the grid")
 
@@ -130,12 +137,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--catalog", required=True)
     p.add_argument("--vocab", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--min-count", type=int, default=AugmentationConfig.min_count)
-    p.add_argument(
-        "--max-attempts", dest="max_placement_attempts", type=int,
-        default=AugmentationConfig.max_placement_attempts,
-    )
-    p.add_argument("--seed", dest="rng_seed", type=int, default=AugmentationConfig.rng_seed)
+    _add_flags(p, AugmentationConfig, max_placement_attempts="--max-attempts", rng_seed="--seed")
 
     p = sub.add_parser("train", help="train the concept-bottleneck classifier")
     p.add_argument("--labeled", required=True)
@@ -143,21 +145,14 @@ def _build_parser() -> _Parser:
     p.add_argument("--vocab", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--log-csv")
-    p.add_argument("--gamma1", type=float, default=TrainConfig.gamma1)
-    p.add_argument("--gamma2", type=float, default=TrainConfig.gamma2)
-    p.add_argument("--beta", type=float, default=TrainConfig.beta)
-    p.add_argument("--learning-rate", type=float, default=TrainConfig.learning_rate)
-    p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
-    p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
-    p.add_argument("--seed", dest="rng_seed", type=int, default=TrainConfig.rng_seed)
-    p.add_argument("--momentum", type=float, default=TrainConfig.momentum)
+    _add_flags(p, TrainConfig, rng_seed="--seed")
 
     p = sub.add_parser("evaluate", help="accuracy and concept-compliance report")
     p.add_argument("--model", required=True)
     p.add_argument("--dataset", required=True, help="test split (NDJSON)")
     p.add_argument("--catalog", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--nec", type=int, default=EvalConfig.nec)
+    _add_flags(p, EvalConfig)
     p.add_argument("--per-sample-csv")
     p.add_argument("--cca-dat", help="write a compliance-vs-NEC table here")
 
@@ -171,7 +166,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser(
         "crc-check", help="Monte Carlo validation of the calibration guarantee"
     )
-    _add_budget_flags(p)
+    _add_flags(p, RiskBudget)
     p.add_argument("--n-cal", type=int, default=100)
     p.add_argument("--trials", type=int, default=2000)
     p.add_argument("--seed", type=int, default=0)
@@ -180,7 +175,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--concepts-per-class", type=int, default=SynthSpec.concepts_per_class)
     p.add_argument("--dim", type=int, default=SynthSpec.embedding_dim)
     p.add_argument("--noise", type=float, default=SynthSpec.noise)
-    p.add_argument("--slack", type=float, default=0.01)
+    p.add_argument("--slack", type=float, default=DEFAULT_SLACK)
     p.add_argument("--resolution", type=float, default=DEFAULT_RESOLUTION)
     p.add_argument("--shifted", action="store_true", help="draw targets from a shifted pool")
     p.add_argument("--out", help="write the JSON report here")
@@ -347,16 +342,14 @@ def _cmd_pipeline(args) -> int:
             for section, key in keys:
                 doc.setdefault(section, {})[key] = value
     config = PipelineConfig.from_dict(doc)
-    for what, path in (
-        ("train", config.train_path), ("test", config.test_path), ("catalog", config.catalog_path)
-    ):
-        _require_file(path, what)
+    for what in ("train", "test", "catalog"):
+        _require_file(getattr(config.paths, what), what)
     result = run_pipeline(config)
     print(
         f"pipeline ok: lambda_hat={result.lambda_hat} "
         f"overall={result.overall_accuracy:.4f} cca={result.cca:.4f}"
     )
-    print(f"artifacts in {config.output_dir}")
+    print(f"artifacts in {config.paths.output_dir}")
     return EXIT_OK
 
 

@@ -172,18 +172,18 @@ def build_vocabulary(
     budget: RiskBudget,
 ) -> ConceptVocabulary:
     """Union of calibrated concept sets over the samples, ordered by id,
-    recording ``lambda_hat`` and the ``budget`` it was calibrated at."""
+    recording ``lambda_hat`` and the ``budget`` it was calibrated at. A
+    concept the catalog lacks raises a DataError naming the lowest such id."""
     union: set[ConceptId] = set()
     for sample in samples:
         union.update(build_concept_set(sample, lambda_hat).members)
-    for concept in union:
-        if not catalog.has_concept(concept):
-            raise DataError(f"concept {concept.id} ('{concept.text}') not in catalog")
     if not union:
         raise DataError(
             "empty vocabulary: no detection clears the calibrated threshold"
         )
-    return ConceptVocabulary(tuple(sorted(union, key=lambda c: c.id)), lambda_hat, budget)
+    vocab = ConceptVocabulary(tuple(sorted(union, key=lambda c: c.id)), lambda_hat, budget)
+    vocab.check_in_catalog(catalog)
+    return vocab
 
 
 def label_sample(sample: AnnotatedSample, vocab: ConceptVocabulary) -> ConceptLabeledSample:

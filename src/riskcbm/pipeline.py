@@ -11,14 +11,14 @@ seeds in the config, so reruns are byte-identical.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Sequence, get_type_hints
 
 import numpy as np
 
 from . import dataio
-from .calibration import DEFAULT_BUDGET, DEFAULT_RESOLUTION, RiskBudget, calibrate, default_grid
+from .calibration import CalibrationConfig, RiskBudget, calibrate
 from .cbm_trainer import CbmModel, TrainConfig, train
 from .core import AnnotatedSample, ConceptCatalog, DataError
 from .dataset_builder import (
@@ -36,6 +36,8 @@ from .evaluation import accuracy_report  # noqa: F401
 
 __all__ = [
     "CONFIG_KEYS",
+    "Paths",
+    "SplitConfig",
     "PipelineConfig",
     "PipelineResult",
     "StageError",
@@ -75,79 +77,61 @@ def split_train_cal(
 
 
 @dataclass(frozen=True)
-class PipelineConfig:
-    train_path: str
-    test_path: str
-    catalog_path: str
+class Paths:
+    """A run's input files and the directory it writes its artifacts to."""
+
+    train: str
+    test: str
+    catalog: str
     output_dir: str
-    # One budget per run: calibration's, which the vocabulary carries on to
-    # the checkpoint and the evaluation's compliance checks.
-    budget: RiskBudget = DEFAULT_BUDGET
-    augmentation: AugmentationConfig = field(default_factory=AugmentationConfig)
-    train: TrainConfig = field(default_factory=TrainConfig)
-    nec: int = EvalConfig.nec
+
+
+@dataclass(frozen=True)
+class SplitConfig:
+    """How `split_train_cal` divides the training file."""
+
     train_fraction: float = 0.8
-    split_seed: int = 0
-    resolution: float = DEFAULT_RESOLUTION
-    exact_calibration: bool = False
+    seed: int = 0
 
     def __post_init__(self) -> None:
         if not 0.0 < self.train_fraction < 1.0:
-            raise ValueError(
-                f"train_fraction must be in (0,1), got {self.train_fraction}"
-            )
-        if self.nec < 1:
-            raise ValueError(f"nec must be >= 1, got {self.nec}")
-        if self.split_seed < 0:
-            raise ValueError(f"split_seed must be >= 0, got {self.split_seed}")
-        default_grid(self.resolution)  # raises on a resolution out of range
+            raise ValueError(f"train_fraction must be in (0,1), got {self.train_fraction}")
+        if self.seed < 0:
+            raise ValueError(f"split_seed must be >= 0, got {self.seed}")
+
+
+@dataclass(frozen=True)
+class PipelineConfig:
+    """A run's settings: one field per section of its config file, each that
+    section's dataclass. One budget per run: calibration's, which the
+    vocabulary carries on to the checkpoint and the evaluation's compliance
+    checks."""
+
+    paths: Paths
+    budget: RiskBudget = field(default_factory=RiskBudget)
+    split: SplitConfig = field(default_factory=SplitConfig)
+    calibration: CalibrationConfig = field(default_factory=CalibrationConfig)
+    eval: EvalConfig = field(default_factory=EvalConfig)
+    train: TrainConfig = field(default_factory=TrainConfig)
+    augmentation: AugmentationConfig = field(default_factory=AugmentationConfig)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "PipelineConfig":
         """Config from its JSON form, checked by `check_config`. A missing path
         or a value out of range raises a ValueError."""
         check_config(doc)
-        paths = doc.get("paths", {})
         for key in CONFIG_KEYS["paths"]:
-            if key not in paths:
+            if key not in doc.get("paths", {}):
                 raise ValueError(f"missing required path: {key}")
-        scalars = {
-            name: CONFIG_KEYS[section][key](doc[section][key])
-            for (section, key), name in _SCALAR_FIELDS.items()
-            if key in doc.get(section, {})
-        }
-        return cls(
-            train_path=paths["train"],
-            test_path=paths["test"],
-            catalog_path=paths["catalog"],
-            output_dir=paths["output_dir"],
-            budget=replace(
-                DEFAULT_BUDGET, **{k: float(v) for k, v in doc.get("budget", {}).items()}
-            ),
-            augmentation=AugmentationConfig(**doc.get("augmentation", {})),
-            train=TrainConfig(**doc.get("train", {})),
-            **scalars,
-        )
+        return cls(**{
+            name: kind(**{key: CONFIG_KEYS[name][key](v) for key, v in doc.get(name, {}).items()})
+            for name, kind in get_type_hints(cls).items()
+        })
 
 
 # The sections of a config file, the keys each accepts and the type of each.
 CONFIG_KEYS = {
-    "paths": dict.fromkeys(("train", "test", "catalog", "output_dir"), str),
-    "budget": get_type_hints(RiskBudget),
-    "split": {"train_fraction": float, "seed": int},
-    "calibration": {"resolution": float, "exact": bool},
-    "eval": {"nec": int},
-    "train": get_type_hints(TrainConfig),
-    "augmentation": get_type_hints(AugmentationConfig),
-}
-
-# The PipelineConfig field each scalar config key sets when present.
-_SCALAR_FIELDS = {
-    ("eval", "nec"): "nec",
-    ("split", "train_fraction"): "train_fraction",
-    ("split", "seed"): "split_seed",
-    ("calibration", "resolution"): "resolution",
-    ("calibration", "exact"): "exact_calibration",
+    name: get_type_hints(kind) for name, kind in get_type_hints(PipelineConfig).items()
 }
 
 
@@ -211,29 +195,21 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
         except Exception as exc:
             raise StageError(name, exc) from exc
 
-    catalog = stage("load", lambda: dataio.load_catalog(config.catalog_path))
-    train_samples = stage(
-        "load", lambda: dataio.load_dataset(config.train_path, catalog)
-    )
-    test_samples = stage("load", lambda: dataio.load_dataset(config.test_path, catalog))
+    catalog = stage("load", lambda: dataio.load_catalog(config.paths.catalog))
+    train_samples = stage("load", lambda: dataio.load_dataset(config.paths.train, catalog))
+    test_samples = stage("load", lambda: dataio.load_dataset(config.paths.test, catalog))
     stage("load", lambda: check_test_set(test_samples, catalog.num_classes))
-    out_dir = Path(config.output_dir)
+    out_dir = Path(config.paths.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     train_part, cal_part = stage(
         "split",
-        lambda: split_train_cal(train_samples, config.train_fraction, config.split_seed),
+        lambda: split_train_cal(train_samples, config.split.train_fraction, config.split.seed),
     )
 
     result = stage(
         "calibrate",
-        lambda: calibrate(
-            config.budget,
-            cal_part,
-            catalog,
-            resolution=config.resolution,
-            exact=config.exact_calibration,
-        ),
+        lambda: calibrate(config.budget, cal_part, catalog, **asdict(config.calibration)),
     )
     dataio.save_calibration(out_dir / "calibration.json", result)
 
@@ -260,7 +236,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     report = stage(
         "evaluate",
         lambda: evaluate_sweep(
-            model, test_samples, vocab, catalog, config.nec, out_dir / "cca_vs_nec.dat",
+            model, test_samples, vocab, catalog, config.eval.nec, out_dir / "cca_vs_nec.dat",
         ),
     )
     dataio.save_eval_report(out_dir / "eval_report.json", report)

@@ -25,14 +25,14 @@ from riskcbm.core import (
 BOX = BoundingBox(1.0, 1.0, 5.0, 5.0)
 
 
-def run_python(*args: str) -> subprocess.CompletedProcess:
+def run_python(*args: str, **env: str) -> subprocess.CompletedProcess:
     """Run ``python *args`` in a child process, which imports the same
-    riskcbm as this one, installed or not."""
+    riskcbm as this one, installed or not; ``env`` adds to its environment."""
     package_root = str(Path(riskcbm.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (package_root, os.environ.get("PYTHONPATH")) if p)
     return subprocess.run(
         [sys.executable, *args],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, env={**os.environ, **env, "PYTHONPATH": path},
     )
 
 

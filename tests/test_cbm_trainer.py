@@ -273,12 +273,14 @@ class TestOneBceForm:
         samples, vocab = separable_dataset(5)
         config = TrainConfig(epochs=5, momentum=momentum, batch_size=4, rng_seed=10)
         full = make_batch(samples)
-        _, log = train(samples, vocab, config)
+        _, log = train(samples, vocab, config, n_classes=2)
         rows = {row.epoch: row for row in log}
-        initial, _ = train(samples, vocab, replace(config, epochs=1, learning_rate=0.0))
+        initial, _ = train(
+            samples, vocab, replace(config, epochs=1, learning_rate=0.0), n_classes=2
+        )
         assert rows[0].total == objective(initial, full, config)
         for e in set(rows) - {0}:
-            model, _ = train(samples, vocab, replace(config, epochs=e))
+            model, _ = train(samples, vocab, replace(config, epochs=e), n_classes=2)
             assert rows[e].total == objective(model, full, config)
 
     @pytest.mark.parametrize("epochs", [1, 2, 3, 7, 8, 9, 200])
@@ -287,7 +289,7 @@ class TestOneBceForm:
         the last row is the objective of the returned model."""
         samples, vocab = separable_dataset(3)
         config = TrainConfig(epochs=epochs, batch_size=4, rng_seed=11)
-        model, log = train(samples, vocab, config)
+        model, log = train(samples, vocab, config, n_classes=2)
         powers = {2**i for i in range(8) if 2**i <= epochs}
         assert [row.epoch for row in log] == sorted({0, epochs} | powers)
         assert log[-1].total == objective(model, make_batch(samples), config)
@@ -319,9 +321,9 @@ def separable_dataset(n_per_class=20, seed=0):
 def objective_after_each_epoch(samples, vocab, config):
     """The full-data objective after epochs 0, 1, ..., `config.epochs`: the
     log keeps only some epochs, and a run of e epochs logs epoch e last."""
-    _, log = train(samples, vocab, config)
+    _, log = train(samples, vocab, config, n_classes=2)
     return [log[0].total] + [
-        train(samples, vocab, replace(config, epochs=e))[1][-1].total
+        train(samples, vocab, replace(config, epochs=e), n_classes=2)[1][-1].total
         for e in range(1, config.epochs + 1)
     ]
 
@@ -330,7 +332,7 @@ class TestTraining:
     def test_learns_separable_data(self):
         samples, vocab = separable_dataset()
         config = TrainConfig(epochs=200, learning_rate=0.5, batch_size=64, rng_seed=1)
-        model, log = train(samples, vocab, config)
+        model, log = train(samples, vocab, config, n_classes=2)
         predicted, _ = _ranked_candidates(model, samples, vocab)
         correct = sum(int(p == s.label) for p, s in zip(predicted, samples))
         assert correct == len(samples)
@@ -339,9 +341,9 @@ class TestTraining:
     def test_zero_learning_rate_is_identity(self):
         samples, vocab = separable_dataset(4)
         config = TrainConfig(epochs=3, learning_rate=0.0, rng_seed=2)
-        model, _ = train(samples, vocab, config)
+        model, _ = train(samples, vocab, config, n_classes=2)
         reference, _ = train(samples, vocab, TrainConfig(epochs=1, learning_rate=0.0,
-                                                         rng_seed=2))
+                                                         rng_seed=2), n_classes=2)
         assert np.array_equal(model.concept_weights, reference.concept_weights)
         assert np.array_equal(model.head_weights, reference.head_weights)
 
@@ -350,10 +352,10 @@ class TestTraining:
         samples, vocab = separable_dataset(4)
         config = TrainConfig(gamma1=0.0, gamma2=0.0, epochs=5, learning_rate=0.3,
                              rng_seed=3)
-        model, _ = train(samples, vocab, config)
+        model, _ = train(samples, vocab, config, n_classes=2)
         init, _ = train(samples, vocab,
                         TrainConfig(gamma1=0.0, gamma2=0.0, epochs=5,
-                                    learning_rate=0.0, rng_seed=3))
+                                    learning_rate=0.0, rng_seed=3), n_classes=2)
         assert np.array_equal(model.head_weights, init.head_weights)
         assert np.array_equal(model.head_bias, init.head_bias)
         # the bottleneck still moves under the concept loss
@@ -376,8 +378,8 @@ class TestTraining:
     def test_determinism_bit_identical(self):
         samples, vocab = separable_dataset(8)
         config = TrainConfig(epochs=20, rng_seed=6, batch_size=5)
-        m1, log1 = train(samples, vocab, config)
-        m2, log2 = train(samples, vocab, config)
+        m1, log1 = train(samples, vocab, config, n_classes=2)
+        m2, log2 = train(samples, vocab, config, n_classes=2)
         assert m1.concept_weights.tobytes() == m2.concept_weights.tobytes()
         assert m1.head_weights.tobytes() == m2.head_weights.tobytes()
         assert [r.total for r in log1] == [r.total for r in log2]
@@ -388,14 +390,30 @@ class TestTraining:
         samples, vocab = separable_dataset(6)
         config = TrainConfig(epochs=60, learning_rate=1e8, beta=0.0, rng_seed=7)
         with np.errstate(over="ignore"), pytest.raises(TrainingDivergedError):
-            train(samples, vocab, config)
+            train(samples, vocab, config, n_classes=2)
 
     def test_momentum_accepted(self):
         samples, vocab = separable_dataset(6)
         config = TrainConfig(epochs=30, momentum=0.9, learning_rate=0.05, rng_seed=9)
-        model, log = train(samples, vocab, config)
+        model, log = train(samples, vocab, config, n_classes=2)
         assert np.all(np.isfinite(model.concept_weights))
         assert log[-1].total < log[0].total
+
+    @pytest.mark.parametrize("label", [-1, 2])
+    def test_a_label_outside_the_class_range_is_a_data_error(self, label):
+        """A negative label would index the last class of the head."""
+        samples, vocab = separable_dataset(3)
+        samples[1] = replace(samples[1], label=label)
+        with pytest.raises(DataError, match=rf"sample 0-1: class label {label} outside \[0, 2\)"):
+            train(samples, vocab, TrainConfig(epochs=1), n_classes=2)
+
+    def test_the_class_count_is_given_not_read_off_the_labels(self):
+        """Data that lacks the top class still trains a head over every class."""
+        samples, vocab = separable_dataset(3)
+        model, _ = train(samples, vocab, TrainConfig(epochs=1), n_classes=3)
+        assert model.num_classes == 3
+        with pytest.raises(TypeError, match="n_classes"):
+            train(samples, vocab, TrainConfig(epochs=1))
 
     def test_make_batch_shapes(self):
         samples, vocab = separable_dataset(3)

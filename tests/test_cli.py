@@ -17,7 +17,7 @@ from riskcbm.cbm_trainer import TrainConfig
 from riskcbm.cli import _build_parser, _config_from, main
 from riskcbm.dataset_builder import AugmentationConfig, ConceptVocabulary
 from riskcbm.evaluation import EvalConfig
-from riskcbm.pipeline import PipelineConfig, PipelineResult, split_train_cal
+from riskcbm.pipeline import Paths, PipelineConfig, PipelineResult, split_train_cal
 from riskcbm.synth import SynthSpec
 
 GOLDEN_MODEL = Path(__file__).parent / "data" / "model_seed3_momentum.json"
@@ -399,8 +399,8 @@ class TestStagedCommands:
             "--epochs", "30", "--seed", "3", *budget,
         ]) == 0
         samples = dataio.load_dataset(data_dir / "train.ndjson", dataio.load_catalog(catalog[1]))
-        config = PipelineConfig("t", "e", "c", "o")
-        parts = split_train_cal(samples, config.train_fraction, config.split_seed)
+        split = PipelineConfig(Paths("t", "e", "c", "o")).split
+        parts = split_train_cal(samples, split.train_fraction, split.seed)
         staged = tmp_path / "staged"
         staged.mkdir()
         for name, part in zip(("train_part", "cal_part"), parts):
@@ -461,19 +461,19 @@ PIPELINE_ARTIFACTS = {
 # Each `pipeline` flag, a value unlike the test's config file, and the
 # PipelineConfig fields it must set (dotted through the nested configs).
 PIPELINE_FLAG_FIELDS = {
-    "--train": ("train2", ["train_path"]),
-    "--test": ("test2", ["test_path"]),
-    "--catalog": ("catalog2", ["catalog_path"]),
-    "--out-dir": ("out2", ["output_dir"]),
+    "--train": ("train2", ["paths.train"]),
+    "--test": ("test2", ["paths.test"]),
+    "--catalog": ("catalog2", ["paths.catalog"]),
+    "--out-dir": ("out2", ["paths.output_dir"]),
     "--alpha-dis": ("0.5", ["budget.alpha_dis"]),
     "--alpha-cov": ("0.3", ["budget.alpha_cov"]),
     "--alpha-div": ("0.1", ["budget.alpha_div"]),
-    "--train-fraction": ("0.6", ["train_fraction"]),
-    "--split-seed": ("7", ["split_seed"]),
+    "--train-fraction": ("0.6", ["split.train_fraction"]),
+    "--split-seed": ("7", ["split.seed"]),
     "--min-count": ("9", ["augmentation.min_count"]),
     "--epochs": ("5", ["train.epochs"]),
     "--seed": ("8", ["augmentation.rng_seed", "train.rng_seed"]),
-    "--nec": ("2", ["nec"]),
+    "--nec": ("2", ["eval.nec"]),
 }
 PATH_FLAGS = {"--train", "--test", "--catalog", "--out-dir"}
 
@@ -893,7 +893,7 @@ class TestUsageErrors:
             _config_from(TrainConfig, args)
 
     def test_pipeline_nec_default_is_the_evaluation_default(self):
-        assert PipelineConfig("t", "e", "c", "o").nec == EvalConfig().nec
+        assert PipelineConfig(Paths("t", "e", "c", "o")).eval.nec == EvalConfig().nec
 
     @pytest.mark.parametrize(
         "flags",

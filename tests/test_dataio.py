@@ -37,7 +37,7 @@ from riskcbm.dataset_builder import (
     label_sample,
 )
 from riskcbm.evaluation import EvalConfig, EvalReport, SampleCompliance, accuracy_report
-from riskcbm.pipeline import PipelineConfig, run_pipeline, split_train_cal
+from riskcbm.pipeline import Paths, PipelineConfig, run_pipeline, split_train_cal
 from riskcbm.synth import SynthSpec, generate_synthetic
 
 
@@ -145,10 +145,12 @@ class TestWrite:
         out = tmp_path / "run"
         run_pipeline(
             PipelineConfig(
-                train_path=str(tmp_path / "train.ndjson"),
-                test_path=str(tmp_path / "test.ndjson"),
-                catalog_path=str(tmp_path / "catalog.json"),
-                output_dir=str(out),
+                paths=Paths(
+                    train=str(tmp_path / "train.ndjson"),
+                    test=str(tmp_path / "test.ndjson"),
+                    catalog=str(tmp_path / "catalog.json"),
+                    output_dir=str(out),
+                ),
                 train=TrainConfig(epochs=3),
             )
         )

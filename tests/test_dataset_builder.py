@@ -2,11 +2,12 @@
 
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import make_catalog, make_sample
+from conftest import make_catalog, make_sample, run_python
 from riskcbm.calibration import DEFAULT_BUDGET, RiskBudget
 from riskcbm.concept_sets import confidence_admits
 from riskcbm.core import AnnotatedSample, BoundingBox, DataError, Detection
@@ -34,6 +35,25 @@ def catalog():
 
 def gray(h=64, w=64, value=0.25):
     return np.full((h, w, 3), value, dtype=np.float32)
+
+
+# One sample that detects six concepts, ids 100-105, of a catalog other than
+# the one its vocabulary is built against.
+FOREIGN_VOCABULARY = """
+import sys
+sys.path.insert(0, {tests!r})
+from conftest import make_catalog, make_sample
+from riskcbm.calibration import DEFAULT_BUDGET
+from riskcbm.core import DataError
+from riskcbm.dataset_builder import build_vocabulary
+catalog = make_catalog({{0: [[1, 0]], 1: [[-1, 0]]}})
+foreign = make_catalog({{0: [[1, 0]] * 3, 1: [[-1, 0]] * 3}}, start_id=100)
+sample = make_sample("s0", 0, [1, 0], [(c, 0.9) for c in foreign.all_concepts()])
+try:
+    build_vocabulary([sample], catalog, 0.5, DEFAULT_BUDGET)
+except DataError as exc:
+    print(exc)
+"""
 
 
 def vocab_at(lambda_hat, *concepts):
@@ -68,6 +88,15 @@ class TestVocabulary:
         samples = [make_sample("s0", 0, [1, 0], [(a, 0.99)])]
         with pytest.raises(DataError, match="empty vocabulary"):
             build_vocabulary(samples, catalog, 0.0, DEFAULT_BUDGET)
+
+    def test_a_foreign_concept_error_names_the_lowest_id_under_any_hash_seed(self):
+        """`ConceptId` hashes its text, so a set of concepts iterates in an
+        order that changes with the hash seed; the error does not."""
+        code = FOREIGN_VOCABULARY.format(tests=str(Path(__file__).parent))
+        for seed in "12345":
+            result = run_python("-c", code, PYTHONHASHSEED=seed)
+            assert result.returncode == 0, result.stderr
+            assert result.stdout == "vocabulary concept 100 ('t100') not in catalog\n", seed
 
     def test_lambda_one_collects_every_detected_concept(self, catalog):
         a, b, _ = catalog.concepts_for(0)

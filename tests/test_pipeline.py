@@ -2,6 +2,8 @@
 
 import json
 import re
+from dataclasses import asdict, fields
+from typing import get_type_hints
 
 import pytest
 
@@ -11,7 +13,15 @@ from riskcbm.cbm_trainer import TrainConfig, train
 from riskcbm.cli import main
 from riskcbm.core import DataError
 from riskcbm.dataset_builder import ConceptVocabulary, build_vocabulary, label_sample
-from riskcbm.pipeline import PipelineConfig, StageError, evaluate_sweep, run_pipeline
+from riskcbm.evaluation import EvalConfig
+from riskcbm.pipeline import (
+    CONFIG_KEYS,
+    Paths,
+    PipelineConfig,
+    StageError,
+    evaluate_sweep,
+    run_pipeline,
+)
 from riskcbm.synth import SynthSpec, generate_synthetic
 
 
@@ -50,10 +60,12 @@ def test_a_test_set_that_cannot_be_evaluated_fails_before_any_write(
         test_path.write_text("\n".join(rows) + "\n")
     out = tmp_path / "run"
     config = PipelineConfig(
-        train_path=str(other / "train.ndjson"),
-        test_path=str(test_path),
-        catalog_path=str(other / "catalog.json"),
-        output_dir=str(out),
+        paths=Paths(
+            train=str(other / "train.ndjson"),
+            test=str(test_path),
+            catalog=str(other / "catalog.json"),
+            output_dir=str(out),
+        ),
         train=TrainConfig(epochs=5),
     )
     with pytest.raises(StageError, match=message) as caught:
@@ -71,10 +83,10 @@ def test_from_dict_parses_the_budget_and_nec():
         "calibration": {"resolution": 0.5, "exact": True},
     })
     assert config.budget == RiskBudget(0.9, 0.3, 0.4)
-    assert config.nec == 4
-    assert (config.train_fraction, config.split_seed) == (0.5, 3)
-    assert type(config.resolution) is float and config.resolution == 0.5
-    assert config.exact_calibration is True
+    assert config.eval.nec == 4
+    assert (config.split.train_fraction, config.split.seed) == (0.5, 3)
+    assert type(config.calibration.resolution) is float and config.calibration.resolution == 0.5
+    assert config.calibration.exact is True
 
 
 def test_from_dict_defaults_to_the_default_budget():
@@ -82,20 +94,22 @@ def test_from_dict_defaults_to_the_default_budget():
         {"paths": {"train": "a", "test": "b", "catalog": "c", "output_dir": "d"}}
     )
     assert config.budget == DEFAULT_BUDGET
-    assert config == PipelineConfig("a", "b", "c", "d")
+    assert config == PipelineConfig(Paths("a", "b", "c", "d"))
 
 
 def test_nec_sweep_uses_the_run_budget(data_dir, tmp_path):
     """The sweep row at the configured NEC repeats the headline report's
     CCA, and the report checks compliance against the run's budget."""
     config = PipelineConfig(
-        train_path=str(data_dir / "train.ndjson"),
-        test_path=str(data_dir / "test.ndjson"),
-        catalog_path=str(data_dir / "catalog.json"),
-        output_dir=str(tmp_path / "run"),
+        paths=Paths(
+            train=str(data_dir / "train.ndjson"),
+            test=str(data_dir / "test.ndjson"),
+            catalog=str(data_dir / "catalog.json"),
+            output_dir=str(tmp_path / "run"),
+        ),
         budget=RiskBudget(0.99, 0.9, 0.9),
         train=TrainConfig(epochs=20),
-        nec=3,
+        eval=EvalConfig(nec=3),
     )
     run_pipeline(config)
     out = tmp_path / "run"
@@ -106,9 +120,9 @@ def test_nec_sweep_uses_the_run_budget(data_dir, tmp_path):
         if not line.startswith("#")
     ]
     by_nec = {int(row[0]): float(row[1]) for row in rows}
-    assert report["nec"] == config.nec
+    assert report["nec"] == config.eval.nec
     assert report["budget"] == {"alpha_dis": 0.99, "alpha_cov": 0.9, "alpha_div": 0.9}
-    assert by_nec[config.nec] == report["cca"]
+    assert by_nec[config.eval.nec] == report["cca"]
 
 
 def test_evaluate_sweep_needs_the_budget_its_vocabulary_records(tmp_path):
@@ -159,6 +173,45 @@ def test_from_dict_accepts_every_documented_key():
         "train": {"epochs": 5, "learning_rate": 0.5, "rng_seed": 1, "momentum": 0.5},
         "augmentation": {"min_count": 3, "max_placement_attempts": 7, "rng_seed": 1},
     })
-    assert (config.split_seed, config.resolution, config.exact_calibration) == (2, 0.01, True)
+    assert (config.split.seed, config.calibration.resolution, config.calibration.exact) == (
+        2, 0.01, True
+    )
     assert (config.train.epochs, config.train.momentum) == (5, 0.5)
     assert config.augmentation.max_placement_attempts == 7
+
+
+# A config file that sets every documented key, each but the paths to a value
+# other than its default.
+EVERY_KEY = {
+    "paths": PATHS,
+    "budget": {"alpha_dis": 0.9, "alpha_cov": 0.3, "alpha_div": 0.4},
+    "split": {"train_fraction": 0.5, "seed": 2},
+    "calibration": {"resolution": 0.01, "exact": True},
+    "eval": {"nec": 4},
+    "train": {
+        "gamma1": 0.5, "gamma2": 0.01, "beta": 0.25, "learning_rate": 0.5,
+        "epochs": 5, "batch_size": 8, "rng_seed": 1, "momentum": 0.5,
+    },
+    "augmentation": {"min_count": 3, "max_placement_attempts": 7, "rng_seed": 1},
+}
+
+
+def test_the_config_mirrors_its_file():
+    """Each section of the file is one field of the config, and each key one
+    field of that section's dataclass."""
+    keys = {name: list(section) for name, section in EVERY_KEY.items()}
+    assert keys == {name: list(types) for name, types in CONFIG_KEYS.items()}
+    sections = get_type_hints(PipelineConfig)
+    for name, section in EVERY_KEY.items():
+        if name != "paths":
+            default = asdict(sections[name]())
+            assert all(section[k] != default[k] for k in section), name
+    assert asdict(PipelineConfig.from_dict(EVERY_KEY)) == EVERY_KEY
+
+
+def test_a_section_left_out_is_its_dataclass_default():
+    config = PipelineConfig.from_dict({"paths": PATHS})
+    assert config.paths == Paths(**PATHS)
+    sections = get_type_hints(PipelineConfig)
+    for f in fields(config)[1:]:
+        assert getattr(config, f.name) == sections[f.name](), f.name
