@@ -108,21 +108,13 @@ class _CatalogCache:
     """
 
     def __init__(self, catalog: ConceptCatalog) -> None:
-        concepts = catalog.all_concepts()  # sorted by id
-        mat = np.stack([catalog.embedding_of(c) for c in concepts]).astype(np.float64)
-        norms = np.linalg.norm(mat, axis=1)
-        if np.any(norms < ZERO_NORM_TOL):
-            bad = concepts[int(np.argmin(norms))]
-            raise NumericError(f"zero-norm embedding for concept {bad.id} ('{bad.text}')")
-        self.row_of = {c: i for i, c in enumerate(concepts)}
-        self.unit = mat / norms[:, None]
+        mat = catalog.embeddings  # the catalog checks every row is nonzero
+        self.unit = mat / np.linalg.norm(mat, axis=1)[:, None]
         # A copy as the second operand keeps this a general matrix product;
         # numpy hands ``a @ a.T`` to a symmetric kernel that rounds differently.
         self.phi = (1.0 - np.clip(self.unit @ self.unit.copy().T, -1.0, 1.0)) / 2.0
         self.class_rows = {
-            label: np.array(
-                sorted(self.row_of[c] for c in catalog.concepts_for(label)), dtype=np.intp
-            )
+            label: catalog.rows_of(catalog.concepts_for(label))
             for label in catalog.class_labels
         }
         pool_list = [self.class_rows[label] for label in catalog.class_labels]
@@ -137,15 +129,6 @@ class _CatalogCache:
             for label, rows in self.class_rows.items()
             if len(rows) >= 2
         }
-
-    def rows_of(self, concepts: Sequence[ConceptId]) -> np.ndarray:
-        try:
-            return np.array([self.row_of[c] for c in concepts], dtype=np.intp)
-        except KeyError:
-            missing = next(c for c in concepts if c not in self.row_of)
-            raise DataError(
-                f"concept {missing.id} ('{missing.text}') not in catalog"
-            ) from None
 
 
 _CACHES: "weakref.WeakKeyDictionary[ConceptCatalog, _CatalogCache]" = (
@@ -283,7 +266,7 @@ def batch_prefix_losses(
         )
     cache = _cache_for(catalog)
     lengths = np.array([len(c) for c in concept_lists], dtype=np.intp)
-    rows = cache.rows_of([c for concepts in concept_lists for c in concepts])
+    rows = catalog.rows_of([c for concepts in concept_lists for c in concepts])
     return _prefix_losses(cache, catalog, samples, rows, lengths, criteria)
 
 
@@ -307,7 +290,7 @@ def entry_prefix_losses(
     best = np.full((len(samples), len(cache.unit)), -1.0)
     np.fmax.at(
         best,
-        (owners, cache.rows_of([det.concept for det in detections])),
+        (owners, catalog.rows_of([det.concept for det in detections])),
         np.array([det.confidence for det in detections], dtype=np.float64),
     )
     owners, rows = np.nonzero(best > -1.0)

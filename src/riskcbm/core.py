@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -159,47 +159,57 @@ class AnnotatedSample:
 
 @dataclass(eq=False)
 class ConceptCatalog:
-    """Per-class candidate concept lists with their text embeddings.
+    """The candidate concepts and their text embeddings, as one table.
 
-    Class labels must be contiguous integers starting at 0, concept ids must
-    be globally unique, and every listed concept needs a text embedding.
+    ``concepts`` lists each concept once, in increasing id order, and row i
+    of ``embeddings``, a read-only (C, d) float64 matrix, is the embedding of
+    ``concepts[i]``. A concept's class is its ``class_of_origin``; the
+    classes are contiguous from 0. Every embedding is finite, nonzero and of
+    one dimension. ``embeddings`` may be given as a matrix or as one vector
+    per concept.
     """
 
-    per_class: Mapping[ClassLabel, Sequence[ConceptId]]
-    text_embeddings: Mapping[ConceptId, np.ndarray]
+    concepts: Sequence[ConceptId]
+    embeddings: "np.ndarray | Sequence[Iterable[float]]"
 
     def __post_init__(self) -> None:
-        labels = sorted(self.per_class)
-        if not labels:
-            raise DataError("catalog has no classes")
+        self.concepts = tuple(self.concepts)
+        if not self.concepts:
+            raise DataError("catalog has no concepts")
+        if len(self.embeddings) != len(self.concepts):
+            raise DataError(f"{len(self.concepts)} concepts but {len(self.embeddings)} embeddings")
+        by_class: dict[int, list[ConceptId]] = {}
+        rows = []
+        for i, (c, row) in enumerate(zip(self.concepts, self.embeddings)):
+            if i and c.id <= self.concepts[i - 1].id:
+                raise DataError(
+                    f"concept ids must be unique and increasing, got {c.id} after "
+                    f"{self.concepts[i - 1].id}"
+                )
+            tag = f"concept {c.id} ('{c.text}')"
+            try:
+                vec = make_embedding(row)
+            except (DataError, ValueError, TypeError) as exc:
+                raise DataError(f"{tag}: {exc}") from None
+            if rows and vec.shape != rows[0].shape:
+                raise DataError(
+                    f"{tag}: embedding dimension {vec.shape[0]} != {rows[0].shape[0]}"
+                )
+            if float(np.linalg.norm(vec)) < ZERO_NORM_TOL:
+                raise DataError(f"{tag}: zero embedding")
+            rows.append(vec)
+            by_class.setdefault(c.class_of_origin, []).append(c)
+        labels = sorted(by_class)
         if labels != list(range(len(labels))):
             raise DataError(f"class labels must be contiguous from 0, got {labels}")
-        per_class: dict[int, tuple[ConceptId, ...]] = {}
-        seen: set[int] = set()
-        for label in labels:
-            concepts = tuple(self.per_class[label])
-            if not concepts:
-                raise DataError(f"class {label} has no candidate concepts")
-            for c in concepts:
-                if c.id in seen:
-                    raise DataError(f"duplicate concept id {c.id} in catalog")
-                seen.add(c.id)
-                if c.class_of_origin != label:
-                    raise DataError(
-                        f"concept {c.id} listed under class {label} "
-                        f"but claims class {c.class_of_origin}"
-                    )
-                if c not in self.text_embeddings:
-                    raise DataError(f"concept {c.id} ('{c.text}') has no text embedding")
-            per_class[label] = concepts
-        self.per_class = per_class
-        self.text_embeddings = {
-            c: make_embedding(v) for c, v in self.text_embeddings.items()
-        }
+        self.embeddings = np.stack(rows)
+        self.embeddings.setflags(write=False)
+        self._by_class = tuple(tuple(by_class[label]) for label in labels)
+        self._row_of = {c: i for i, c in enumerate(self.concepts)}
 
     @property
     def num_classes(self) -> int:
-        return len(self.per_class)
+        return len(self._by_class)
 
     @property
     def class_labels(self) -> range:
@@ -207,26 +217,32 @@ class ConceptCatalog:
 
     @property
     def embedding_dim(self) -> int:
-        first = next(iter(self.text_embeddings.values()))
-        return int(first.shape[0])
+        return int(self.embeddings.shape[1])
 
     def concepts_for(self, label: ClassLabel) -> tuple[ConceptId, ...]:
-        if label not in self.per_class:
+        """The class's concepts, in id order."""
+        if label not in self.class_labels:
             raise DataError(f"unknown class label {label}")
-        return self.per_class[label]
+        return self._by_class[label]
+
+    def rows_of(self, concepts: Sequence[ConceptId]) -> np.ndarray:
+        """The rows of ``embeddings`` that hold the concepts' embeddings."""
+        try:
+            return np.array([self._row_of[c] for c in concepts], dtype=np.intp)
+        except KeyError:
+            missing = next(c for c in concepts if c not in self._row_of)
+            raise DataError(
+                f"concept {missing.id} ('{missing.text}') not in catalog"
+            ) from None
 
     def embedding_of(self, concept: ConceptId) -> np.ndarray:
-        try:
-            return self.text_embeddings[concept]
-        except KeyError:
-            raise DataError(f"concept {concept.id} ('{concept.text}') not in catalog") from None
+        return self.embeddings[self.rows_of([concept])[0]]
 
     def has_concept(self, concept: ConceptId) -> bool:
-        return concept in self.text_embeddings
+        return concept in self._row_of
 
     def all_concepts(self) -> tuple[ConceptId, ...]:
-        out = [c for label in self.class_labels for c in self.per_class[label]]
-        return tuple(sorted(out, key=lambda c: c.id))
+        return self.concepts
 
 
 # Characters that make a sample id more than a plain file name.
@@ -260,16 +276,6 @@ def validate_dataset(
     problems: list[str] = []
     dim = catalog.embedding_dim
 
-    for c in catalog.all_concepts():
-        emb = catalog.embedding_of(c)
-        if emb.shape[0] != dim:
-            problems.append(
-                f"concept {c.id} ('{c.text}'): embedding dimension mismatch "
-                f"({emb.shape[0]} != {dim})"
-            )
-        elif float(np.linalg.norm(emb)) < ZERO_NORM_TOL:
-            problems.append(f"concept {c.id} ('{c.text}'): zero embedding")
-
     problems += sample_id_problems(sample.sample_id for sample in samples)
 
     for sample in samples:
@@ -297,9 +303,6 @@ def validate_dataset(
                 if lo < 0.0 or hi > 1.0:
                     problems.append(f"{tag}: pixels outside [0,1] (range [{lo}, {hi}])")
 
-        allowed = (
-            set(catalog.concepts_for(sample.label)) if known_class else set()
-        )
         for i, det in enumerate(sample.detections):
             dtag = f"{tag}: detection {i} ('{det.concept.text}')"
             if not 0.0 <= det.confidence <= 1.0:
@@ -315,7 +318,7 @@ def validate_dataset(
                 problems.append(f"{dtag}: box outside image bounds {box}")
             if not catalog.has_concept(det.concept):
                 problems.append(f"{dtag}: unknown concept id {det.concept.id}")
-            elif known_class and det.concept not in allowed:
+            elif known_class and det.concept.class_of_origin != sample.label:
                 problems.append(
                     f"{dtag}: concept not in class {sample.label} candidate set"
                 )

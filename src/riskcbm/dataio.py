@@ -176,17 +176,21 @@ def save_pixels(path: "str | Path", pixels: np.ndarray) -> None:
 
 
 def load_pixels(path: "str | Path") -> np.ndarray:
+    """Read a pixel tensor; a file whose header is not one is rejected
+    before the rest of it is read."""
     path = Path(path)
-    blob = path.read_bytes()
-    if len(blob) < 16 or blob[:4] != _PIXEL_MAGIC:
-        raise DataFormatError(f"{path}: bad pixel tensor magic")
-    h, w, c = struct.unpack("<III", blob[4:16])
+    with open(path, "rb") as f:
+        header = f.read(16)
+        if len(header) < 16 or header[:4] != _PIXEL_MAGIC:
+            raise DataFormatError(f"{path}: bad pixel tensor magic")
+        body = f.read()
+    h, w, c = struct.unpack("<III", header[4:])
     expected = 16 + h * w * c * 4
-    if len(blob) != expected:
+    if 16 + len(body) != expected:
         raise DataFormatError(
-            f"{path}: truncated pixel tensor ({len(blob)} bytes, expected {expected})"
+            f"{path}: truncated pixel tensor ({16 + len(body)} bytes, expected {expected})"
         )
-    arr = np.frombuffer(blob, dtype="<f4", offset=16).reshape(h, w, c).copy()
+    arr = np.frombuffer(body, dtype="<f4").reshape(h, w, c).copy()
     arr.setflags(write=False)
     return arr
 
@@ -216,22 +220,28 @@ def save_catalog(path: "str | Path", catalog: ConceptCatalog) -> None:
 
 
 def load_catalog(path: "str | Path") -> ConceptCatalog:
+    """Parse a catalog file: each class listed once, with at least one
+    concept. Its concepts may be listed in any order; the catalog holds them
+    in id order."""
     path = Path(path)
     doc = _load_json(path)
     with _parsing(path, "catalog"):
-        per_class: dict[int, list[ConceptId]] = {}
-        embeddings: dict[ConceptId, np.ndarray] = {}
+        rows: list[tuple[ConceptId, np.ndarray]] = []
+        labels: set[int] = set()
         for entry in doc["classes"]:
             label = _as(int, entry["label"])
-            concepts = []
+            if label in labels:
+                raise DataError(f"class {label} listed twice")
+            labels.add(label)
+            if not entry["concepts"]:
+                raise DataError(f"class {label} has no concepts")
             for c in entry["concepts"]:
                 concept = ConceptId(
                     id=_as(int, c["id"]), text=_as(str, c["text"]), class_of_origin=label
                 )
-                concepts.append(concept)
-                embeddings[concept] = _as_array(float, c["embedding"])
-            per_class[label] = concepts
-        return ConceptCatalog(per_class=per_class, text_embeddings=embeddings)
+                rows.append((concept, _as_array(float, c["embedding"])))
+        rows.sort(key=lambda row: row[0].id)
+        return ConceptCatalog([c for c, _ in rows], [vec for _, vec in rows])
 
 
 # ---------------------------------------------------------------------------
@@ -353,13 +363,21 @@ def _load_samples(
         with _parsing(where, "sample"):
             pixels = None
             if record.get("pixels_path"):
-                pixels_path = path.parent / record["pixels_path"]
+                relative = Path(_as(str, record["pixels_path"]))
+                if relative.is_absolute() or ".." in relative.parts:
+                    raise DataFormatError(
+                        f"{where}: pixels_path {record['pixels_path']!r} is not "
+                        "relative to the dataset file, or has a '..' part"
+                    )
+                pixels_path = path.parent / relative
                 try:
                     pixels = load_pixels(pixels_path)
                 except OSError as exc:
                     raise DataFormatError(
                         f"{where}: cannot read pixel tensor {pixels_path}: {exc.strerror}"
                     ) from None
+                except DataFormatError as exc:
+                    raise DataFormatError(f"{where}: {exc}") from None
             common = dict(
                 sample_id=_as(str, record["id"]),
                 label=_as(int, record["label"]),

@@ -16,7 +16,7 @@ from .calibration import RiskBudget
 from .cbm_trainer import CbmModel, forward
 from .concept_sets import CRITERIA, batch_prefix_losses
 from .core import AnnotatedSample, ConceptCatalog, DataError
-from .dataset_builder import ConceptLabeledSample, ConceptVocabulary
+from .dataset_builder import ConceptVocabulary
 
 __all__ = [
     "SWEEP_NEC_VALUES",
@@ -93,13 +93,9 @@ def _ranked_candidates(model: CbmModel, samples: Sequence, vocab: ConceptVocabul
 def check_test_set(
     test_set: Sequence[AnnotatedSample], num_classes: int
 ) -> list[AnnotatedSample]:
-    """The samples an evaluation scores: every sample but augmented ones. Raises
-    a DataError when none is left, a label is out of range or a class has none."""
-    samples = [
-        s
-        for s in test_set
-        if not isinstance(s, ConceptLabeledSample) or s.is_original
-    ]
+    """The samples an evaluation scores, every row of ``test_set``. Raises a
+    DataError when there are none, a label is out of range or a class has none."""
+    samples = list(test_set)
     if not samples:
         raise DataError("test set is empty")
     totals = np.zeros(num_classes, dtype=np.int64)

@@ -21,7 +21,6 @@ from .core import (
     ConceptCatalog,
     ConceptId,
     Detection,
-    make_embedding,
     make_pixels,
 )
 
@@ -89,21 +88,19 @@ def generate_synthetic(
     d = spec.embedding_dim
 
     prototypes = _unit_rows(rng.normal(size=(n_classes, d)))
-    per_class: dict[int, list[ConceptId]] = {}
-    embeddings: dict[ConceptId, np.ndarray] = {}
+    concepts: list[ConceptId] = []
+    embeddings: list[np.ndarray] = []
     presence_rate: dict[ConceptId, float] = {}
     for label in range(n_classes):
-        concepts = []
         for j in range(m):
             vec = prototypes[label] + _CONCEPT_SPREAD * rng.normal(size=d)
             concept = ConceptId(
                 id=label * m + j, text=f"trait {label}.{j}", class_of_origin=label
             )
             concepts.append(concept)
-            embeddings[concept] = make_embedding(vec / np.linalg.norm(vec))
+            embeddings.append(vec / np.linalg.norm(vec))
             presence_rate[concept] = float(rng.uniform(*_PRESENCE_RATE))
-        per_class[label] = concepts
-    catalog = ConceptCatalog(per_class=per_class, text_embeddings=embeddings)
+    catalog = ConceptCatalog(concepts, embeddings)
 
     size = spec.image_size
     samples: list[AnnotatedSample] = []
@@ -112,7 +109,7 @@ def generate_synthetic(
             embedding = prototypes[label] + spec.noise * rng.normal(size=d)
             detections = []
             boxes = []
-            for concept in per_class[label]:
+            for concept in catalog.concepts_for(label):
                 present = rng.random() < presence_rate[concept]
                 conf = float(rng.uniform(*(_PRESENT_CONF if present else _ABSENT_CONF)))
                 w = int(rng.integers(8, size // 3))

@@ -38,18 +38,13 @@ def run_python(*args: str, **env: str) -> subprocess.CompletedProcess:
 
 def make_catalog(class_embeddings: dict[int, list], start_id: int = 0) -> ConceptCatalog:
     """Catalog from {label: [embedding, ...]}; ids assigned in listing order."""
-    per_class: dict[int, list[ConceptId]] = {}
-    embeddings = {}
-    next_id = start_id
+    concepts, embeddings = [], []
     for label in sorted(class_embeddings):
-        concepts = []
         for vec in class_embeddings[label]:
-            concept = ConceptId(id=next_id, text=f"t{next_id}", class_of_origin=label)
-            concepts.append(concept)
-            embeddings[concept] = np.asarray(vec, dtype=np.float64)
-            next_id += 1
-        per_class[label] = concepts
-    return ConceptCatalog(per_class=per_class, text_embeddings=embeddings)
+            next_id = start_id + len(concepts)
+            concepts.append(ConceptId(id=next_id, text=f"t{next_id}", class_of_origin=label))
+            embeddings.append(vec)
+    return ConceptCatalog(concepts, embeddings)
 
 
 def make_sample(sample_id, label, embedding, conf_by_concept, pixels=None):

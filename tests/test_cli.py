@@ -582,6 +582,33 @@ class TestPipelineCommand:
         assert "id is not a plain file name" in err
         assert sorted(tmp_path.rglob("*")) == before
 
+    @pytest.mark.parametrize("fault", ["class_listed_twice", "wider", "zero"])
+    def test_a_faulty_catalog_is_a_data_error_naming_it_before_any_write(
+        self, fault, data_dir, tmp_path, capsys
+    ):
+        doc = json.loads((data_dir / "catalog.json").read_text())
+        concept = doc["classes"][1]["concepts"][0]
+        if fault == "class_listed_twice":
+            doc["classes"][1]["label"] = 0
+        elif fault == "wider":
+            concept["embedding"].append(0.5)
+        else:
+            concept["embedding"] = [0.0] * len(concept["embedding"])
+        catalog = tmp_path / "in" / "catalog.json"
+        catalog.parent.mkdir()
+        catalog.write_text(json.dumps(doc))
+        before = sorted(tmp_path.rglob("*"))
+        capsys.readouterr()
+        code = main([
+            "pipeline", "--train", str(data_dir / "train.ndjson"),
+            "--test", str(data_dir / "test.ndjson"), "--catalog", str(catalog),
+            "--out-dir", str(tmp_path / "run"), "--epochs", "2",
+        ])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: stage 'load' failed: {catalog}: ") and err.count("\n") == 1, err
+        assert sorted(tmp_path.rglob("*")) == before
+
     def test_config_file_with_overrides(self, data_dir, tmp_path):
         config = {
             "paths": {

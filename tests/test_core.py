@@ -66,24 +66,49 @@ class TestConstruction:
         assert not box.overlaps(BoundingBox(0, 4, 4, 8))
 
     def test_catalog_requires_contiguous_classes(self):
-        c = ConceptId(0, "a", 1)
-        with pytest.raises(DataError):
-            ConceptCatalog(per_class={1: [c]}, text_embeddings={c: np.ones(2)})
+        with pytest.raises(DataError, match="contiguous from 0, got \\[1\\]"):
+            ConceptCatalog([ConceptId(0, "a", 1)], [np.ones(2)])
 
     def test_catalog_rejects_duplicate_ids(self):
         a = ConceptId(0, "a", 0)
         b = ConceptId(0, "b", 1)
-        with pytest.raises(DataError):
-            ConceptCatalog(
-                per_class={0: [a], 1: [b]},
-                text_embeddings={a: np.ones(2), b: np.ones(2)},
-            )
+        with pytest.raises(DataError, match="unique and increasing, got 0 after 0"):
+            ConceptCatalog([a, b], np.ones((2, 2)))
+        with pytest.raises(DataError, match="unique and increasing, got 0 after 1"):
+            ConceptCatalog([ConceptId(1, "b", 0), ConceptId(0, "a", 0)], np.ones((2, 2)))
 
     def test_catalog_requires_embedding_for_every_concept(self):
         a = ConceptId(0, "a", 0)
         b = ConceptId(1, "b", 1)
-        with pytest.raises(DataError):
-            ConceptCatalog(per_class={0: [a], 1: [b]}, text_embeddings={a: np.ones(2)})
+        with pytest.raises(DataError, match="2 concepts but 1 embeddings"):
+            ConceptCatalog([a, b], np.ones((1, 2)))
+
+    def test_catalog_rejects_mixed_dimensions(self):
+        a = ConceptId(0, "a", 0)
+        b = ConceptId(1, "b", 1)
+        with pytest.raises(DataError, match=r"concept 1 \('b'\): embedding dimension 3 != 2"):
+            ConceptCatalog([a, b], [np.ones(2), np.ones(3)])
+
+    @pytest.mark.parametrize(
+        "row, problem", [([0.0, 0.0], "zero embedding"), ([1.0, np.nan], "non-finite")]
+    )
+    def test_catalog_rejects_an_unusable_embedding(self, row, problem):
+        a = ConceptId(0, "a", 0)
+        b = ConceptId(1, "b", 1)
+        with pytest.raises(DataError, match=rf"concept 1 \('b'\): .*{problem}"):
+            ConceptCatalog([a, b], [[1.0, 0.0], row])
+
+    def test_catalog_is_one_read_only_table(self):
+        catalog = make_catalog({0: [[1, 0], [0, 1]], 1: [[-1, 0]]})
+        assert catalog.embeddings.shape == (3, 2)
+        assert catalog.embedding_dim == 2
+        assert not catalog.embeddings.flags.writeable
+        for i, c in enumerate(catalog.concepts):
+            assert c.id == i
+            assert np.array_equal(catalog.embedding_of(c), catalog.embeddings[i])
+            assert c in catalog.concepts_for(c.class_of_origin)
+        assert catalog.all_concepts() == catalog.concepts
+        assert catalog.rows_of(catalog.concepts_for(1)).tolist() == [2]
 
     def test_sample_freezes_payloads(self):
         s = AnnotatedSample("s", 0, [1.0, 0.0], (), np.zeros((4, 4, 3)))

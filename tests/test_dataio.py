@@ -4,6 +4,7 @@ import errno
 import json
 import os
 import re
+import shutil
 import tempfile
 from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
@@ -172,6 +173,64 @@ class TestCatalog:
         path2 = tmp_path / "catalog2.json"
         dataio.save_catalog(path2, back)
         assert path.read_bytes() == path2.read_bytes()
+        # a file listing classes and concepts out of id order loads in id order
+        doc = json.loads(path.read_text())
+        for entry in doc["classes"]:
+            entry["concepts"].reverse()
+        doc["classes"].reverse()
+        shuffled = tmp_path / "shuffled.json"
+        shuffled.write_text(json.dumps(doc))
+        back = dataio.load_catalog(shuffled)
+        assert back.concepts == catalog.concepts
+        assert back.embeddings.tobytes() == catalog.embeddings.tobytes()
+        dataio.save_catalog(path2, back)
+        assert path.read_bytes() == path2.read_bytes()
+
+    def test_a_class_listed_twice_is_rejected(self, tmp_path, synth):
+        _, catalog = synth
+        path = tmp_path / "catalog.json"
+        dataio.save_catalog(path, catalog)
+        doc = json.loads(path.read_text())
+        first, second = doc["classes"]
+        second["label"] = 0
+        for c in second["concepts"]:
+            c["id"] += 100
+        path.write_text(json.dumps(doc))
+        with pytest.raises(dataio.DataFormatError, match=r"catalog\.json: .*class 0 listed twice"):
+            dataio.load_catalog(path)
+
+    def test_a_class_with_no_concepts_is_rejected(self, tmp_path, synth):
+        _, catalog = synth
+        path = tmp_path / "catalog.json"
+        dataio.save_catalog(path, catalog)
+        doc = json.loads(path.read_text())
+        doc["classes"].append({"label": 2, "concepts": []})
+        path.write_text(json.dumps(doc))
+        with pytest.raises(dataio.DataFormatError, match=r"catalog\.json: .*class 2 has no concepts"):
+            dataio.load_catalog(path)
+
+    @pytest.mark.parametrize(
+        "fault, problem",
+        [("wider", "embedding dimension 17 != 16"), ("zero", "zero embedding")],
+    )
+    def test_an_unusable_concept_embedding_is_blamed_on_the_catalog(
+        self, tmp_path, synth, fault, problem
+    ):
+        _, catalog = synth
+        path = tmp_path / "catalog.json"
+        dataio.save_catalog(path, catalog)
+        doc = json.loads(path.read_text())
+        concept = doc["classes"][1]["concepts"][1]
+        if fault == "wider":
+            concept["embedding"].append(0.5)
+        else:
+            concept["embedding"] = [0.0] * len(concept["embedding"])
+        path.write_text(json.dumps(doc))
+        with pytest.raises(
+            dataio.DataFormatError,
+            match=rf"catalog\.json: .*concept 4 \('trait 1\.1'\): {problem}",
+        ):
+            dataio.load_catalog(path)
 
     def test_malformed(self, tmp_path):
         path = tmp_path / "catalog.json"
@@ -216,6 +275,34 @@ class TestDataset:
         with pytest.raises(dataio.DataFormatError,
                            match=rf"train\.ndjson:1: cannot read pixel tensor .*{missing}"):
             dataio.load_dataset(copy, catalog)
+
+    @pytest.mark.parametrize("fault", ["absolute", "parent"])
+    def test_a_pixels_path_outside_the_dataset_directory_is_rejected(
+        self, tmp_path, synth, fault
+    ):
+        """Each named file is a valid tensor, so only the path rule rejects it."""
+        samples, catalog = synth
+        dataio.save_dataset(tmp_path / "train.ndjson", samples)
+        shutil.copytree(tmp_path / "train.pixels", tmp_path / "copy" / "train.pixels")
+        copy = tmp_path / "copy" / "train.ndjson"
+        lines = (tmp_path / "train.ndjson").read_text().splitlines()
+        doc = json.loads(lines[0])
+        tensor = tmp_path / doc["pixels_path"]
+        doc["pixels_path"] = {"absolute": str(tensor), "parent": f"../{doc['pixels_path']}"}[fault]
+        copy.write_text("\n".join([json.dumps(doc), *lines[1:]]) + "\n")
+        with pytest.raises(dataio.DataFormatError,
+                           match=r"copy/train\.ndjson:1: pixels_path .* '\.\.' part"):
+            dataio.load_dataset(copy, catalog)
+
+    def test_a_bad_pixel_tensor_names_the_line(self, tmp_path, synth):
+        samples, catalog = synth
+        path = tmp_path / "train.ndjson"
+        dataio.save_dataset(path, samples)
+        tensor = tmp_path / json.loads(path.read_text().splitlines()[2])["pixels_path"]
+        tensor.write_bytes(b"not a tensor")
+        with pytest.raises(dataio.DataFormatError,
+                           match=r"train\.ndjson:3: .*bad pixel tensor magic"):
+            dataio.load_dataset(path, catalog)
 
     def test_unknown_concept_id(self, tmp_path, synth):
         samples, catalog = synth

@@ -7,7 +7,9 @@ import pytest
 
 from conftest import make_catalog, make_sample
 from riskcbm.calibration import DEFAULT_BUDGET, RiskBudget
-from riskcbm.cbm_trainer import CbmModel
+from riskcbm import dataio
+from riskcbm.cbm_trainer import CbmModel, TrainConfig
+from riskcbm.cli import main
 from riskcbm.core import DataError
 from riskcbm.dataset_builder import ConceptLabeledSample, ConceptVocabulary, Provenance
 from riskcbm.evaluation import EvalConfig, _ranked_candidates, accuracy_report, cca_versus_nec
@@ -199,18 +201,39 @@ class TestAccuracyReport:
         with pytest.raises(DataError, match=f"model has {n_classes} classes, catalog has 2"):
             accuracy_report(model, self._samples(catalog), vocab, catalog, EvalConfig())
 
-    def test_augmented_only_test_set_is_empty(self, catalog, vocab):
-        augmented = [
+    def test_an_augmented_test_file_scores_every_row_in_the_cli_and_the_library(
+        self, catalog, vocab, tmp_path
+    ):
+        originals = self._samples(catalog)
+        rows = [
+            ConceptLabeledSample(
+                sample_id=s.sample_id, label=s.label, image_embedding=s.image_embedding,
+                concept_vector=np.zeros(len(vocab)),
+            )
+            for s in originals
+        ] + [
             ConceptLabeledSample(
                 sample_id=f"aug-{s.sample_id}", label=s.label,
                 concept_vector=np.zeros(len(vocab)), image_embedding=s.image_embedding,
                 provenance=Provenance("augmented", s.sample_id, vocab.concepts[0]),
             )
-            for s in self._samples(catalog)
+            for s in originals
         ]
-        with pytest.raises(DataError, match="test set is empty"):
-            accuracy_report(self._good_model(vocab), augmented, vocab, catalog,
-                            EvalConfig())
+        model = self._good_model(vocab)
+        dataio.save_catalog(tmp_path / "catalog.json", catalog)
+        dataio.save_labeled_dataset(tmp_path / "aug.ndjson", rows)
+        dataio.save_model(tmp_path / "model.json", model, vocab, TrainConfig())
+        assert main([
+            "evaluate", "--model", str(tmp_path / "model.json"),
+            "--dataset", str(tmp_path / "aug.ndjson"),
+            "--catalog", str(tmp_path / "catalog.json"), "--out", str(tmp_path / "report.json"),
+        ]) == 0
+        cli_report = dataio.load_eval_report(tmp_path / "report.json")
+        library_report = accuracy_report(
+            model, dataio.load_labeled_dataset(tmp_path / "aug.ndjson", catalog), vocab,
+            catalog, EvalConfig(),
+        )
+        assert cli_report.n_samples == library_report.n_samples == len(rows)
 
     def test_cca_bounded_by_overall(self, catalog, vocab):
         rng = np.random.default_rng(61)
