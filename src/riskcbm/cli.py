@@ -269,10 +269,8 @@ def _cmd_build(args) -> int:
 
 
 def _load_vocabulary(path: str, catalog) -> ConceptVocabulary:
-    """A vocabulary written by `build`: it records its calibration, and each
-    of its concepts is in ``catalog``."""
+    """A vocabulary written by `build`, each of whose concepts is in ``catalog``."""
     vocab = dataio.load_vocabulary(_require_file(path, "vocabulary"))
-    vocab.calibration()
     vocab.check_in_catalog(catalog)
     return vocab
 

@@ -253,6 +253,11 @@ def _box_to_list(box: BoundingBox) -> list[float]:
     return [box.x1, box.y1, box.x2, box.y2]
 
 
+def _box_from_json(value) -> BoundingBox:
+    x1, y1, x2, y2 = (_as(float, v) for v in value)
+    return BoundingBox(x1, y1, x2, y2)
+
+
 def _detections_to_json(detections) -> list[dict]:
     return [
         {
@@ -271,10 +276,9 @@ def _detections_from_json(entries, concept_by_id):
         concept = concept_by_id.get(cid)
         if concept is None:
             raise DataError(f"unknown concept id {cid}")
-        x1, y1, x2, y2 = (_as(float, v) for v in entry["box"])
         out.append(
             Detection(
-                box=BoundingBox(x1, y1, x2, y2),
+                box=_box_from_json(entry["box"]),
                 confidence=_as(float, entry["confidence"]),
                 concept=concept,
             )
@@ -362,7 +366,7 @@ def _load_samples(
             raise DataFormatError(f"{where}: invalid JSON: {exc.msg}") from None
         with _parsing(where, "sample"):
             pixels = None
-            if record.get("pixels_path"):
+            if "pixels_path" in record:
                 relative = Path(_as(str, record["pixels_path"]))
                 if relative.is_absolute() or ".." in relative.parts:
                     raise DataFormatError(
@@ -383,7 +387,7 @@ def _load_samples(
                 label=_as(int, record["label"]),
                 image_embedding=_as_array(float, record["embedding"]),
                 detections=_detections_from_json(
-                    record.get("detections", ()), concept_by_id
+                    _as(list, record.get("detections", [])), concept_by_id
                 ),
                 image_pixels=pixels,
             )
@@ -432,17 +436,13 @@ def _labeled_fields(sample: ConceptLabeledSample) -> dict:
     if sample.provenance.kind == "augmented":
         prov["source_id"] = sample.provenance.source_id
         prov["inserted_concept_id"] = sample.provenance.inserted_concept.id
-        if sample.provenance.placement is not None:
-            prov["placement"] = _box_to_list(sample.provenance.placement)
+        prov["placement"] = _box_to_list(sample.provenance.placement)
     return {"concept_vector": sample.concept_vector.tolist(), "provenance": prov}
 
 
 def _labeled_sample(record, common, concept_by_id) -> ConceptLabeledSample:
     prov_doc = record["provenance"]
     if prov_doc["kind"] == "augmented":
-        placement = None
-        if prov_doc.get("placement"):
-            placement = BoundingBox(*(_as(float, v) for v in prov_doc["placement"]))
         inserted = concept_by_id.get(_as(int, prov_doc["inserted_concept_id"]))
         if inserted is None:
             raise DataError(
@@ -452,7 +452,7 @@ def _labeled_sample(record, common, concept_by_id) -> ConceptLabeledSample:
             kind="augmented",
             source_id=_as(str, prov_doc["source_id"]),
             inserted_concept=inserted,
-            placement=placement,
+            placement=_box_from_json(prov_doc["placement"]),
         )
     else:
         provenance = Provenance(kind=prov_doc["kind"])
@@ -493,8 +493,7 @@ def _init_fields(cls) -> tuple[tuple[str, object], ...]:
 
 def _record(obj):
     """A dataclass as a dict of its `init` fields, recursing into nested
-    dataclasses, dicts, lists and tuples; arrays become lists. A field that
-    is None is left out."""
+    dataclasses, dicts, lists and tuples; arrays become lists."""
     if isinstance(obj, (str, int, float)):
         return obj
     if isinstance(obj, np.ndarray):
@@ -503,35 +502,23 @@ def _record(obj):
         return {k: _record(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_record(v) for v in obj]
-    values = ((name, getattr(obj, name)) for name, _ in _init_fields(type(obj)))
-    return {name: _record(value) for name, value in values if value is not None}
+    return {name: _record(getattr(obj, name)) for name, _ in _init_fields(type(obj))}
 
 
 @functools.cache
 def _reader(kind) -> Callable:
     """The function that builds a value of type ``kind`` from its record.
-    Every field of a dataclass is required, except that a field whose type
-    admits None reads as None when its key is missing; keys that name no
-    field are ignored. A scalar or array item of another JSON type raises a
+    Every field of a dataclass is required, and keys that name no field are
+    ignored. A scalar or array item of another JSON type raises a
     TypeError."""
     if kind in (float, int, str, bool):
         return functools.partial(_as, kind)
     if kind is np.ndarray:
         return functools.partial(_as_array, float)
     if is_dataclass(kind):
-        readers = [
-            (name, _reader(hint), type(None) in get_args(hint))
-            for name, hint in _init_fields(kind)
-        ]
-        return lambda value: kind(**{
-            name: read(value.get(name) if optional else value[name])
-            for name, read, optional in readers
-        })
+        readers = [(name, _reader(hint)) for name, hint in _init_fields(kind)]
+        return lambda value: kind(**{name: read(value[name]) for name, read in readers})
     origin, args = get_origin(kind), get_args(kind)
-    if type(None) in args:  # `X | None`
-        (inner,) = set(args) - {type(None)}
-        read_inner = _reader(inner)
-        return lambda value: None if value is None else read_inner(value)
     if origin is dict:
         read_key, read_value = _reader(args[0]), _reader(args[1])
         return lambda value: {read_key(k): read_value(v) for k, v in value.items()}
@@ -570,8 +557,8 @@ def save_model(
     config: TrainConfig,
 ) -> None:
     """One flat object: the parameters, their shapes, the vocabulary's
-    concepts as `vocabulary` and its `lambda_hat` and `budget` when it
-    records them, and the training config."""
+    concepts as `vocabulary` and its `lambda_hat` and `budget`, and the
+    training config."""
     vocab_doc = _record(vocab)
     doc = {
         **_record(model),
@@ -590,14 +577,8 @@ def load_model(path: "str | Path") -> tuple[CbmModel, ConceptVocabulary, TrainCo
     doc = _load_json(path)
     with _parsing(path, "model checkpoint"):
         model = _from_record(CbmModel, doc).freeze()
-        # A checkpoint written before vocabularies recorded their
-        # calibration has no `lambda_hat` or `budget`: its vocabulary has none.
         vocab = _from_record(ConceptVocabulary, {**doc, "concepts": doc["vocabulary"]})
-        # Earlier checkpoints record the removed `l1_proximal` option.
-        hints = dict(_init_fields(TrainConfig))
-        config = TrainConfig(**{
-            k: _as(hints[k], v) for k, v in doc["config"].items() if k != "l1_proximal"
-        })
+        config = _from_record(TrainConfig, doc["config"])
     if model.num_concepts != len(vocab):
         raise DataError(
             f"{path}: checkpoint bottleneck width {model.num_concepts} "
@@ -671,11 +652,20 @@ def save_training_log(path: "str | Path", log: Sequence[TrainLogRow]) -> None:
     _write(path, "\n".join(lines) + "\n")
 
 
+def _csv_field(text: str) -> str:
+    """``text`` as one CSV field (RFC 4180): quoted, its quotes doubled, when
+    it holds a comma, a quote or a line break. `csv.writer` leaves a lone
+    carriage return unquoted when its line terminator is a newline."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def save_per_sample_csv(path: "str | Path", report: EvalReport) -> None:
     lines = ["id,correct,dis_ok,cov_ok,div_ok"]
     for s in report.per_sample:
         lines.append(
-            f"{s.sample_id},{int(s.correct)},{int(s.dis_ok)},"
+            f"{_csv_field(s.sample_id)},{int(s.correct)},{int(s.dis_ok)},"
             f"{int(s.cov_ok)},{int(s.div_ok)}"
         )
     _write(path, "\n".join(lines) + "\n")

@@ -50,15 +50,14 @@ SCALE_RANGE = (0.5, 1.0)
 class ConceptVocabulary:
     """Ordered global concept vocabulary; order is ascending concept id.
 
-    `build_vocabulary` records the calibration's ``lambda_hat``, the
-    threshold its concepts were admitted at, and the risk ``budget`` that
-    threshold is valid for. A vocabulary or checkpoint written before they
-    were recorded loads with neither; `calibration` rejects it.
+    A vocabulary is the output of a calibration: it records
+    ``lambda_hat``, the threshold its concepts were admitted at, and the
+    risk ``budget`` that threshold is valid for.
     """
 
     concepts: tuple[ConceptId, ...]
-    lambda_hat: "float | None" = None
-    budget: "RiskBudget | None" = None
+    lambda_hat: float
+    budget: RiskBudget
     index_of: dict[ConceptId, int] = field(init=False)
 
     def __post_init__(self) -> None:
@@ -67,9 +66,7 @@ class ConceptVocabulary:
             raise DataError("vocabulary contains duplicate concepts")
         if ordered != tuple(self.concepts):
             raise DataError("vocabulary must be sorted by concept id")
-        if (self.lambda_hat is None) != (self.budget is None):
-            raise DataError("a vocabulary records lambda_hat and budget together or neither")
-        if self.lambda_hat is not None and not 0.0 <= self.lambda_hat <= 1.0:
+        if not 0.0 <= self.lambda_hat <= 1.0:
             raise DataError(f"lambda_hat must be in [0, 1], got {self.lambda_hat}")
         self.concepts = ordered
         self.index_of = {c: i for i, c in enumerate(ordered)}
@@ -79,16 +76,6 @@ class ConceptVocabulary:
 
     def __contains__(self, concept: ConceptId) -> bool:
         return concept in self.index_of
-
-    def calibration(self) -> tuple[float, RiskBudget]:
-        """The ``lambda_hat`` and risk ``budget`` this vocabulary was built
-        at; a DataError if it records neither."""
-        if self.budget is None:
-            raise DataError(
-                "vocabulary records no lambda_hat and risk budget; rebuild it "
-                "with `riskcbm build` and retrain on it"
-            )
-        return self.lambda_hat, self.budget
 
     def check_aligned(self, dataset: Sequence["ConceptLabeledSample"]) -> None:
         """Raise a DataError naming the first sample whose concept vector does
@@ -115,7 +102,8 @@ class Provenance:
     """Where a labeled sample came from: an original image or an augmentation.
 
     Augmented entries record the patch source, the inserted concept, and the
-    placement window so augmentation invariants can be rechecked post hoc.
+    placement window, all three required, so augmentation invariants can be
+    rechecked post hoc.
     """
 
     kind: str
@@ -126,10 +114,12 @@ class Provenance:
     def __post_init__(self) -> None:
         if self.kind not in ("original", "augmented"):
             raise DataError(f"unknown provenance kind {self.kind!r}")
-        if self.kind == "augmented" and (
-            self.source_id is None or self.inserted_concept is None
+        if self.kind == "augmented" and None in (
+            self.source_id, self.inserted_concept, self.placement
         ):
-            raise DataError("augmented provenance needs source_id and inserted_concept")
+            raise DataError(
+                "augmented provenance needs source_id, inserted_concept and placement"
+            )
 
 
 ORIGINAL = Provenance(kind="original")
@@ -189,9 +179,8 @@ def build_vocabulary(
 def label_sample(sample: AnnotatedSample, vocab: ConceptVocabulary) -> ConceptLabeledSample:
     """One-hot concept labels: entry j is 1 iff vocabulary concept j is in
     the sample's set at the vocabulary's ``lambda_hat``."""
-    lambda_hat, _ = vocab.calibration()
     vector = np.zeros(len(vocab), dtype=np.uint8)
-    for concept in build_concept_set(sample, lambda_hat).members:
+    for concept in build_concept_set(sample, vocab.lambda_hat).members:
         idx = vocab.index_of.get(concept)
         if idx is not None:
             vector[idx] = 1

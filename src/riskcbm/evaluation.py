@@ -122,7 +122,6 @@ def _reports(
     """One report per config from one pass: one forward pass and one ranking
     for all samples, then one prefix-kernel call; NEC n reads column
     ``min(n, len)``."""
-    _, budget = vocab.calibration()
     num_classes = catalog.num_classes
     samples = check_test_set(test_set, num_classes)
     if model.num_classes != num_classes:
@@ -138,7 +137,7 @@ def _reports(
     totals = np.bincount(labels, minlength=num_classes)
     correct = np.bincount(labels, weights=hits, minlength=num_classes)
     per_class = correct / totals
-    alphas = np.array([budget.alpha_for(k) for k in CRITERIA])
+    alphas = np.array([vocab.budget.alpha_for(k) for k in CRITERIA])
     reports = []
     for config in configs:
         # Columns past a list's end repeat its last, so column min(nec, P)
@@ -156,7 +155,7 @@ def _reports(
                 per_class_accuracy=per_class,
                 per_sample=per_sample,
                 nec=config.nec,
-                budget=budget,
+                budget=vocab.budget,
                 n_samples=len(per_sample),
             )
         )
@@ -174,8 +173,7 @@ def accuracy_report(
 
     Effective sets are restricted by the predicted class; the three losses
     are evaluated against the true label, at the risk budget ``vocab``
-    records. Samples carrying augmented provenance are skipped (test data is
-    never augmented).
+    records. Every row of ``test_set`` is scored, augmented ones included.
     """
     return _reports(model, test_set, vocab, catalog, [eval_config])[0]
 

@@ -300,7 +300,7 @@ def separable_dataset(n_per_class=20, seed=0):
     rng = np.random.default_rng(seed)
     a = ConceptId(0, "left", 0)
     b = ConceptId(1, "right", 1)
-    vocab = ConceptVocabulary(concepts=(a, b))
+    vocab = ConceptVocabulary(concepts=(a, b), lambda_hat=0.5, budget=DEFAULT_BUDGET)
     samples = []
     for label in (0, 1):
         center = np.array([2.0, 0.0]) if label == 0 else np.array([-2.0, 0.0])
@@ -440,7 +440,8 @@ def golden_training(config):
 
 # Each file was written by `dataio.save_model` from `golden_training` under
 # its config. `model_seed3_momentum.json` was written before vocabularies
-# recorded their `lambda_hat` and `budget`, so it has neither.
+# recorded their `lambda_hat` and `budget`; those of `golden_training` were
+# added to it by hand, and its arrays, vocabulary and config are as written.
 # `model_seed3_plain.json` pins the default update rule, momentum 0, on 30
 # samples in batches of 8, so each epoch ends on a batch of 6.
 GOLDEN_CONFIGS = {
@@ -454,13 +455,15 @@ GOLDEN_CONFIGS = {
 
 
 def assert_retraining_reproduces(name):
-    """The four arrays, the vocabulary and the config, exactly."""
+    """The four arrays, the vocabulary with its calibration, and the config,
+    exactly."""
     config = GOLDEN_CONFIGS[name]
     model, vocab = golden_training(config)
     golden, golden_vocab, golden_config = load_model(GOLDEN_DIR / name)
     for got, want in zip(model._arrays(), golden._arrays()):
         assert np.array_equal(got, want)
     assert vocab.concepts == golden_vocab.concepts
+    assert (vocab.lambda_hat, vocab.budget) == (golden_vocab.lambda_hat, golden_vocab.budget)
     assert golden_config == config
 
 

@@ -1,6 +1,7 @@
 """CLI subcommands: artifacts, exit codes, and determinism."""
 
 import argparse
+import csv
 import json
 import shutil
 import subprocess
@@ -246,26 +247,24 @@ class TestStagedCommands:
     def test_vocabulary_without_its_calibration_is_a_one_line_data_error(
         self, command, built, data_dir, tmp_path, capsys
     ):
-        """A vocabulary written before it recorded `lambda_hat` and `budget`
-        gives neither the threshold to augment at nor a budget to pass on."""
+        """A vocabulary is the output of a calibration: one that lacks
+        `lambda_hat` or `budget` is malformed at load, before any write."""
         _, labeled, vocab = built
-        doc = json.loads(vocab.read_text())
-        del doc["lambda_hat"], doc["budget"]
-        bare = tmp_path / "vocab.json"
-        bare.write_text(json.dumps(doc))
-        out = tmp_path / "out"
-        capsys.readouterr()
-        code = main([
-            command, "--labeled", str(labeled), "--catalog", str(data_dir / "catalog.json"),
-            "--vocab", str(bare), "--out", str(out),
-        ])
-        err = capsys.readouterr().err
-        assert code == 2
-        assert err == (
-            "error: vocabulary records no lambda_hat and risk budget; "
-            "rebuild it with `riskcbm build` and retrain on it\n"
-        )
-        assert not out.exists()
+        for key in ("lambda_hat", "budget"):
+            doc = json.loads(vocab.read_text())
+            del doc[key]
+            bare = tmp_path / f"no_{key}.json"
+            bare.write_text(json.dumps(doc))
+            out = tmp_path / "out"
+            capsys.readouterr()
+            code = main([
+                command, "--labeled", str(labeled), "--catalog", str(data_dir / "catalog.json"),
+                "--vocab", str(bare), "--out", str(out),
+            ])
+            err = capsys.readouterr().err
+            assert code == 2
+            assert err == f"error: {bare}: malformed vocabulary: KeyError({key!r})\n"
+            assert not out.exists()
 
     @pytest.mark.parametrize("command", ["augment", "train"])
     def test_mistyped_lambda_hat_is_a_one_line_data_error(
@@ -425,30 +424,64 @@ class TestStagedCommands:
             "alpha_dis": 0.8, "alpha_cov": 0.25, "alpha_div": 0.3,
         }
 
+    def test_per_sample_csv_quotes_an_id_that_needs_it(self, built, data_dir, tmp_path):
+        """Each row of `--per-sample-csv` reads back through `csv.reader` as
+        its sample's id and four flags, whatever the id holds; a plain id is
+        written as it is."""
+        _, labeled, vocab = built
+        catalog = ["--catalog", str(data_dir / "catalog.json")]
+        model = tmp_path / "model.json"
+        assert main([
+            "train", "--labeled", str(labeled), "--vocab", str(vocab), "--out", str(model),
+            "--epochs", "2", *catalog,
+        ]) == 0
+        records = [json.loads(line) for line in (data_dir / "test.ndjson").read_text().splitlines()]
+        for record, new_id in zip(records, ['c0,"s6"', "line\nbreak", "carriage\rreturn"]):
+            record["id"] = new_id
+        for record in records:
+            del record["pixels_path"]
+        test_file, table = tmp_path / "test.ndjson", tmp_path / "per_sample.csv"
+        test_file.write_text("".join(json.dumps(r) + "\n" for r in records))
+        assert main([
+            "evaluate", "--model", str(model), "--dataset", str(test_file),
+            "--out", str(tmp_path / "report.json"), "--per-sample-csv", str(table), *catalog,
+        ]) == 0
+        with open(table, newline="") as f:
+            rows = list(csv.reader(f))
+        assert rows[0] == ["id", "correct", "dis_ok", "cov_ok", "div_ok"]
+        assert [row[0] for row in rows[1:]] == [r["id"] for r in records]
+        assert all(len(row) == 5 for row in rows)
+        assert table.read_text().splitlines()[-1].startswith(records[-1]["id"] + ",")
+
     def test_evaluate_on_a_checkpoint_without_a_budget_is_a_one_line_data_error(
         self, tmp_path, capsys
     ):
-        """The golden checkpoint predates the recorded budget; with these
-        flags `synth` draws the catalog it was trained on."""
+        """A checkpoint that lacks its vocabulary's `lambda_hat` or `budget`
+        is malformed at load, before any write. With these flags `synth`
+        draws the catalog the golden checkpoint was trained on."""
         assert main([
             "synth", "--out-dir", str(tmp_path / "data"), "--classes", "3",
             "--concepts-per-class", "4", "--dim", "8", "--seed", "3", "--no-pixels",
         ]) == 0
         report = tmp_path / "report.json"
-        capsys.readouterr()
-        code = main([
-            "evaluate", "--model", str(GOLDEN_MODEL),
-            "--dataset", str(tmp_path / "data" / "test.ndjson"),
-            "--catalog", str(tmp_path / "data" / "catalog.json"),
-            "--out", str(report), "--cca-dat", str(tmp_path / "cca.dat"),
-        ])
-        err = capsys.readouterr().err
-        assert code == 2
-        assert err == (
-            "error: vocabulary records no lambda_hat and risk budget; "
-            "rebuild it with `riskcbm build` and retrain on it\n"
-        )
-        assert not report.exists() and not (tmp_path / "cca.dat").exists()
+        for key in ("lambda_hat", "budget"):
+            doc = json.loads(GOLDEN_MODEL.read_text())
+            del doc[key]
+            bare = tmp_path / f"no_{key}.json"
+            bare.write_text(json.dumps(doc))
+            capsys.readouterr()
+            code = main([
+                "evaluate", "--model", str(bare),
+                "--dataset", str(tmp_path / "data" / "test.ndjson"),
+                "--catalog", str(tmp_path / "data" / "catalog.json"),
+                "--out", str(report), "--cca-dat", str(tmp_path / "cca.dat"),
+                "--per-sample-csv", str(tmp_path / "per_sample.csv"),
+            ])
+            err = capsys.readouterr().err
+            assert code == 2
+            assert err == f"error: {bare}: malformed model checkpoint: KeyError({key!r})\n"
+            assert not report.exists() and not (tmp_path / "cca.dat").exists()
+            assert not (tmp_path / "per_sample.csv").exists()
 
 
 # Every top-level name `pipeline` writes into its output directory.

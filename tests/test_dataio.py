@@ -29,7 +29,7 @@ from riskcbm.calibration import (
 )
 from riskcbm.cbm_trainer import CbmModel, TrainConfig, train
 from riskcbm.concept_sets import CRITERIA
-from riskcbm.core import ConceptId, DataError
+from riskcbm.core import BoundingBox, ConceptId, DataError
 from riskcbm.dataset_builder import (
     AugmentationConfig,
     ConceptVocabulary,
@@ -395,6 +395,18 @@ class TestLabeledDataset:
         dataio.save_labeled_dataset(path2, back)
         assert path.read_text() == path2.read_text()
 
+    def test_an_augmented_record_loads_with_its_placement(self, artifacts, tmp_path):
+        """The record that the `MALFORMED_VALUES` placement rows break loads
+        as it is, so each of them fails on its placement alone."""
+        (tmp_path / "catalog.json").write_bytes((artifacts / "catalog.json").read_bytes())
+        doc = json.loads((artifacts / "labeled.ndjson").read_text())
+        doc["provenance"] = AUGMENTED
+        path = tmp_path / "labeled.ndjson"
+        path.write_text(json.dumps(doc) + "\n")
+        (sample,) = load_labeled(path)
+        assert sample.provenance.placement == BoundingBox(0.0, 0.0, 1.0, 1.0)
+        assert sample.provenance.inserted_concept.id == 0
+
     def test_record_is_the_annotated_record_plus_two_fields(self, tmp_path, synth):
         """Both sample files share one layout: a labeled line without
         `concept_vector` and `provenance` is the annotated line."""
@@ -423,7 +435,7 @@ class TestVocabularyAndModel:
         dataio.save_vocabulary(path, vocab)
         back = dataio.load_vocabulary(path)
         assert back.concepts == vocab.concepts
-        assert back.calibration() == (0.5, DEFAULT_BUDGET)
+        assert (back.lambda_hat, back.budget) == (0.5, DEFAULT_BUDGET)
 
     def test_model_round_trip(self, tmp_path, synth):
         samples, catalog = synth
@@ -439,7 +451,7 @@ class TestVocabularyAndModel:
         assert np.array_equal(model.head_weights, model2.head_weights)
         assert np.array_equal(model.head_bias, model2.head_bias)
         assert vocab2.concepts == vocab.concepts
-        assert vocab2.calibration() == (0.5, DEFAULT_BUDGET)
+        assert (vocab2.lambda_hat, vocab2.budget) == (0.5, DEFAULT_BUDGET)
         assert config2 == config
         path2 = tmp_path / "model2.json"
         dataio.save_model(path2, model2, vocab2, config2)
@@ -538,13 +550,11 @@ def finite_arrays(shape):
 
 @st.composite
 def vocabularies(draw, min_size=0):
-    """With or without a recorded calibration (`lambda_hat` and `budget`)."""
     ids = sorted(draw(st.sets(COUNT, min_size=min_size, max_size=6)))
-    calibration = draw(st.one_of(st.just(()), st.tuples(UNIT, budgets)))
     return ConceptVocabulary(tuple(
         ConceptId(id=i, text=draw(st.text(min_size=1)), class_of_origin=draw(COUNT))
         for i in ids
-    ), *calibration)
+    ), draw(UNIT), draw(budgets))
 
 
 @st.composite
@@ -724,6 +734,10 @@ def _drop(*keys):
     return mutate
 
 
+def _drop_calibration(doc):
+    del doc["lambda_hat"], doc["budget"]
+
+
 def _beside_catalog(load):
     """A sample-file loader that resolves concept ids against the catalog
     file in the same directory."""
@@ -733,6 +747,15 @@ def _beside_catalog(load):
 load_samples = _beside_catalog(dataio.load_dataset)
 load_labeled = _beside_catalog(dataio.load_labeled_dataset)
 AUGMENTED_UNKNOWN_CONCEPT = {"kind": "augmented", "source_id": "x", "inserted_concept_id": 999}
+# An augmented provenance that loads, with its placement window.
+AUGMENTED = {"kind": "augmented", "source_id": "x", "inserted_concept_id": 0,
+             "placement": [0.0, 0.0, 1.0, 1.0]}
+
+
+def _augmented(**changes):
+    """`AUGMENTED` with ``changes``, a key given None left out."""
+    return {k: v for k, v in {**AUGMENTED, **changes}.items() if v is not None}
+
 
 # A value of the right JSON shape that the loader cannot build from, or a
 # missing key, by input: the file it goes into, the loader and the change.
@@ -745,8 +768,14 @@ MALFORMED_VALUES = {
                           _set("budget", "alpha_dis", value=1.5)),
     "vocabulary_lambda_hat_only": ("vocabulary.json", dataio.load_vocabulary,
                                    _drop("budget")),
+    "vocabulary_budget_only": ("vocabulary.json", dataio.load_vocabulary,
+                               _drop("lambda_hat")),
+    "vocabulary_no_calibration": ("vocabulary.json", dataio.load_vocabulary,
+                                  _drop_calibration),
     "model": ("model.json", dataio.load_model, _set("config", "epochs", value=0)),
     "model_budget": ("model.json", dataio.load_model, _set("budget", "alpha_cov", value=0)),
+    "model_no_calibration": ("model.json", dataio.load_model, _drop_calibration),
+    "model_config_no_momentum": ("model.json", dataio.load_model, _drop("config", "momentum")),
     "calibration": ("calibration.json", dataio.load_calibration,
                     _set("lambda_hat", value=lambda v: v + 1.0)),
     "guarantee": ("guarantee.json", dataio.load_guarantee_report,
@@ -772,6 +801,8 @@ MALFORMED_VALUES = {
                         _set("provenance", "kind", value="pasted")),
     "inserted_concept": ("labeled.ndjson", load_labeled,
                          _set("provenance", value=AUGMENTED_UNKNOWN_CONCEPT)),
+    "augmented_no_placement": ("labeled.ndjson", load_labeled,
+                               _set("provenance", value=_augmented(placement=None))),
     # JSON typing: an int is also a float, a bool is neither. A value of
     # another JSON type is an error, never converted.
     "catalog_fractional_label": ("catalog.json", dataio.load_catalog,
@@ -790,6 +821,14 @@ MALFORMED_VALUES = {
                          _set("label", value=lambda v: v + 0.6)),
     "bool_confidence": ("dataset.ndjson", load_samples,
                         _set("detections", 0, "confidence", value=True)),
+    "bool_pixels_path": ("dataset.ndjson", load_samples, _set("pixels_path", value=False)),
+    "int_pixels_path": ("dataset.ndjson", load_samples, _set("pixels_path", value=0)),
+    "object_detections": ("dataset.ndjson", load_samples, _set("detections", value={})),
+    "string_detections": ("dataset.ndjson", load_samples, _set("detections", value="")),
+    "int_placement": ("labeled.ndjson", load_labeled,
+                      _set("provenance", value=_augmented(placement=0))),
+    "empty_placement": ("labeled.ndjson", load_labeled,
+                        _set("provenance", value=_augmented(placement=[]))),
     # Arrays follow the same rule, item by item.
     "fractional_concept_vector": ("labeled.ndjson", load_labeled,
                                   _set("concept_vector", 0, value=0.6)),

@@ -1,5 +1,7 @@
 """Vocabulary, labeling, and rare-concept augmentation."""
 
+import json
+import re
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -8,12 +10,14 @@ import numpy as np
 import pytest
 
 from conftest import make_catalog, make_sample, run_python
+from riskcbm import dataio
 from riskcbm.calibration import DEFAULT_BUDGET, RiskBudget
 from riskcbm.concept_sets import confidence_admits
 from riskcbm.core import AnnotatedSample, BoundingBox, DataError, Detection
 from riskcbm.dataset_builder import (
     AugmentationConfig,
     ConceptVocabulary,
+    Provenance,
     _rarest_first,
     augment_dataset,
     build_vocabulary,
@@ -114,47 +118,60 @@ class TestVocabulary:
         samples = [make_sample("s0", 0, [1, 0], [(a, 0.9)])]
         vocab = build_vocabulary(samples, catalog, 0.4, budget)
         assert (vocab.lambda_hat, vocab.budget) == (0.4, budget)
-        assert vocab.calibration() == (0.4, budget)
 
-    def test_without_its_calibration_nothing_is_labeled(self, catalog):
-        """A vocabulary loaded from a file that predates `lambda_hat` and
-        `budget` has neither, so it gives no threshold to label at."""
+    def test_without_its_calibration_nothing_is_labeled(self, catalog, tmp_path):
+        """A vocabulary is the output of a calibration: a file without
+        `lambda_hat` and `budget` is malformed at load, naming the file and
+        the key, so no vocabulary reaches `label_sample` without its
+        threshold."""
         a, b, _ = catalog.concepts_for(0)
-        bare = ConceptVocabulary(concepts=(a, b))
-        sample = make_sample("s0", 0, [1, 0], [(a, 0.9)])
-        message = "vocabulary records no lambda_hat and risk budget"
-        with pytest.raises(DataError, match=message):
-            bare.calibration()
-        with pytest.raises(DataError, match=message):
-            label_sample(sample, bare)
+        path = tmp_path / "vocab.json"
+        dataio.save_vocabulary(path, ConceptVocabulary((a, b), 0.5, DEFAULT_BUDGET))
+        doc = json.loads(path.read_text())
+        del doc["lambda_hat"], doc["budget"]
+        path.write_text(json.dumps(doc))
+        message = f"{path}: malformed vocabulary: KeyError('lambda_hat')"
+        with pytest.raises(dataio.DataFormatError, match=re.escape(message)):
+            dataio.load_vocabulary(path)
 
-    @pytest.mark.parametrize("lambda_hat, budget, message", [
-        (0.5, None, "together or neither"),
-        (None, DEFAULT_BUDGET, "together or neither"),
-        (1.5, DEFAULT_BUDGET, r"lambda_hat must be in \[0, 1\]"),
-        (-0.1, DEFAULT_BUDGET, r"lambda_hat must be in \[0, 1\]"),
-    ])
+    @pytest.mark.parametrize("calibration, error, message", [
+        ((0.5,), TypeError, "missing 1 required positional argument: 'budget'"),
+        ((), TypeError, "missing 2 required positional arguments: 'lambda_hat' and 'budget'"),
+        ((1.5, DEFAULT_BUDGET), DataError, r"lambda_hat must be in \[0, 1\]"),
+        ((-0.1, DEFAULT_BUDGET), DataError, r"lambda_hat must be in \[0, 1\]"),
+    ], ids=["lambda_hat_only", "neither", "above", "below"])
     def test_half_or_out_of_range_calibration_rejected(
-        self, catalog, lambda_hat, budget, message
+        self, catalog, calibration, error, message
     ):
         a = catalog.concepts_for(0)[0]
-        with pytest.raises(DataError, match=message):
-            ConceptVocabulary((a,), lambda_hat, budget)
+        with pytest.raises(error, match=message):
+            ConceptVocabulary((a,), *calibration)
 
     def test_duplicate_or_unsorted_construction_rejected(self, catalog):
         a, b, _ = catalog.concepts_for(0)
         with pytest.raises(DataError):
-            ConceptVocabulary(concepts=(a, a))
+            ConceptVocabulary((a, a), 0.5, DEFAULT_BUDGET)
         with pytest.raises(DataError):
-            ConceptVocabulary(concepts=(b, a))
+            ConceptVocabulary((b, a), 0.5, DEFAULT_BUDGET)
 
     def test_index_is_derived_not_accepted(self, catalog):
         a, b, _ = catalog.concepts_for(0)
         with pytest.raises(TypeError, match="index_of"):
-            ConceptVocabulary(concepts=(a, b), index_of={a: 1, b: 0})
+            ConceptVocabulary((a, b), 0.5, DEFAULT_BUDGET, index_of={a: 1, b: 0})
 
 
 class TestLabeling:
+    @pytest.mark.parametrize("missing", ["source_id", "inserted_concept", "placement"])
+    def test_augmented_provenance_records_its_source_concept_and_placement(
+        self, catalog, missing
+    ):
+        given = {"source_id": "s0", "inserted_concept": catalog.concepts_for(0)[0],
+                 "placement": BoundingBox(0.0, 0.0, 1.0, 1.0)}
+        Provenance("augmented", **given)
+        message = "augmented provenance needs source_id, inserted_concept and placement"
+        with pytest.raises(DataError, match=message):
+            Provenance("augmented", **{**given, missing: None})
+
     def test_indicator_vector(self, catalog):
         a, b, c = catalog.concepts_for(0)
         vocab = vocab_at(0.3, a, b, c)

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import make_catalog, make_sample
+from conftest import BOX, make_catalog, make_sample
 from riskcbm.calibration import DEFAULT_BUDGET, RiskBudget
 from riskcbm import dataio
 from riskcbm.cbm_trainer import CbmModel, TrainConfig
@@ -174,18 +174,13 @@ class TestAccuracyReport:
         assert report.cca == 0.0
 
     def test_compliance_is_scored_at_the_vocabulary_budget(self, catalog, vocab):
-        """The report records the budget its vocabulary was built at, and a
-        vocabulary that records none, as one loaded from a checkpoint written
-        before vocabularies recorded it, is an error."""
-        report = accuracy_report(
-            self._good_model(vocab), self._samples(catalog),
-            at_budget(vocab, 0.95, 0.6, 0.6), catalog, EvalConfig(nec=3),
-        )
-        assert report.budget == RiskBudget(0.95, 0.6, 0.6)
-        bare = ConceptVocabulary(concepts=vocab.concepts)
-        with pytest.raises(DataError, match="records no lambda_hat and risk budget"):
-            accuracy_report(self._good_model(vocab), self._samples(catalog), bare, catalog,
-                            EvalConfig())
+        """The report records the budget its vocabulary was built at."""
+        for budget in (DEFAULT_BUDGET, RiskBudget(0.95, 0.6, 0.6)):
+            report = accuracy_report(
+                self._good_model(vocab), self._samples(catalog),
+                replace(vocab, budget=budget), catalog, EvalConfig(nec=3),
+            )
+            assert report.budget == budget
 
     def test_missing_class_is_an_error(self, catalog, vocab):
         samples = [make_sample("a", 0, [1.0, 0.1], [])]
@@ -215,7 +210,7 @@ class TestAccuracyReport:
             ConceptLabeledSample(
                 sample_id=f"aug-{s.sample_id}", label=s.label,
                 concept_vector=np.zeros(len(vocab)), image_embedding=s.image_embedding,
-                provenance=Provenance("augmented", s.sample_id, vocab.concepts[0]),
+                provenance=Provenance("augmented", s.sample_id, vocab.concepts[0], BOX),
             )
             for s in originals
         ]

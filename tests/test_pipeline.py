@@ -8,10 +8,10 @@ from typing import get_type_hints
 import pytest
 
 from conftest import BAD_KEYS, BAD_VALUES, PATHS
+from riskcbm import dataio
 from riskcbm.calibration import DEFAULT_BUDGET, RiskBudget
 from riskcbm.cbm_trainer import TrainConfig, train
 from riskcbm.cli import main
-from riskcbm.core import DataError
 from riskcbm.dataset_builder import ConceptVocabulary, build_vocabulary, label_sample
 from riskcbm.evaluation import EvalConfig
 from riskcbm.pipeline import (
@@ -126,8 +126,9 @@ def test_nec_sweep_uses_the_run_budget(data_dir, tmp_path):
 
 
 def test_evaluate_sweep_needs_the_budget_its_vocabulary_records(tmp_path):
-    """A vocabulary loaded from a file that predates its `lambda_hat` and
-    `budget` gives the sweep no budget to score compliance at."""
+    """The sweep scores compliance at the budget its vocabulary records, and
+    a checkpoint that records none is malformed at load, so no sweep runs
+    without one."""
     samples, catalog = generate_synthetic(
         SynthSpec(classes=2, concepts_per_class=3, samples_per_class=6, seed=1,
                   with_pixels=False)
@@ -135,12 +136,18 @@ def test_evaluate_sweep_needs_the_budget_its_vocabulary_records(tmp_path):
     vocab = build_vocabulary(samples, catalog, 0.5, DEFAULT_BUDGET)
     labeled = [label_sample(s, vocab) for s in samples]
     model, _ = train(labeled, vocab, TrainConfig(epochs=1), n_classes=catalog.num_classes)
-    dat = tmp_path / "cca.dat"
+    other = RiskBudget(0.9, 0.3, 0.3)
     assert evaluate_sweep(model, samples, vocab, catalog, 3).budget == DEFAULT_BUDGET
-    bare = ConceptVocabulary(vocab.concepts)
-    with pytest.raises(DataError, match="vocabulary records no lambda_hat and risk budget"):
-        evaluate_sweep(model, samples, bare, catalog, 3, dat)
-    assert not dat.exists()
+    at_other = ConceptVocabulary(vocab.concepts, vocab.lambda_hat, other)
+    assert evaluate_sweep(model, samples, at_other, catalog, 3).budget == other
+    path = tmp_path / "model.json"
+    dataio.save_model(path, model, vocab, TrainConfig(epochs=1))
+    doc = json.loads(path.read_text())
+    del doc["budget"]
+    path.write_text(json.dumps(doc))
+    message = f"{path}: malformed model checkpoint: KeyError('budget')"
+    with pytest.raises(dataio.DataFormatError, match=re.escape(message)):
+        dataio.load_model(path)
 
 
 @pytest.mark.parametrize("section", list(BAD_KEYS))
