@@ -11,6 +11,7 @@ at a window that does not overlap any of the target's reliable
 
 from __future__ import annotations
 
+import numbers
 import warnings
 from dataclasses import KW_ONLY, dataclass, field, fields, replace
 from typing import Sequence
@@ -66,8 +67,16 @@ class ConceptVocabulary:
             raise DataError("vocabulary contains duplicate concepts")
         if ordered != tuple(self.concepts):
             raise DataError("vocabulary must be sorted by concept id")
+        if isinstance(self.lambda_hat, bool) or not isinstance(self.lambda_hat, numbers.Real):
+            raise DataError(
+                f"lambda_hat must be a number, got {type(self.lambda_hat).__name__}"
+            )
         if not 0.0 <= self.lambda_hat <= 1.0:
             raise DataError(f"lambda_hat must be in [0, 1], got {self.lambda_hat}")
+        if not isinstance(self.budget, RiskBudget):
+            raise DataError(
+                f"budget must be a RiskBudget, got {type(self.budget).__name__}"
+            )
         self.concepts = ordered
         self.index_of = {c: i for i, c in enumerate(ordered)}
 

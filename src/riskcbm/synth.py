@@ -6,6 +6,22 @@ noise, and every class concept gets one detection per image whose confidence
 is drawn high when the concept is "present" and low otherwise. Pixels are
 small tensors with a colored rectangle per detection. Everything flows from
 the single seed, so identical specs produce bit-identical datasets.
+
+The random stream is fixed: `tests/data/digests.json`,
+`tests/data/crc_seed3.json` and `tests/data/crc_shifted_seed3.json` pin the
+bytes it yields, so a change to how samples are drawn must leave every draw
+as it was. Per sample the stream
+holds the embedding noise, one ``Generator.normal`` call, and then per
+detection four words of the PCG64 bit generator: the presence double, the
+confidence double, a word whose 32-bit halves, low half first, draw the box
+width and height, and one whose halves draw its corner. Samples are drawn as
+exactly that: a normal call and one ``random_raw`` block of four words per
+detection, decoded for a whole class at once with numpy's own formulas (a
+double is the top 53 bits of a word; an integer in ``[0, n)`` is Lemire's
+multiply-shift of a 32-bit half). Lemire's method turns down a half, and
+draws another, with a probability below 1e-8 at these ranges, and a range of
+2**32 values or more is drawn from a whole word; a class where either happens
+is drawn again from its saved state one ``Generator`` call at a time.
 """
 
 from __future__ import annotations
@@ -21,7 +37,6 @@ from .core import (
     ConceptCatalog,
     ConceptId,
     Detection,
-    make_pixels,
 )
 
 __all__ = ["SynthSpec", "generate_synthetic", "shift_distribution"]
@@ -37,6 +52,8 @@ _ABSENT_CONF = (0.05, 0.50)
 
 # Per-concept presence rates are drawn uniformly from this range.
 _PRESENCE_RATE = (0.35, 0.90)
+
+_LOW32 = np.uint64(0xFFFFFFFF)
 
 
 @dataclass(frozen=True)
@@ -90,7 +107,7 @@ def generate_synthetic(
     prototypes = _unit_rows(rng.normal(size=(n_classes, d)))
     concepts: list[ConceptId] = []
     embeddings: list[np.ndarray] = []
-    presence_rate: dict[ConceptId, float] = {}
+    presence_rate = np.empty((n_classes, m))
     for label in range(n_classes):
         for j in range(m):
             vec = prototypes[label] + _CONCEPT_SPREAD * rng.normal(size=d)
@@ -99,43 +116,135 @@ def generate_synthetic(
             )
             concepts.append(concept)
             embeddings.append(vec / np.linalg.norm(vec))
-            presence_rate[concept] = float(rng.uniform(*_PRESENCE_RATE))
+            presence_rate[label, j] = rng.uniform(*_PRESENCE_RATE)
     catalog = ConceptCatalog(concepts, embeddings)
 
-    size = spec.image_size
     samples: list[AnnotatedSample] = []
     for label in range(n_classes):
-        for i in range(spec.samples_per_class):
-            embedding = prototypes[label] + spec.noise * rng.normal(size=d)
-            detections = []
-            boxes = []
-            for concept in catalog.concepts_for(label):
-                present = rng.random() < presence_rate[concept]
-                conf = float(rng.uniform(*(_PRESENT_CONF if present else _ABSENT_CONF)))
-                w = int(rng.integers(8, size // 3))
-                h = int(rng.integers(8, size // 3))
-                x1 = int(rng.integers(0, size - w))
-                y1 = int(rng.integers(0, size - h))
-                box = BoundingBox(float(x1), float(y1), float(x1 + w), float(y1 + h))
-                boxes.append((box, concept))
-                detections.append(Detection(box=box, confidence=conf, concept=concept))
-            pixels = None
-            if spec.with_pixels:
-                img = np.full((size, size, 3), 0.25, dtype=np.float32)
-                for box, concept in boxes:
-                    bx1, by1, bx2, by2 = (int(v) for v in (box.x1, box.y1, box.x2, box.y2))
-                    img[by1:by2, bx1:bx2] = _concept_color(concept.id)
-                pixels = make_pixels(img)
-            samples.append(
-                AnnotatedSample(
-                    sample_id=f"c{label}-s{i}",
-                    label=label,
-                    image_embedding=embedding,
-                    detections=tuple(detections),
-                    image_pixels=pixels,
-                )
-            )
+        state = rng.bit_generator.state
+        draws = _decoded_draws(rng, spec, presence_rate[label])
+        if draws is None:
+            rng.bit_generator.state = state
+            draws = _per_draw_draws(rng, spec, presence_rate[label])
+        samples += _class_samples(
+            spec, label, prototypes[label], catalog.concepts_for(label), *draws
+        )
     return samples, catalog
+
+
+def _doubles(words: np.ndarray) -> np.ndarray:
+    """``Generator.random()`` of each raw word: its top 53 bits, scaled."""
+    return (words >> np.uint64(11)) * 2.0**-53
+
+
+def _bounded(u32: np.ndarray, n) -> np.ndarray:
+    """``Generator.integers(0, n)`` of each 32-bit word: Lemire's multiply-shift."""
+    return (u32 * n) >> np.uint64(32)
+
+
+def _rejects(u32, n) -> np.ndarray:
+    """Where Lemire's draw of ``[0, n)`` turns down the 32-bit word ``u32``
+    and takes another: its low product half falls below ``2**32 mod n``."""
+    u32, n = np.asarray(u32, np.uint64), np.asarray(n, np.uint64)
+    return (u32 * n) & _LOW32 < (np.uint64(2**32) - n) % n
+
+
+def _decoded_draws(rng: np.random.Generator, spec: SynthSpec, rates: np.ndarray):
+    """One class's noise, confidences and boxes, decoded from one raw-word
+    block per sample; None where numpy's own draws would have consumed the
+    words differently: a box range of 2**32 values or more, or a rejected
+    Lemire draw. ``rng`` has then advanced and must be restored."""
+    size = spec.image_size
+    if size >= 2**32:
+        return None
+    n, m = spec.samples_per_class, len(rates)
+    normal, raw = rng.normal, rng.bit_generator.random_raw
+    noise = np.empty((n, spec.embedding_dim))
+    block = np.empty((n, 4 * m), np.uint64)
+    for i in range(n):
+        noise[i] = normal(size=spec.embedding_dim)
+        block[i] = raw(4 * m)
+    # Per detection: presence double, confidence double, the w/h word and
+    # the x1/y1 word, each 32-bit half drawn low half first.
+    block = block.reshape(n, m, 4)
+    present = _doubles(block[..., 0]) < rates
+    lo = np.where(present, _PRESENT_CONF[0], _ABSENT_CONF[0])
+    hi = np.where(present, _PRESENT_CONF[1], _ABSENT_CONF[1])
+    conf = lo + (hi - lo) * _doubles(block[..., 1])
+    halves = np.stack(
+        [block[..., 2] & _LOW32, block[..., 2] >> np.uint64(32),
+         block[..., 3] & _LOW32, block[..., 3] >> np.uint64(32)],
+        axis=-1,
+    )
+    ranges = np.empty_like(halves)
+    ranges[..., :2] = size // 3 - 8
+    w = 8 + _bounded(halves[..., 0], ranges[..., 0])
+    h = 8 + _bounded(halves[..., 1], ranges[..., 1])
+    ranges[..., 2] = size - w
+    ranges[..., 3] = size - h
+    if _rejects(halves, ranges).any():
+        return None
+    x1 = _bounded(halves[..., 2], ranges[..., 2])
+    y1 = _bounded(halves[..., 3], ranges[..., 3])
+    corners = np.stack([x1, y1, x1 + w, y1 + h], axis=-1).astype(np.float64)
+    return noise, conf, corners
+
+
+def _per_draw_draws(rng: np.random.Generator, spec: SynthSpec, rates: np.ndarray):
+    """What `_decoded_draws` returns, drawn one ``Generator`` call at a time."""
+    n, m, size = spec.samples_per_class, len(rates), spec.image_size
+    noise = np.empty((n, spec.embedding_dim))
+    conf = np.empty((n, m))
+    corners = np.empty((n, m, 4))
+    for i in range(n):
+        noise[i] = rng.normal(size=spec.embedding_dim)
+        for j, rate in enumerate(rates):
+            present = rng.random() < rate
+            conf[i, j] = rng.uniform(*(_PRESENT_CONF if present else _ABSENT_CONF))
+            w = int(rng.integers(8, size // 3))
+            h = int(rng.integers(8, size // 3))
+            x1 = int(rng.integers(0, size - w))
+            y1 = int(rng.integers(0, size - h))
+            corners[i, j] = (x1, y1, x1 + w, y1 + h)
+    return noise, conf, corners
+
+
+def _class_samples(
+    spec: SynthSpec,
+    label: int,
+    prototype: np.ndarray,
+    concepts: Sequence[ConceptId],
+    noise: np.ndarray,
+    conf: np.ndarray,
+    corners: np.ndarray,
+) -> list[AnnotatedSample]:
+    """The samples of one class from its draws: sample i embeds at
+    ``prototype + spec.noise * noise[i]`` and holds one detection per
+    concept, with confidence ``conf[i, j]`` and box ``corners[i, j]``."""
+    size = spec.image_size
+    embeddings = prototype + spec.noise * noise
+    colors = [_concept_color(c.id) for c in concepts] if spec.with_pixels else []
+    samples = []
+    for i, (confs, boxes) in enumerate(zip(conf.tolist(), corners.tolist())):
+        pixels = None
+        if spec.with_pixels:
+            pixels = np.full((size, size, 3), 0.25, dtype=np.float32)
+            for (x1, y1, x2, y2), color in zip(boxes, colors):
+                pixels[int(y1) : int(y2), int(x1) : int(x2)] = color
+            pixels.setflags(write=False)  # make_pixels keeps it without a copy
+        samples.append(
+            AnnotatedSample(
+                sample_id=f"c{label}-s{i}",
+                label=label,
+                image_embedding=embeddings[i],
+                detections=tuple(
+                    Detection(box=BoundingBox(*box), confidence=c, concept=concept)
+                    for box, c, concept in zip(boxes, confs, concepts)
+                ),
+                image_pixels=pixels,
+            )
+        )
+    return samples
 
 
 def shift_distribution(
@@ -146,15 +255,14 @@ def shift_distribution(
     Useful as a non-exchangeable target pool when demonstrating that the
     calibration guarantee needs exchangeability.
     """
-    rng = np.random.default_rng(seed)
+    # One normal draw per detection, in sample order, as one call.
+    z = np.random.default_rng(seed).normal(size=sum(len(s.detections) for s in samples))
+    confidences = np.array([det.confidence for s in samples for det in s.detections])
+    shifted = iter(np.clip((1.0 - confidences) + 0.05 * z, 0.0, 1.0).tolist())
     out = []
     for sample in samples:
         detections = tuple(
-            Detection(
-                box=det.box,
-                confidence=float(np.clip(1.0 - det.confidence + 0.05 * rng.normal(), 0.0, 1.0)),
-                concept=det.concept,
-            )
+            Detection(box=det.box, confidence=next(shifted), concept=det.concept)
             for det in sample.detections
         )
         out.append(

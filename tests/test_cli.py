@@ -753,6 +753,17 @@ class TestCrcCheckCommand:
         golden = Path(__file__).parent / "data" / "crc_seed3.json"
         assert (tmp_path / "crc.json").read_bytes() == golden.read_bytes()
 
+    def test_shifted_report_matches_the_golden_file(self, tmp_path, capsys):
+        """Pins the shifted pool's draws too: its report, byte for byte, and
+        the exit code of a run outside the theorem."""
+        code = main([
+            "crc-check", "--pool", "300", "--n-cal", "30", "--trials", "500",
+            "--seed", "3", "--shifted", "--out", str(tmp_path / "crc.json"),
+        ])
+        assert code == 3
+        golden = Path(__file__).parent / "data" / "crc_shifted_seed3.json"
+        assert (tmp_path / "crc.json").read_bytes() == golden.read_bytes()
+
     def test_shifted_run_flags_theorem_gap(self, capsys):
         code = main([
             "crc-check", "--trials", "120", "--n-cal", "20",

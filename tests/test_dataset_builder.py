@@ -147,6 +147,25 @@ class TestVocabulary:
         with pytest.raises(error, match=message):
             ConceptVocabulary((a,), *calibration)
 
+    @pytest.mark.parametrize("calibration, message", [
+        ((0.5, None), "budget must be a RiskBudget, got NoneType"),
+        ((0.5, 0.2), "budget must be a RiskBudget, got float"),
+        ((0.5, {"alpha_dis": 0.7}), "budget must be a RiskBudget, got dict"),
+        ((True, DEFAULT_BUDGET), "lambda_hat must be a number, got bool"),
+        (("0.5", DEFAULT_BUDGET), "lambda_hat must be a number, got str"),
+    ], ids=["budget_none", "budget_float", "budget_dict", "lambda_bool", "lambda_str"])
+    def test_calibration_of_the_wrong_type_rejected_by_name(self, catalog, calibration, message):
+        """A budget that is not a RiskBudget, or a lambda_hat that is a bool
+        or not a number, fails at construction, not at its first use."""
+        a = catalog.concepts_for(0)[0]
+        with pytest.raises(DataError, match=re.escape(message)):
+            ConceptVocabulary((a,), *calibration)
+
+    def test_numpy_lambda_hat_accepted(self, catalog):
+        a = catalog.concepts_for(0)[0]
+        for value in (np.float64(0.25), np.float32(0.25), 0):
+            assert ConceptVocabulary((a,), value, DEFAULT_BUDGET).lambda_hat == value
+
     def test_duplicate_or_unsorted_construction_rejected(self, catalog):
         a, b, _ = catalog.concepts_for(0)
         with pytest.raises(DataError):

@@ -4,7 +4,10 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from riskcbm import synth
 from riskcbm.core import validate_dataset
 from riskcbm.synth import SynthSpec, generate_synthetic, shift_distribution
 
@@ -78,6 +81,117 @@ class TestGenerate:
         x1, y1 = int(det.box.x1), int(det.box.y1)
         inside = s.image_pixels[y1, x1]
         assert not np.array_equal(inside, np.array([0.25, 0.25, 0.25], np.float32))
+
+
+def _as_bytes(samples, catalog) -> list:
+    """Every sample's id, label, embedding, detections and pixels, then the
+    catalog, as comparable values."""
+    rows = [
+        (
+            s.sample_id,
+            s.label,
+            s.image_embedding.tobytes(),
+            repr([(d.box, d.confidence, d.concept) for d in s.detections]),
+            None if s.image_pixels is None else s.image_pixels.tobytes(),
+        )
+        for s in samples
+    ]
+    return rows + [catalog.concepts, catalog.embeddings.tobytes()]
+
+
+def _per_draw(spec: SynthSpec) -> list:
+    """`generate_synthetic(spec)` with every class drawn by the per-draw
+    helper: each decoded block is rejected, so the state is restored and
+    the class drawn again one `Generator` call at a time."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(synth, "_rejects", lambda u32, n: np.ones(np.shape(u32), bool))
+        return _as_bytes(*generate_synthetic(spec))
+
+
+class TestDraws:
+    """Samples are decoded from one raw-word block each; numpy's own
+    per-draw calls are the reference they must equal bit for bit."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        classes=st.integers(1, 3),
+        concepts=st.integers(1, 5),
+        samples=st.integers(1, 6),
+        dim=st.integers(2, 8),
+        noise=st.sampled_from([0.0, 0.3]),
+        seed=st.integers(0, 2**31),
+        image_size=st.sampled_from([32, 33, 45, 63, 64, 101, 257]),
+        with_pixels=st.booleans(),
+    )
+    def test_decoded_equals_per_draw(
+        self, classes, concepts, samples, dim, noise, seed, image_size, with_pixels
+    ):
+        spec = SynthSpec(
+            classes=classes, concepts_per_class=concepts, samples_per_class=samples,
+            embedding_dim=dim, noise=noise, seed=seed, image_size=image_size,
+            with_pixels=with_pixels,
+        )
+        assert _as_bytes(*generate_synthetic(spec)) == _per_draw(spec)
+
+    @pytest.mark.parametrize("u32, n, rejected", [
+        (0, 13, True),  # 2**32 mod 13 is 9, and 0 * 13 falls below it
+        (1, 13, False),  # 13 does not
+        (2**32 - 1, 13, False),
+        (0, 8, False),  # 8 divides 2**32: no word is ever rejected
+    ])
+    def test_lemire_rejection_by_hand(self, u32, n, rejected):
+        assert bool(synth._rejects(u32, n)) is rejected
+
+    def test_a_range_dividing_2_to_the_32_never_rejects(self):
+        words = np.random.default_rng(0).integers(0, 2**32, size=10_000, dtype=np.uint64)
+        assert not synth._rejects(words, 8).any()
+        assert synth._rejects(words[:10], 13).shape == (10,)
+
+    def test_forced_rejection_on_the_last_draw_restores_the_state(self, monkeypatch):
+        """Rejecting only the last decoded draw of the last class redraws
+        that class per draw from its saved state: the output is unchanged."""
+        spec = SynthSpec(classes=3, concepts_per_class=4, samples_per_class=5, seed=11)
+        expected = _as_bytes(*generate_synthetic(spec))
+        real_rejects, calls, redrawn = synth._rejects, [], []
+
+        def last_rejected(u32, n):
+            out = real_rejects(u32, n)
+            calls.append(out.shape)
+            if len(calls) == spec.classes:
+                out.flat[-1] = True
+            return out
+
+        real_per_draw = synth._per_draw_draws
+
+        def per_draw(rng, spec, rates):
+            redrawn.append(len(calls))
+            return real_per_draw(rng, spec, rates)
+
+        monkeypatch.setattr(synth, "_rejects", last_rejected)
+        monkeypatch.setattr(synth, "_per_draw_draws", per_draw)
+        assert _as_bytes(*generate_synthetic(spec)) == expected
+        assert redrawn == [spec.classes]
+
+    def test_a_range_of_2_to_the_32_or_more_draws_per_draw(self, monkeypatch):
+        """Past 2**32 values numpy draws a box coordinate from a whole word,
+        which the block decoding does not model."""
+        spec = SynthSpec(classes=2, concepts_per_class=3, samples_per_class=4,
+                         image_size=2**33, with_pixels=False, seed=1)
+        redrawn = []
+        real_per_draw = synth._per_draw_draws
+
+        def per_draw(rng, spec, rates):
+            redrawn.append(rates.size)
+            return real_per_draw(rng, spec, rates)
+
+        monkeypatch.setattr(synth, "_per_draw_draws", per_draw)
+        # Rejection cannot be what sends these classes down the per-draw path.
+        monkeypatch.setattr(synth, "_rejects", lambda u32, n: np.zeros(np.shape(u32), bool))
+        samples, _ = generate_synthetic(spec)
+        assert redrawn == [3, 3]
+        boxes = [d.box for s in samples for d in s.detections]
+        assert all(0 <= b.x1 < b.x2 <= 2**33 and 0 <= b.y1 < b.y2 <= 2**33 for b in boxes)
+        assert max(b.x1 for b in boxes) >= 2**32  # beyond any 32-bit draw
 
 
 class TestShift:
