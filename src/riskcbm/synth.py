@@ -20,8 +20,10 @@ detection, decoded for a whole class at once with numpy's own formulas (a
 double is the top 53 bits of a word; an integer in ``[0, n)`` is Lemire's
 multiply-shift of a 32-bit half). Lemire's method turns down a half, and
 draws another, with a probability below 1e-8 at these ranges, and a range of
-2**32 values or more is drawn from a whole word; a class where either happens
-is drawn again from its saved state one ``Generator`` call at a time.
+2**32 values or more is drawn from a whole word. Where either happens in any
+class, the words of that class and of every later one no longer line up, so
+the stream is restored to where the samples begin and every class is drawn
+again one ``Generator`` call at a time.
 """
 
 from __future__ import annotations
@@ -119,15 +121,22 @@ def generate_synthetic(
             presence_rate[label, j] = rng.uniform(*_PRESENCE_RATE)
     catalog = ConceptCatalog(concepts, embeddings)
 
-    samples: list[AnnotatedSample] = []
-    for label in range(n_classes):
-        state = rng.bit_generator.state
-        draws = _decoded_draws(rng, spec, presence_rate[label])
-        if draws is None:
+    state = rng.bit_generator.state
+    draws = []
+    for rates in presence_rate:
+        decoded = _decoded_draws(rng, spec, rates)
+        if decoded is None:
+            # A rejected draw takes one more 32-bit half, and an odd count
+            # leaves a half buffered for the next class's first box draw,
+            # so from here on no later class's words line up either.
             rng.bit_generator.state = state
-            draws = _per_draw_draws(rng, spec, presence_rate[label])
+            draws = [_per_draw_draws(rng, spec, r) for r in presence_rate]
+            break
+        draws.append(decoded)
+    samples: list[AnnotatedSample] = []
+    for label, class_draws in enumerate(draws):
         samples += _class_samples(
-            spec, label, prototypes[label], catalog.concepts_for(label), *draws
+            spec, label, prototypes[label], catalog.concepts_for(label), *class_draws
         )
     return samples, catalog
 
@@ -153,7 +162,8 @@ def _decoded_draws(rng: np.random.Generator, spec: SynthSpec, rates: np.ndarray)
     """One class's noise, confidences and boxes, decoded from one raw-word
     block per sample; None where numpy's own draws would have consumed the
     words differently: a box range of 2**32 values or more, or a rejected
-    Lemire draw. ``rng`` has then advanced and must be restored."""
+    Lemire draw. ``rng`` has then advanced, and every class must be drawn
+    again per draw from the state before the first."""
     size = spec.image_size
     if size >= 2**32:
         return None

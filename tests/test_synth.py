@@ -120,16 +120,17 @@ class TestDraws:
         dim=st.integers(2, 8),
         noise=st.sampled_from([0.0, 0.3]),
         seed=st.integers(0, 2**31),
-        image_size=st.sampled_from([32, 33, 45, 63, 64, 101, 257]),
+        image_size=st.sampled_from([32, 33, 45, 63, 64, 101, 257, 3_000_000_000]),
         with_pixels=st.booleans(),
     )
     def test_decoded_equals_per_draw(
         self, classes, concepts, samples, dim, noise, seed, image_size, with_pixels
     ):
+        # 3e9 px makes real Lemire rejections common; its pixels would not fit.
         spec = SynthSpec(
             classes=classes, concepts_per_class=concepts, samples_per_class=samples,
             embedding_dim=dim, noise=noise, seed=seed, image_size=image_size,
-            with_pixels=with_pixels,
+            with_pixels=with_pixels and image_size < 2**16,
         )
         assert _as_bytes(*generate_synthetic(spec)) == _per_draw(spec)
 
@@ -138,18 +139,17 @@ class TestDraws:
         (1, 13, False),  # 13 does not
         (2**32 - 1, 13, False),
         (0, 8, False),  # 8 divides 2**32: no word is ever rejected
+        (1, 8, False),
+        (2**31, 8, False),
+        (2**32 - 1, 8, False),
     ])
     def test_lemire_rejection_by_hand(self, u32, n, rejected):
         assert bool(synth._rejects(u32, n)) is rejected
 
-    def test_a_range_dividing_2_to_the_32_never_rejects(self):
-        words = np.random.default_rng(0).integers(0, 2**32, size=10_000, dtype=np.uint64)
-        assert not synth._rejects(words, 8).any()
-        assert synth._rejects(words[:10], 13).shape == (10,)
-
     def test_forced_rejection_on_the_last_draw_restores_the_state(self, monkeypatch):
         """Rejecting only the last decoded draw of the last class redraws
-        that class per draw from its saved state: the output is unchanged."""
+        every class per draw from the state saved before the first: the
+        output is unchanged."""
         spec = SynthSpec(classes=3, concepts_per_class=4, samples_per_class=5, seed=11)
         expected = _as_bytes(*generate_synthetic(spec))
         real_rejects, calls, redrawn = synth._rejects, [], []
@@ -170,7 +170,28 @@ class TestDraws:
         monkeypatch.setattr(synth, "_rejects", last_rejected)
         monkeypatch.setattr(synth, "_per_draw_draws", per_draw)
         assert _as_bytes(*generate_synthetic(spec)) == expected
-        assert redrawn == [spec.classes]
+        assert redrawn == [spec.classes] * spec.classes
+
+    def test_a_real_rejection_redraws_every_class(self, monkeypatch):
+        """At 3e9 px numpy turns box draws down often, taking one more
+        32-bit half each time; an odd count leaves a half buffered for the
+        next class's first box draw. So one rejecting class sends every
+        class down the per-draw path, not only itself."""
+        fell_back = set()
+        real_per_draw = synth._per_draw_draws
+
+        def per_draw(rng, spec, rates):
+            fell_back.add(spec.seed)
+            return real_per_draw(rng, spec, rates)
+
+        for seed in range(30):
+            spec = SynthSpec(classes=3, concepts_per_class=1, samples_per_class=1,
+                             image_size=3_000_000_000, with_pixels=False, seed=seed)
+            with monkeypatch.context() as mp:
+                mp.setattr(synth, "_per_draw_draws", per_draw)
+                decoded = _as_bytes(*generate_synthetic(spec))
+            assert decoded == _per_draw(spec), seed
+        assert 0 < len(fell_back) < 30  # some seeds reject, some decode throughout
 
     def test_a_range_of_2_to_the_32_or_more_draws_per_draw(self, monkeypatch):
         """Past 2**32 values numpy draws a box coordinate from a whole word,
